@@ -1,0 +1,7 @@
+import os
+import sys
+
+PERF = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for path in (PERF, os.path.join(os.path.dirname(PERF), "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
