@@ -10,12 +10,9 @@ from .builder import TagBuild, build_tag, clock_name
 from .dense import (
     BatchRuntime,
     DenseBatch,
-    DenseRuntime,
     DenseTAG,
-    batch_active,
     compile_dense,
     compile_dense_batch,
-    resolve_batch,
 )
 from .clocks import (
     And,
@@ -54,10 +51,7 @@ __all__ = [
     "compile_dense_batch",
     "DenseTAG",
     "DenseBatch",
-    "DenseRuntime",
     "BatchRuntime",
-    "batch_active",
-    "resolve_batch",
     "batch_matching_roots",
     "TagMatcher",
     "MatchResult",

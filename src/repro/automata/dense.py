@@ -1,39 +1,42 @@
-"""Dense TAG compilation and the columnar batch-matching runtime.
+"""Dense TAG compilation and the stored-sequence matching runtime.
 
 Franceschet & Montanari's automaton view of granularity matching says a
 TAG is just a transition table; this module compiles the object graph of
 :class:`~repro.automata.tag.TAG` into exactly that - integer state ids,
 integer symbol ids, integer clock ids, per-state transition lists, and
 guards lowered to threshold programs over clock indexes - and then runs
-that table over the int64 columns of a
+banks of those tables over the int64 columns of a
 :class:`~repro.store.columnar.ColumnarEventStore`.
 
-Three layers:
+Four layers:
 
 ``compile_dense(tag)``
     the pure compilation step.  :meth:`DenseTAG.step` mirrors
     :meth:`repro.automata.tag.TAG.step` configuration for
     configuration (the property suite replays both state-by-state).
 
+``DenseBatch``
+    dense TAGs sharing one clock space, rebanked over their union
+    alphabet.  A single pattern is a bank of one.
+
 ``ColumnPlan``
-    one (dense TAG, columnar store) pairing: the store's alphabet
-    events gathered into contiguous position/time/symbol columns, with
-    per-clock *tick columns* precomputed through the PR-5 O(log period)
+    one (bank, columnar store) pairing: the store's alphabet events
+    gathered into contiguous position/time/symbol columns, with
+    per-clock *tick columns* precomputed through the O(log period)
     bisection, so every clock guard in the scan is an integer
     subtraction instead of a granularity conversion.
 
-``DenseRuntime``
-    the batched anchored matcher: vectorized anchor screening over the
-    whole anchor column, then a dense NFA sweep per surviving anchor
-    over only the plan's events.  Its match decisions and bindings are
-    bit-identical to :class:`~repro.automata.matching.TagMatcher`'s
-    object path, which stays the differential reference and the
-    ``REPRO_COLUMNAR=off`` kill switch.
+``BatchRuntime``
+    the only runtime that matches a TAG over a stored sequence: one
+    sweep per anchored root advances every requested bank member over
+    only the plan's events.  Its match decisions and bindings are
+    bit-identical to the object NDFA simulation
+    (:class:`~repro.automata.matching.TagMatcher`'s Theorem-4
+    reference), which the differential suites hold it against.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -70,40 +73,8 @@ _BATCH_CANDIDATES = counter(
     "Candidates evaluated through batched frontier scans",
 )
 
-#: Recognised values of ``REPRO_BATCH``.
-BATCH_MODES = ("auto", "on", "off")
-
 #: Shared miss entry for :meth:`BatchRuntime.match_many` results.
 _NO_MATCH: Tuple[bool, None] = (False, None)
-
-
-def resolve_batch(mode: Optional[str] = None) -> str:
-    """Effective multi-candidate batching mode: ``on`` or ``off``.
-
-    ``REPRO_BATCH`` follows the same taxonomy as ``REPRO_COLUMNAR``:
-    ``auto`` (the default) resolves to ``on``; ``off`` is the kill
-    switch and the differential reference the batch-vs-single suite
-    holds the banked scan against.
-    """
-    value = mode if mode is not None else os.environ.get(
-        "REPRO_BATCH", "auto"
-    )
-    value = value.strip().lower() or "auto"
-    if value not in BATCH_MODES:
-        raise ValueError(
-            "REPRO_BATCH must be one of %s, got %r"
-            % ("|".join(BATCH_MODES), value)
-        )
-    return "off" if value == "off" else "on"
-
-
-def batch_active() -> bool:
-    """True when candidate frontiers should scan through one
-    :class:`BatchRuntime` traversal.  Batching rides on the columnar
-    plan, so it is only effective when the columnar backend is too."""
-    from ..store.columnar import columnar_active
-
-    return resolve_batch() == "on" and columnar_active()
 
 
 class DenseGuard:
@@ -142,6 +113,34 @@ class DenseGuard:
                 elif value < k:
                     return False
             return True
+        return _eval_node(self.tree, values)
+
+    def holds(
+        self,
+        reset_ticks: Sequence[Optional[int]],
+        now_ticks: Sequence[Optional[int]],
+    ) -> bool:
+        """Truth with clock ``c`` valued ``now_ticks[c] -
+        reset_ticks[c]`` (None when either tick is None) - the
+        runtime's valuation, read only for the clocks the guard uses."""
+        if self.atoms is not None:
+            for cidx, is_le, k in self.atoms:
+                reset_tick = reset_ticks[cidx]
+                now_tick = now_ticks[cidx]
+                if reset_tick is None or now_tick is None:
+                    return False
+                if is_le:
+                    if now_tick - reset_tick > k:
+                        return False
+                elif now_tick - reset_tick < k:
+                    return False
+            return True
+        values: List[Optional[int]] = [None] * len(now_ticks)
+        for cidx in self.clock_ids:
+            reset_tick = reset_ticks[cidx]
+            now_tick = now_ticks[cidx]
+            if reset_tick is not None and now_tick is not None:
+                values[cidx] = now_tick - reset_tick
         return _eval_node(self.tree, values)
 
 
@@ -264,8 +263,9 @@ class DenseTAG:
         self.clock_types = tuple(
             tag.clocks[name].granularity for name in self.clock_names
         )
-        # match_from anchors at next(iter(start_states)); replicate the
-        # exact same choice so multi-start TAGs stay bit-identical.
+        # The reference matcher anchors at next(iter(start_states));
+        # replicate the same choice so multi-start TAGs stay
+        # bit-identical.
         self.start = self.state_index[next(iter(tag.start_states))]
         self.accepting = frozenset(
             self.state_index[state] for state in tag.accepting
@@ -354,11 +354,11 @@ def compile_dense(tag: TAG) -> DenseTAG:
 
 
 class ColumnPlan:
-    """Alphabet events of one columnar store gathered for one dense TAG.
+    """Alphabet events of one columnar store gathered for one bank.
 
     ``positions``/``times``/``symbol_ids`` hold only the events whose
-    type is in the TAG's alphabet (everything else can only take the
-    ANY self-loop, which leaves configurations unchanged), and
+    type is in the bank's union alphabet (everything else can only take
+    the ANY self-loop, which leaves configurations unchanged), and
     ``ticks[c][j]`` caches ``tick_of(times[j])`` per clock - computed
     once per (store, granularity) via the compiled normal form's
     bisection.  ``strict_bad`` lists the *global* positions (over the
@@ -368,7 +368,7 @@ class ColumnPlan:
     """
 
     __slots__ = (
-        "dense",
+        "batch",
         "positions",
         "times",
         "symbol_ids",
@@ -376,26 +376,26 @@ class ColumnPlan:
         "strict_bad",
     )
 
-    def __init__(self, dense: DenseTAG, store, strict: bool):
+    def __init__(self, batch: "DenseBatch", store, strict: bool):
         with span(
             "columnar.scan",
             events=len(store),
-            alphabet=len(dense.symbols),
+            alphabet=len(batch.symbols),
         ) as scan_span:
             merged: List[Tuple[int, int, int]] = []
-            for sid, symbol in enumerate(dense.symbols):
+            for sid, symbol in enumerate(batch.symbols):
                 positions, times = store.postings(symbol)
                 merged.extend(
                     (position, times[k], sid)
                     for k, position in enumerate(positions)
                 )
             merged.sort()
-            self.dense = dense
+            self.batch = batch
             self.positions = [m[0] for m in merged]
             self.times = [m[1] for m in merged]
             self.symbol_ids = [m[2] for m in merged]
             self.ticks: List[List[Optional[int]]] = []
-            for ttype in dense.clock_types:
+            for ttype in batch.clock_types:
                 memo: Dict[int, Optional[int]] = {}
                 column: List[Optional[int]] = []
                 for t in self.times:
@@ -407,7 +407,7 @@ class ColumnPlan:
                         column.append(z)
                 self.ticks.append(column)
             self.strict_bad: Optional[List[int]] = None
-            if strict and dense.clock_types:
+            if strict and batch.clock_types:
                 bad: List[int] = []
                 memo_all: Dict[int, bool] = {}
                 for position in range(len(store)):
@@ -416,7 +416,7 @@ class ColumnPlan:
                     if covered is None:
                         covered = all(
                             clock_tick_of(ttype, t) is not None
-                            for ttype in dense.clock_types
+                            for ttype in batch.clock_types
                         )
                         memo_all[t] = covered
                     if not covered:
@@ -436,296 +436,20 @@ class ColumnPlan:
         return None
 
 
-def _plan_for(dense: DenseTAG, store, strict: bool) -> ColumnPlan:
+def _plan_for(batch: "DenseBatch", store, strict: bool) -> ColumnPlan:
     cache = store.plan_cache()
-    key = (id(dense), bool(strict))
+    key = (id(batch), bool(strict))
     entry = cache.get(key)
-    if entry is not None and entry[0] is dense:
+    if entry is not None and entry[0] is batch:
         return entry[1]
-    plan = ColumnPlan(dense, store, strict)
-    # The strong reference to ``dense`` keeps the id key stable.
-    cache[key] = (dense, plan)
+    plan = ColumnPlan(batch, store, strict)
+    # The strong reference to ``batch`` keeps the id key stable.
+    cache[key] = (batch, plan)
     return plan
 
 
-class DenseRuntime:
-    """Anchored batch matching of one dense TAG over one columnar store.
-
-    Mirrors :meth:`repro.automata.matching.TagMatcher.match_from` /
-    ``_scan`` decision for decision: same anchor step, same
-    configuration dedup by (state, reset times), same transition order,
-    same early accept, same horizon and strict-kill cuts - over integer
-    columns instead of Python objects.
-    """
-
-    __slots__ = (
-        "dense",
-        "store",
-        "plan",
-        "strict",
-        "horizon_seconds",
-        "max_configurations",
-        "root_symbol",
-        "root_variable",
-        "_root_symbol_id",
-    )
-
-    def __init__(
-        self,
-        dense: DenseTAG,
-        store,
-        root_symbol: str,
-        root_variable: str,
-        strict: bool = False,
-        horizon_seconds: Optional[int] = None,
-        max_configurations: int = 100_000,
-    ):
-        self.dense = dense
-        self.store = store
-        self.plan = _plan_for(dense, store, strict)
-        self.strict = strict
-        self.horizon_seconds = horizon_seconds
-        self.max_configurations = max_configurations
-        self.root_symbol = root_symbol
-        self.root_variable = root_variable
-        self._root_symbol_id = dense.symbol_id(root_symbol)
-
-    # ------------------------------------------------------------------
-    # Anchor enumeration (vectorized screen)
-    # ------------------------------------------------------------------
-    def viable_roots(
-        self, requirements: Sequence[Tuple[str, int, int]]
-    ) -> List[int]:
-        """Global positions of root-symbol events surviving the anchor
-        screen, computed over the whole anchor column in one sweep."""
-        positions, times = self.store.postings(self.root_symbol)
-        if not requirements:
-            return list(positions)
-        mask = self.store.screen_anchors(times, requirements)
-        return [
-            position
-            for position, keep in zip(positions, mask)
-            if keep
-        ]
-
-    # ------------------------------------------------------------------
-    # The batched anchored run
-    # ------------------------------------------------------------------
-    def match(
-        self, root_position: int
-    ) -> Tuple[bool, Optional[Dict[str, int]]]:
-        """(matched, bindings) for one anchored run - bit-identical to
-        the object path's :class:`MatchResult` fields."""
-        store = self.store
-        if store.type_at(root_position) != self.root_symbol:
-            return False, None
-        _RUNS.inc()
-        root_time = store.time_at(root_position)
-        dense = self.dense
-        plan = self.plan
-        root_plan = plan.plan_index_of(root_position)
-        if root_plan is None:  # pragma: no cover - root is in alphabet
-            return False, None
-        ticks = plan.ticks
-        n_clocks = dense.n_clocks
-        root_ticks = [ticks[c][root_plan] for c in range(n_clocks)]
-        if self.strict and any(z is None for z in root_ticks):
-            # The anchor step dies: some clock granularity does not
-            # cover the root timestamp (TAG.step's strict clause).
-            _EVENTS_SCANNED.inc()
-            return False, None
-        # Anchor step: all clocks reset at the root; a clock value is
-        # tick(now) - tick(reset) with now == reset == root.
-        values = [
-            0 if root_ticks[c] is not None else None
-            for c in range(n_clocks)
-        ]
-        reset0 = tuple([root_time] * n_clocks)
-        tick0 = tuple(root_ticks)
-        configs: List[Tuple[int, Tuple[int, ...], Tuple[Optional[int], ...],
-                            Tuple[Tuple[str, int], ...]]] = []
-        for transition in dense.by_source[dense.start]:
-            if transition.symbol_id != self._root_symbol_id:
-                continue
-            if not (
-                transition.variables
-                and transition.variables[0] == self.root_variable
-            ):
-                continue
-            if not transition.guard.evaluate(values):
-                continue
-            bindings = tuple(
-                (variable, root_time)
-                for variable in transition.variables
-            )
-            configs.append((transition.target, reset0, tick0, bindings))
-        if not configs:
-            _EVENTS_SCANNED.inc()
-            return False, None
-        matched, bindings, scanned = self._scan(
-            root_position, root_plan, root_time, configs
-        )
-        _EVENTS_SCANNED.add(scanned)
-        if matched:
-            _MATCHES.inc()
-        return matched, bindings
-
-    def occurs_at(self, root_position: int) -> bool:
-        return self.match(root_position)[0]
-
-    def _scan(self, root_position, root_plan, root_time, configs):
-        dense = self.dense
-        plan = self.plan
-        accepting = dense.accepting
-        for config in configs:
-            if config[0] in accepting:
-                return True, dict(config[3]), 1
-        times = plan.times
-        end = len(times)
-        deadline = (
-            root_time + self.horizon_seconds
-            if self.horizon_seconds is not None
-            else None
-        )
-        if deadline is not None:
-            end = bisect_right(times, deadline)
-        if plan.strict_bad is not None:
-            bad = plan.strict_bad
-            k = bisect_right(bad, root_position)
-            if k < len(bad):
-                bad_position = bad[k]
-                if deadline is None or (
-                    self.store.time_at(bad_position) <= deadline
-                ):
-                    # The run dies at the uncovered event; no plan
-                    # event at or past that global position can fire.
-                    end = min(
-                        end, bisect_left(plan.positions, bad_position)
-                    )
-        scanned = 1
-        transitions_taken = 0
-        skips = 0
-        guard_rejections = 0
-        consuming = dense.consuming_by_source
-        ticks = plan.ticks
-        symbol_ids = plan.symbol_ids
-        n_clocks = dense.n_clocks
-        accepted = None
-        max_configurations = self.max_configurations
-        for j in range(root_plan + 1, end):
-            scanned += 1
-            symbol_id = symbol_ids[j]
-            now = times[j]
-            seen = set()
-            next_configs = []
-            for config in configs:
-                state, resets, rticks, bindings = config
-                key = (state, resets)
-                if key not in seen:
-                    seen.add(key)
-                    next_configs.append(config)
-                    skips += 1
-                values = None
-                for transition in consuming[state]:
-                    if transition.symbol_id != symbol_id:
-                        continue
-                    if values is None:
-                        values = [None] * n_clocks
-                        for cidx in transition.guard.clock_ids:
-                            reset_tick = rticks[cidx]
-                            now_tick = ticks[cidx][j]
-                            if (
-                                reset_tick is not None
-                                and now_tick is not None
-                            ):
-                                values[cidx] = now_tick - reset_tick
-                    else:
-                        for cidx in transition.guard.clock_ids:
-                            if values[cidx] is None:
-                                reset_tick = rticks[cidx]
-                                now_tick = ticks[cidx][j]
-                                if (
-                                    reset_tick is not None
-                                    and now_tick is not None
-                                ):
-                                    values[cidx] = (
-                                        now_tick - reset_tick
-                                    )
-                    if not transition.guard.evaluate(values):
-                        guard_rejections += 1
-                        continue
-                    transitions_taken += 1
-                    if transition.resets:
-                        new_resets = list(resets)
-                        new_ticks = list(rticks)
-                        for cidx in transition.resets:
-                            new_resets[cidx] = now
-                            new_ticks[cidx] = ticks[cidx][j]
-                        new_resets = tuple(new_resets)
-                        new_ticks = tuple(new_ticks)
-                    else:
-                        new_resets = resets
-                        new_ticks = rticks
-                    new_bindings = bindings + tuple(
-                        (variable, now)
-                        for variable in transition.variables
-                    )
-                    successor = (
-                        transition.target,
-                        new_resets,
-                        new_ticks,
-                        new_bindings,
-                    )
-                    if transition.target in accepting:
-                        accepted = successor
-                        break
-                    key = (transition.target, new_resets)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    next_configs.append(successor)
-                if accepted is not None:
-                    break
-            if accepted is not None:
-                break
-            configs = next_configs
-            if len(configs) > max_configurations:
-                raise RuntimeError(
-                    "configuration set exceeded %d; tighten the horizon"
-                    % max_configurations
-                )
-            if not configs:
-                break
-        _TRANSITIONS.add(transitions_taken)
-        _SKIPS.add(skips)
-        _GUARD_REJECTIONS.add(guard_rejections)
-        if accepted is not None:
-            return True, dict(accepted[3]), scanned
-        return False, None, scanned
-
-    # ------------------------------------------------------------------
-    # Whole-store sweeps
-    # ------------------------------------------------------------------
-    def matching_roots(
-        self, requirements: Sequence[Tuple[str, int, int]] = ()
-    ) -> List[int]:
-        """Global positions of root occurrences anchoring a match."""
-        _BATCHES.inc()
-        with span(
-            "tag.batch", roots=self.store.count(self.root_symbol)
-        ) as batch_span:
-            viable = self.viable_roots(requirements)
-            hits = [
-                position
-                for position in viable
-                if self.occurs_at(position)
-            ]
-            batch_span.set(starts=len(viable), hits=len(hits))
-        return hits
-
-
 # ----------------------------------------------------------------------
-# Multi-candidate batching: one traversal for a whole frontier
+# Banks and the runtime: one traversal for a whole frontier
 # ----------------------------------------------------------------------
 class DenseBatch:
     """A bank of dense TAGs sharing one clock space, scanned together.
@@ -740,7 +464,10 @@ class DenseBatch:
     once per candidate.  ``keysets[m][state]`` is the set of union
     symbol ids state ``state`` of member ``m`` can consume - the
     routing table :class:`BatchRuntime` uses to skip members with no
-    transition on the current event's symbol.
+    transition on the current event's symbol.  ``wake_classes[sid][m]``
+    numbers member ``m``'s transition rows on ``sid`` (over all states,
+    plus its accepting set) so that members with equal numbers react
+    identically to an event of that symbol from equal configurations.
     """
 
     __slots__ = (
@@ -751,6 +478,7 @@ class DenseBatch:
         "clock_types",
         "banks",
         "keysets",
+        "wake_classes",
     )
 
     def __init__(self, members: Sequence[DenseTAG]):
@@ -798,10 +526,44 @@ class DenseBatch:
             keysets.append(tuple(state_keys))
         self.banks = tuple(banks)
         self.keysets = tuple(keysets)
+        rows: List[List[list]] = [
+            [[] for _ in self.members] for _ in self.symbols
+        ]
+        for m, state_banks in enumerate(self.banks):
+            for state_id, by_sid in enumerate(state_banks):
+                for sid, transitions in by_sid.items():
+                    rows[sid][m].append(
+                        (state_id, _row_signature(transitions))
+                    )
+        wake_classes = []
+        for per_member in rows:
+            tokens: Dict[tuple, int] = {}
+            wake_classes.append(
+                tuple(
+                    tokens.setdefault(
+                        (member.accepting, tuple(row)), len(tokens)
+                    )
+                    for member, row in zip(self.members, per_member)
+                )
+            )
+        self.wake_classes = tuple(wake_classes)
 
     @property
     def n_clocks(self) -> int:
         return len(self.clock_names)
+
+
+def _row_signature(transitions) -> tuple:
+    """Structural identity of one (state, symbol) transition row."""
+    return tuple(
+        (
+            t.target,
+            t.resets,
+            t.guard.atoms if t.guard.atoms is not None else id(t.guard),
+            t.variables,
+        )
+        for t in transitions
+    )
 
 
 def compile_dense_batch(tags):
@@ -838,19 +600,42 @@ def compile_dense_batch(tags):
     ]
 
 
-class BatchRuntime:
-    """Anchored matching of a whole candidate frontier in one traversal.
+def _sweep_states(member: DenseTAG) -> Set[int]:
+    """States a configuration can occupy after the anchor step.
 
-    Per member, every decision mirrors :class:`DenseRuntime` exactly -
-    same anchor step, same configuration dedup, same transition order,
-    same early accept, horizon and strict cuts - so per-candidate match
-    sets and bindings are bit-identical to the per-candidate path (the
-    batch-vs-single differential suite holds this).  What the batch
-    amortizes is the traversal itself: the union plan's positions,
-    times, tick columns and cut bisections are computed once per root,
-    and the static consumer index means an event only touches the
-    members whose current states can consume its symbol.  A member
-    waiting on a rare symbol pays nothing while dense noise streams by.
+    Configurations start at targets of the start state's consuming
+    transitions and move only along consuming transitions (ANY
+    self-loops carry them unchanged), so a symbol that only the start
+    state consumes - typically the root type - is never routed.
+    """
+    stack = [t.target for t in member.consuming_by_source[member.start]]
+    reachable = set(stack)
+    while stack:
+        for transition in member.consuming_by_source[stack.pop()]:
+            if transition.target not in reachable:
+                reachable.add(transition.target)
+                stack.append(transition.target)
+    return reachable
+
+
+class BatchRuntime:
+    """Anchored matching of a bank of TAGs in one traversal per root.
+
+    Per member, every decision mirrors the object NDFA reference in
+    :mod:`repro.automata.matching` - same anchor step, same
+    configuration dedup by (state, reset times), same transition order,
+    same early accept, horizon and strict cuts - so match sets and
+    bindings are bit-identical to it (the differential suites hold
+    this).  What the bank amortizes is the traversal itself: the union
+    plan's positions, times, tick columns and cut bisections are
+    computed once per root, and the static consumer index means an
+    event only touches the members whose current states can consume
+    its symbol.  A member waiting on a rare symbol pays nothing while
+    dense noise streams by.  Members whose assignments share a prefix
+    also share work: equal anchor steps start from one frontier list,
+    and a member whose frontier and wake class equal the previous
+    member's replays that wake's outcome (and its counts) instead of
+    recomputing it.
     """
 
     __slots__ = (
@@ -866,6 +651,7 @@ class BatchRuntime:
         "_consumers",
         "_want_cache",
         "_anchor_memo",
+        "_survivor_forms",
     )
 
     def __init__(
@@ -880,8 +666,6 @@ class BatchRuntime:
     ):
         self.batch = batch
         self.store = store
-        # ColumnPlan only reads .symbols/.clock_types, so the union
-        # bank slots straight into the per-store plan cache.
         self.plan = _plan_for(batch, store, strict)
         self.strict = strict
         self.horizon_seconds = horizon_seconds
@@ -891,16 +675,17 @@ class BatchRuntime:
         self._root_symbol_ids = tuple(
             member.symbol_id(root_symbol) for member in batch.members
         )
-        # Static routing: consumers[sid] = members that can *ever*
-        # consume union symbol sid, in member order.  Per sweep, a
-        # member processes an event only when sid is additionally in
-        # its current ``wanted`` set, so wake-up semantics equal a
-        # per-state index without any per-sweep index construction.
+        # Static routing: consumers[sid] = members that can consume
+        # union symbol sid at some point of a sweep, in member order.
+        # Per sweep, a member processes an event only when sid is
+        # additionally in its current ``wanted`` set, so wake-up
+        # semantics equal a per-state index without any per-sweep
+        # index construction.
         consumers: Dict[int, List[int]] = {}
         for m, keys in enumerate(batch.keysets):
             union: Set[int] = set()
-            for state_keys in keys:
-                union |= state_keys
+            for state in _sweep_states(batch.members[m]):
+                union |= keys[state]
             for sid in union:
                 consumers.setdefault(sid, []).append(m)
         self._consumers = {
@@ -914,6 +699,7 @@ class BatchRuntime:
         #: as (target, variables) pairs; the anchor valuation depends
         #: only on which clocks cover the root timestamp.
         self._anchor_memo: Dict[tuple, tuple] = {}
+        self._survivor_forms: Dict[tuple, tuple] = {}
 
     def match_many(
         self,
@@ -942,10 +728,6 @@ class BatchRuntime:
         strict_dead = self.strict and any(
             z is None for z in root_ticks
         )
-        anchor_values = [
-            0 if root_ticks[c] is not None else None
-            for c in range(n_clocks)
-        ]
         reset0 = tuple([root_time] * n_clocks)
         tick0 = tuple(root_ticks)
         # Anchor step per member (shared clock valuation, shared
@@ -961,6 +743,9 @@ class BatchRuntime:
         matches = 0
         wanted: Dict[int, frozenset] = {}
         keysets = batch.keysets
+        # Frontier lists are never mutated in place, so members may
+        # share one: this root's initial frontiers, by survivor form.
+        initial: Dict[int, list] = {}
         for m in member_ids:
             runs += 1
             if strict_dead:
@@ -979,7 +764,9 @@ class BatchRuntime:
                         and transition.variables[0] == self.root_variable
                     ):
                         continue
-                    if not transition.guard.evaluate(anchor_values):
+                    # Every clock resets at the root: value 0 where
+                    # the root tick exists.
+                    if not transition.guard.holds(root_ticks, root_ticks):
                         continue
                     collected.append(
                         (transition.target, transition.variables)
@@ -992,23 +779,32 @@ class BatchRuntime:
                 union: Set[int] = set()
                 for target, _variables in survivors:
                     union |= keys[target]
+                # Equal survivor tuples are interned, so members with
+                # the same anchor step share one initial frontier.
+                survivors = self._survivor_forms.setdefault(
+                    survivors, survivors
+                )
                 memo = (survivors, frozenset(union))
                 anchor_memo[(m, cov)] = memo
             survivors, want0 = memo
             if not survivors:
                 extra_scanned += 1
                 continue
-            configs = [
-                (
-                    target,
-                    reset0,
-                    tick0,
-                    tuple(
-                        (variable, root_time) for variable in variables
-                    ),
-                )
-                for target, variables in survivors
-            ]
+            configs = initial.get(id(survivors))
+            if configs is None:
+                configs = [
+                    (
+                        target,
+                        reset0,
+                        tick0,
+                        tuple(
+                            (variable, root_time)
+                            for variable in variables
+                        ),
+                    )
+                    for target, variables in survivors
+                ]
+                initial[id(survivors)] = configs
             accepting = batch.members[m].accepting
             accepted = None
             for config in configs:
@@ -1069,6 +865,7 @@ class BatchRuntime:
         members_list = batch.members
         banks = batch.banks
         max_configurations = self.max_configurations
+        wake_classes = batch.wake_classes
         for j in range(root_plan + 1, end):
             scanned += 1
             sid = symbol_ids[j]
@@ -1076,103 +873,118 @@ class BatchRuntime:
             if group is None:
                 continue
             now = times[j]
+            now_ticks = None
+            classes = wake_classes[sid]
+            # Members that share a frontier list and a wake class on
+            # sid react identically, and such members sit next to each
+            # other in frontier order (candidates sharing a prefix
+            # assignment), so the previous wake's outcome is replayed
+            # instead of recomputed.
+            last_configs = None
+            last_class = -1
             for m in group:
                 want = wanted.get(m)
                 if want is None or sid not in want:
                     continue
-                bank = banks[m]
-                accepting = members_list[m].accepting
                 configs = frontier[m]
-                # The frontier rebuild is lazy: ``next_configs`` is
-                # materialised only once a guard actually passes.  A
-                # wake where every transition misses or is rejected
-                # leaves the (already deduplicated) frontier object
-                # untouched, which is the common case on busy sweeps.
-                seen = None
-                next_configs = None
-                accepted = None
-                for idx, config in enumerate(configs):
-                    state, resets, rticks, bindings = config
-                    if next_configs is not None:
-                        key = (state, resets)
-                        if key not in seen:
+                if configs is last_configs and classes[m] == last_class:
+                    transitions_taken += last_taken
+                    skips += last_skips
+                    guard_rejections += last_rejections
+                    accepted, next_configs, sig = last_outcome
+                else:
+                    taken0 = transitions_taken
+                    skips0 = skips
+                    rejections0 = guard_rejections
+                    bank = banks[m]
+                    accepting = members_list[m].accepting
+                    # The frontier rebuild is lazy: ``next_configs`` is
+                    # materialised only once a guard actually passes.
+                    # A wake where every transition misses or is
+                    # rejected leaves the (already deduplicated)
+                    # frontier object untouched, which is the common
+                    # case on busy sweeps.
+                    seen = None
+                    next_configs = None
+                    accepted = None
+                    for idx, config in enumerate(configs):
+                        state, resets, rticks, bindings = config
+                        if next_configs is not None:
+                            key = (state, resets)
+                            if key not in seen:
+                                seen.add(key)
+                                next_configs.append(config)
+                                skips += 1
+                        for transition in bank[state].get(sid, ()):
+                            if now_ticks is None:
+                                now_ticks = [column[j] for column in ticks]
+                            if not transition.guard.holds(
+                                rticks, now_ticks
+                            ):
+                                guard_rejections += 1
+                                continue
+                            transitions_taken += 1
+                            if next_configs is None:
+                                # First fired transition of this wake:
+                                # replay the carry dedup over the
+                                # configs already visited so the
+                                # rebuilt list is exactly what the
+                                # eager path produced.
+                                seen = set()
+                                next_configs = []
+                                for prev in configs[: idx + 1]:
+                                    pkey = (prev[0], prev[1])
+                                    if pkey not in seen:
+                                        seen.add(pkey)
+                                        next_configs.append(prev)
+                                        skips += 1
+                            if transition.resets:
+                                new_resets = list(resets)
+                                new_ticks = list(rticks)
+                                for cidx in transition.resets:
+                                    new_resets[cidx] = now
+                                    new_ticks[cidx] = now_ticks[cidx]
+                                new_resets = tuple(new_resets)
+                                new_ticks = tuple(new_ticks)
+                            else:
+                                new_resets = resets
+                                new_ticks = rticks
+                            new_bindings = bindings + tuple(
+                                (variable, now)
+                                for variable in transition.variables
+                            )
+                            successor = (
+                                transition.target,
+                                new_resets,
+                                new_ticks,
+                                new_bindings,
+                            )
+                            if transition.target in accepting:
+                                accepted = successor
+                                break
+                            key = (transition.target, new_resets)
+                            if key in seen:
+                                continue
                             seen.add(key)
-                            next_configs.append(config)
-                            skips += 1
-                    values = None
-                    for transition in bank[state].get(sid, ()):
-                        if values is None:
-                            values = [None] * n_clocks
-                            for cidx in transition.guard.clock_ids:
-                                reset_tick = rticks[cidx]
-                                now_tick = ticks[cidx][j]
-                                if (
-                                    reset_tick is not None
-                                    and now_tick is not None
-                                ):
-                                    values[cidx] = (
-                                        now_tick - reset_tick
-                                    )
-                        else:
-                            for cidx in transition.guard.clock_ids:
-                                if values[cidx] is None:
-                                    reset_tick = rticks[cidx]
-                                    now_tick = ticks[cidx][j]
-                                    if (
-                                        reset_tick is not None
-                                        and now_tick is not None
-                                    ):
-                                        values[cidx] = (
-                                            now_tick - reset_tick
-                                        )
-                        if not transition.guard.evaluate(values):
-                            guard_rejections += 1
-                            continue
-                        transitions_taken += 1
-                        if next_configs is None:
-                            # First fired transition of this wake:
-                            # replay the carry dedup over the configs
-                            # already visited so the rebuilt list is
-                            # exactly what the eager path produced.
-                            seen = set()
-                            next_configs = []
-                            for prev in configs[: idx + 1]:
-                                pkey = (prev[0], prev[1])
-                                if pkey not in seen:
-                                    seen.add(pkey)
-                                    next_configs.append(prev)
-                                    skips += 1
-                        if transition.resets:
-                            new_resets = list(resets)
-                            new_ticks = list(rticks)
-                            for cidx in transition.resets:
-                                new_resets[cidx] = now
-                                new_ticks[cidx] = ticks[cidx][j]
-                            new_resets = tuple(new_resets)
-                            new_ticks = tuple(new_ticks)
-                        else:
-                            new_resets = resets
-                            new_ticks = rticks
-                        new_bindings = bindings + tuple(
-                            (variable, now)
-                            for variable in transition.variables
-                        )
-                        successor = (
-                            transition.target,
-                            new_resets,
-                            new_ticks,
-                            new_bindings,
-                        )
-                        if transition.target in accepting:
-                            accepted = successor
+                            next_configs.append(successor)
+                        if accepted is not None:
                             break
-                        key = (transition.target, new_resets)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        next_configs.append(successor)
-                    if accepted is not None:
-                        break
+                    sig = None
+                    if accepted is None and next_configs is not None:
+                        if len(next_configs) > max_configurations:
+                            raise RuntimeError(
+                                "configuration set exceeded %d; tighten "
+                                "the horizon" % max_configurations
+                            )
+                        sig = frozenset(
+                            config[0] for config in next_configs
+                        )
+                    last_configs = configs
+                    last_class = classes[m]
+                    last_outcome = (accepted, next_configs, sig)
+                    last_taken = transitions_taken - taken0
+                    last_skips = skips - skips0
+                    last_rejections = guard_rejections - rejections0
                 if accepted is not None:
                     results[m] = (True, dict(accepted[3]))
                     matches += 1
@@ -1183,15 +995,7 @@ class BatchRuntime:
                     # Nothing fired: frontier and wanted set carry
                     # over unchanged.
                     continue
-                if len(next_configs) > max_configurations:
-                    raise RuntimeError(
-                        "configuration set exceeded %d; tighten the "
-                        "horizon" % max_configurations
-                    )
                 frontier[m] = next_configs
-                sig = frozenset(
-                    config[0] for config in next_configs
-                )
                 want = want_cache.get((m, sig))
                 if want is None:
                     keys = keysets[m]
@@ -1221,8 +1025,8 @@ class BatchRuntime:
         root across all members for which it is viable.
 
         ``viable_lists[m]`` are the (ascending) screened root
-        positions of member ``m``; the return value is the exact list
-        :meth:`DenseRuntime.matching_roots` would produce per member.
+        positions of member ``m``; the return value lists, per member,
+        the roots among them that anchor a match.
         """
         batch = self.batch
         n_members = len(batch.members)

@@ -1,11 +1,21 @@
-"""Online TAG matching over event sequences (Theorem 4).
+"""Anchored TAG matching over stored event sequences (Theorem 4).
 
-The matcher follows the paper's NDFA simulation: it maintains the set of
-reachable configurations (state + clock valuation), feeding one event at
-a time.  Configuration count is bounded by
-``min(|sigma|, (|V| K)^p)`` per the theorem; deduplication by
-``(state, reset times)`` and an optional time horizon keep the set small
-in practice.
+The reference matcher follows the paper's NDFA simulation: it
+maintains the set of reachable configurations (state + clock
+valuation), feeding one event at a time.  Configuration count is
+bounded by ``min(|sigma|, (|V| K)^p)`` per the theorem; deduplication
+by ``(state, reset times)`` and an optional time horizon keep the set
+small in practice.  It is what the differential suites hold production
+against, and the source of the Theorem-4 work figures
+(``peak_configurations``, ``events_scanned``) the X6/X10 benchmarks
+report.
+
+Production matching - :meth:`TagMatcher.occurs_at`,
+:meth:`~TagMatcher.matching_roots` and friends, and
+:func:`batch_matching_roots` for whole candidate frontiers - runs the
+same decisions as banks of dense transition tables over the
+sequence's columnar view (:class:`~repro.automata.dense.BatchRuntime`);
+a single pattern is a bank of one.
 
 ``strict=True`` reproduces the letter of the paper's run definition:
 any event whose timestamp is uncovered by some clock granularity kills
@@ -34,7 +44,7 @@ from typing import (
 
 from ..obs import counter
 from .builder import TagBuild
-from .dense import DenseRuntime, compile_dense
+from .dense import BatchRuntime, DenseBatch, DenseTAG, compile_dense_batch
 from .tag import ANY, Configuration
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -58,6 +68,9 @@ _GUARD_REJECTIONS = counter(
     "repro_tag_guard_rejections_total",
     "Transitions rejected by a clock guard",
 )
+
+#: Member ids of a one-member bank.
+_ONLY = (0,)
 
 
 class _LazyValuation:
@@ -104,6 +117,11 @@ class MatchResult:
 class TagMatcher:
     """Run a built TAG against event sequences.
 
+    Every production query runs a one-member
+    :class:`~repro.automata.dense.BatchRuntime` bank, cached per
+    columnar view; the object NDFA simulation stays beside it as the
+    reference.
+
     Parameters
     ----------
     build:
@@ -120,9 +138,9 @@ class TagMatcher:
         ``t0`` must witness an ``etype`` event in ``[t0 + lo, t0 + hi]``
         (sound when derived from propagated windows, as
         :func:`repro.core.api.compile_pattern` does).
-        :meth:`matching_roots` then consults the sequence's
-        :class:`~repro.store.anchorindex.AnchorIndex` to enumerate only
-        viable anchors, skipping doomed automaton runs entirely.
+        :meth:`matching_roots` then screens the root occurrences through
+        :meth:`~repro.store.columnar.ColumnarEventStore.screen_anchors`
+        and starts automata only at viable ones.
     max_configurations:
         Safety valve on the configuration set size.
     """
@@ -143,7 +161,7 @@ class TagMatcher:
             tuple(anchor_requirements) if anchor_requirements else ()
         )
         self.max_configurations = max_configurations
-        self._dense = None
+        self._dense: Optional[DenseTAG] = None
         self._runtimes = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
@@ -156,7 +174,8 @@ class TagMatcher:
 
         The first step *must* consume the anchored event via a root
         transition, which is the paper's "start one copy of the TAG at
-        every occurrence of E0".
+        every occurrence of E0".  This is the object NDFA simulation,
+        the reference for every production query below.
         """
         root_event = sequence[root_index]
         if root_event.etype != self.build.root_symbol:
@@ -305,33 +324,25 @@ class TagMatcher:
         return None
 
     # ------------------------------------------------------------------
-    # Columnar batch routing (REPRO_COLUMNAR backend taxonomy)
+    # Production queries: a one-member bank over the columnar view
     # ------------------------------------------------------------------
-    def _columnar_runtime(
-        self, sequence: "EventSequence"
-    ) -> Optional[DenseRuntime]:
-        """The dense batch runtime for a sequence, or None.
+    def _dense_tag(self) -> DenseTAG:
+        """The dense transition tables (compiled once per matcher)."""
+        if self._dense is None:
+            self._dense = self.tag.compile_dense()
+        return self._dense
 
-        None routes the caller to the object path - the kill switch
-        (``REPRO_COLUMNAR=off``) and the fallback for inputs without a
-        columnar view.  Runtimes are memoised per view (weakly, so a
-        matcher outliving its sequences leaks nothing); the dense
-        transition tables compile once per matcher.
+    def _runtime(self, sequence: "EventSequence") -> BatchRuntime:
+        """The one-member bank runtime over the sequence's columnar view.
+
+        Memoised per view (weakly keyed); the dense tables compile once
+        per matcher.
         """
-        from ..store.columnar import columnar_active
-
-        if not columnar_active():
-            return None
-        view_of = getattr(sequence, "columnar", None)
-        if view_of is None:
-            return None
-        view = view_of()
+        view = sequence.columnar()
         runtime = self._runtimes.get(view)
         if runtime is None:
-            if self._dense is None:
-                self._dense = compile_dense(self.tag)
-            runtime = DenseRuntime(
-                self._dense,
+            runtime = BatchRuntime(
+                DenseBatch([self._dense_tag()]),
                 view,
                 self.build.root_symbol,
                 self.build.structure.root,
@@ -342,66 +353,47 @@ class TagMatcher:
             self._runtimes[view] = runtime
         return runtime
 
-    # ------------------------------------------------------------------
-    # Whole-sequence helpers
-    # ------------------------------------------------------------------
+    def bindings_at(
+        self, sequence: "EventSequence", root_index: int
+    ) -> Optional[Dict[str, int]]:
+        """Variable -> timestamp bindings of a match anchored at this
+        index, or None when the type does not occur there."""
+        return self._runtime(sequence).match_many(root_index, _ONLY)[0][1]
+
     def occurs_at(self, sequence: "EventSequence", root_index: int) -> bool:
         """Does the complex event type occur anchored at this index?"""
-        runtime = self._columnar_runtime(sequence)
-        if runtime is not None:
-            return runtime.occurs_at(root_index)
-        return self.match_from(sequence, root_index).matched
-
-    def matching_roots(self, sequence: "EventSequence") -> Iterator[int]:
-        """Indices of root-type occurrences that anchor a match.
-
-        With :attr:`anchor_requirements` set, root occurrences whose
-        windows the anchor index refutes are skipped without starting
-        an automaton run (the screen is a sound over-approximation, so
-        the yielded set is unchanged).
-        """
-        runtime = self._columnar_runtime(sequence)
-        if runtime is not None:
-            yield from runtime.matching_roots(self.anchor_requirements)
-            return
-        anchors = sequence.occurrence_indices(self.build.root_symbol)
-        if self.anchor_requirements:
-            index = sequence.anchor_index()
-            anchors = index.viable_anchors(
-                [(position, sequence[position].time) for position in anchors],
-                self.anchor_requirements,
-            )
-        for position in anchors:
-            if self.occurs_at(sequence, position):
-                yield position
-
-    def count_occurrences(self, sequence: "EventSequence") -> int:
-        """Paper-style count: matched root occurrences (each counted once)."""
-        return sum(1 for _ in self.matching_roots(sequence))
+        return self._runtime(sequence).match_many(root_index, _ONLY)[0][0]
 
     def viable_root_positions(
         self, sequence: "EventSequence"
     ) -> List[int]:
         """Root occurrences surviving the anchor screen, as positions.
 
-        The same enumeration :meth:`matching_roots` starts from, split
-        out so frontier-level callers (``batch_matching_roots``, the
-        mining loop) can feed it to a shared :class:`BatchRuntime`.
+        The enumeration :meth:`matching_roots` starts from, split out
+        so frontier-level callers (:func:`batch_matching_roots`) can
+        feed it to a shared :class:`~repro.automata.dense.BatchRuntime`.
         """
-        runtime = self._columnar_runtime(sequence)
-        if runtime is not None:
-            return runtime.viable_roots(self.anchor_requirements)
-        anchors = sequence.occurrence_indices(self.build.root_symbol)
-        if self.anchor_requirements:
-            index = sequence.anchor_index()
-            anchors = index.viable_anchors(
-                [
-                    (position, sequence[position].time)
-                    for position in anchors
-                ],
-                self.anchor_requirements,
-            )
-        return list(anchors)
+        view = sequence.columnar()
+        positions, times = view.postings(self.build.root_symbol)
+        return view.viable_positions(
+            positions, times, self.anchor_requirements
+        )
+
+    def matching_roots(self, sequence: "EventSequence") -> Iterator[int]:
+        """Indices of root-type occurrences that anchor a match.
+
+        With :attr:`anchor_requirements` set, root occurrences whose
+        windows the anchor screen refutes are skipped without starting
+        an automaton run (the screen is a sound over-approximation, so
+        the yielded set is unchanged).
+        """
+        runtime = self._runtime(sequence)
+        (hits,) = runtime.scan_roots([self.viable_root_positions(sequence)])
+        yield from hits
+
+    def count_occurrences(self, sequence: "EventSequence") -> int:
+        """Paper-style count: matched root occurrences (each counted once)."""
+        return sum(1 for _ in self.matching_roots(sequence))
 
     def accepts(self, sequence: "EventSequence") -> bool:
         """Unanchored acceptance: some suffix anchors an occurrence.
@@ -414,38 +406,21 @@ class TagMatcher:
 
 
 # ----------------------------------------------------------------------
-# Frontier-level routing (REPRO_BATCH taxonomy)
+# Frontier-level scanning
 # ----------------------------------------------------------------------
 def batch_matching_roots(
     matchers: Sequence[TagMatcher], sequence: "EventSequence"
 ) -> List[List[int]]:
     """Per-matcher matching-root lists for a whole candidate frontier.
 
-    When ``REPRO_BATCH`` and the columnar backend are active, matchers
-    that share root symbol/variable, semantics (strict, horizon,
-    configuration cap) and clock space are merged into one
+    Matchers that share root symbol/variable, semantics (strict,
+    horizon, configuration cap) and clock space are merged into one
     :class:`~repro.automata.dense.DenseBatch` and scanned in a single
-    :class:`~repro.automata.dense.BatchRuntime` traversal per root;
-    everything else falls back to the per-matcher path.  Either way the
-    result is bit-identical to ``[list(m.matching_roots(sequence)) for
-    m in matchers]`` - ``REPRO_BATCH=off`` is the differential
-    reference the batch-vs-single suite replays.
+    :class:`~repro.automata.dense.BatchRuntime` traversal per root; a
+    group of one is a bank of one.  The result equals
+    ``[list(m.matching_roots(sequence)) for m in matchers]``.
     """
-    from .dense import BatchRuntime, batch_active, compile_dense_batch
-
-    results: List[Optional[List[int]]] = [None] * len(matchers)
-
-    def _fallback(indexes):
-        for i in indexes:
-            results[i] = list(matchers[i].matching_roots(sequence))
-
-    if (
-        len(matchers) < 2
-        or not batch_active()
-        or getattr(sequence, "columnar", None) is None
-    ):
-        _fallback(range(len(matchers)))
-        return [r for r in results]
+    results: List[List[int]] = [[] for _ in matchers]
     store = sequence.columnar()
     groups: Dict[tuple, List[int]] = {}
     for i, matcher in enumerate(matchers):
@@ -458,18 +433,12 @@ def batch_matching_roots(
         )
         groups.setdefault(key, []).append(i)
     for key, indexes in groups.items():
-        if len(indexes) < 2:
-            _fallback(indexes)
-            continue
-        for matcher in (matchers[i] for i in indexes):
-            if matcher._dense is None:
-                matcher._dense = compile_dense(matcher.tag)
-        banks = compile_dense_batch(
-            [matchers[i]._dense for i in indexes]
-        )
         root_symbol, root_variable, strict, horizon, cap = key
+        banks = compile_dense_batch(
+            [matchers[i]._dense_tag() for i in indexes]
+        )
         for positions, batch in banks:
-            member_indexes = [indexes[p] for p in positions]
+            members = [indexes[p] for p in positions]
             runtime = BatchRuntime(
                 batch,
                 store,
@@ -479,11 +448,9 @@ def batch_matching_roots(
                 horizon_seconds=horizon,
                 max_configurations=cap,
             )
-            viable = [
-                matchers[i].viable_root_positions(sequence)
-                for i in member_indexes
-            ]
-            hits = runtime.scan_roots(viable)
-            for k, i in enumerate(member_indexes):
-                results[i] = hits[k]
-    return [r for r in results]
+            hits = runtime.scan_roots(
+                [matchers[i].viable_root_positions(sequence) for i in members]
+            )
+            for i, roots in zip(members, hits):
+                results[i] = roots
+    return results

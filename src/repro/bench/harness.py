@@ -334,7 +334,7 @@ def _x10(system, engine, scale) -> _Workload:
     same discovery problem, asserting the outcomes agree; the payload
     records both wall times and their ratio.  The candidate pool is
     left wide (low confidence threshold, depth-1 screening only) so
-    the step-5 TAG scan dominates - the regime the anchor index and
+    the step-5 TAG scan dominates - the regime the anchor screen and
     the worker pool were built for.
     """
     from ..mining.discovery import EventDiscoveryProblem, discover
@@ -701,21 +701,20 @@ def _x15(system, engine, scale) -> _Workload:
 
 
 def _x16(system, engine, scale) -> _Workload:
-    """Columnar batch matching vs the object path at 10^6 events.
+    """Columnar matching vs the object reference at 10^6 events.
 
     One million (x scale) events - a planted hour-granularity chain
     drowned in background noise - matched twice through the *same*
-    :class:`~repro.automata.matching.TagMatcher`: once with
-    ``REPRO_COLUMNAR=off`` (the per-event object loop, the reference)
-    and once with ``REPRO_COLUMNAR=on`` (the dense transition table
-    advancing over the store's typed columns, which never touches a
-    noise event).  Both index structures are prebuilt so the passes
-    time matching, not index construction, and the run reports whether
-    the two root sets are bit-identical - the differential contract at
-    bench scale, not just under Hypothesis.
+    :class:`~repro.automata.matching.TagMatcher`: once by the object
+    NDFA reference (``match_from`` from every viable root, one
+    per-event loop each) and once by the production
+    ``matching_roots`` (dense transition tables advancing over the
+    store's typed columns, which never touch a noise event).  The
+    columnar view is prebuilt so the passes time matching, not view
+    construction, and the run reports whether the two root sets are
+    bit-identical - the differential contract at bench scale, not just
+    under Hypothesis.
     """
-    import os
-
     from ..core.api import compile_pattern
     from ..mining.events import EventSequence
 
@@ -750,28 +749,27 @@ def _x16(system, engine, scale) -> _Workload:
         system=system,
         engine=engine,
     )
-    # Prebuild both sides' indexes: the posting-list anchor index the
-    # object path screens with and the columnar view the dense runtime
-    # scans, so the timed passes compare matching work only.
-    sequence.anchor_index()
+    # Prebuild the columnar view both passes screen with, so the timed
+    # passes compare matching work only.
     sequence.columnar()
 
-    def timed_pass(mode):
-        previous = os.environ.get("REPRO_COLUMNAR")
-        os.environ["REPRO_COLUMNAR"] = mode
-        try:
-            start = time.perf_counter()
-            roots = list(matcher.matching_roots(sequence))
-            return roots, time.perf_counter() - start
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_COLUMNAR", None)
-            else:
-                os.environ["REPRO_COLUMNAR"] = previous
+    def reference_pass():
+        start = time.perf_counter()
+        roots = [
+            root
+            for root in matcher.viable_root_positions(sequence)
+            if matcher.match_from(sequence, root).matched
+        ]
+        return roots, time.perf_counter() - start
+
+    def columnar_pass():
+        start = time.perf_counter()
+        roots = list(matcher.matching_roots(sequence))
+        return roots, time.perf_counter() - start
 
     def run():
-        object_roots, object_seconds = timed_pass("off")
-        columnar_roots, columnar_seconds = timed_pass("on")
+        object_roots, object_seconds = reference_pass()
+        columnar_roots, columnar_seconds = columnar_pass()
         return {
             "events": len(sequence),
             "matches": len(columnar_roots),
@@ -794,18 +792,18 @@ def _x17(system, engine, scale) -> _Workload:
     A mining-shaped frontier - 64 candidate assignments of one
     three-variable chain (8 types for ``X1`` x 8 for ``X2``, all
     anchored on the same root type) - scanned three ways over the same
-    sequence: the per-candidate object path (``REPRO_COLUMNAR=off``,
-    the reference), the per-candidate dense path (``REPRO_BATCH=off``,
-    64 independent table scans), and the banked batch engine
-    (``REPRO_BATCH=on``, one :class:`~repro.automata.dense.DenseBatch`
-    advancing the whole frontier per root).  All three must produce
-    identical match sets; the gate is the batched engine beating the
-    single-candidate dense scans >= 3x, which is exactly the shared
-    guard/clock-tick/traversal work the banked tables exist to
-    amortise.
+    sequence: the object NDFA reference (``match_from`` from every
+    viable root of every candidate), the per-candidate arm
+    (``matching_roots`` per matcher: 64 one-member banks, 64
+    independent table scans), and the batched arm
+    (``batch_matching_roots``: one
+    :class:`~repro.automata.dense.DenseBatch` advancing the whole
+    frontier per root).  All three must produce identical match sets;
+    the gate is the batched arm beating the per-candidate arm >= 3x,
+    which is exactly the work the banked tables exist to amortise: one
+    traversal and one set of cuts per root instead of 64, and one wake
+    per shared ``X1`` prefix instead of one per candidate.
     """
-    import os
-
     from ..automata.matching import batch_matching_roots
     from ..core.api import compile_pattern
     from ..mining.events import EventSequence
@@ -825,13 +823,14 @@ def _x17(system, engine, scale) -> _Workload:
     n_roots = 600 * scale
     events = []
     # Roots every 200s under a ~5h horizon: each window spans ~90 root
-    # events.  The per-candidate dense path re-steps over that root
-    # stream once per candidate per anchor (none of its configurations
-    # can consume ROOT mid-run), while the batched sweep skips each of
-    # them once for the whole frontier - the asymmetry the experiment
-    # exists to measure.  Mids are sparse (one per ~5 roots) and tails
-    # face a 10-minute guard, so most wakes reject cheaply and the
-    # shared traversal dominates both sides' overhead.
+    # events.  The per-candidate arm walks that root stream once per
+    # candidate per anchor (none of its configurations can consume ROOT
+    # mid-run, so each event costs one routing probe), while the
+    # batched sweep walks it once for the whole frontier - the
+    # asymmetry the experiment exists to measure.  Mids are sparse
+    # (one per ~5 roots) and each wakes the eight candidates sharing
+    # it, which the batched sweep advances as one; tails face a
+    # 10-minute guard, so most of their wakes reject cheaply.
     for index in range(n_roots):
         t = index * 200
         events.append(("ROOT", t))
@@ -850,46 +849,52 @@ def _x17(system, engine, scale) -> _Workload:
         for mid in mids
         for tail in tails
     ]
-    sequence.anchor_index()
     sequence.columnar()
 
-    def timed_pass(columnar, batch):
-        previous = {
-            name: os.environ.get(name)
-            for name in ("REPRO_COLUMNAR", "REPRO_BATCH")
-        }
-        os.environ["REPRO_COLUMNAR"] = columnar
-        os.environ["REPRO_BATCH"] = batch
-        try:
-            start = time.perf_counter()
-            roots = batch_matching_roots(matchers, sequence)
-            return roots, time.perf_counter() - start
-        finally:
-            for name, value in previous.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
+    def timed_pass(scan):
+        start = time.perf_counter()
+        roots = scan()
+        return roots, time.perf_counter() - start
+
+    def reference_scan():
+        return [
+            [
+                root
+                for root in matcher.viable_root_positions(sequence)
+                if matcher.match_from(sequence, root).matched
+            ]
+            for matcher in matchers
+        ]
+
+    def per_candidate_scan():
+        return [list(m.matching_roots(sequence)) for m in matchers]
+
+    def batched_scan():
+        return batch_matching_roots(matchers, sequence)
 
     def run():
-        object_roots, object_seconds = timed_pass("off", "off")
-        single_roots, single_seconds = timed_pass("on", "off")
-        batched_roots, batched_seconds = timed_pass("on", "on")
+        object_roots, object_seconds = timed_pass(reference_scan)
+        per_candidate_roots, per_candidate_seconds = timed_pass(
+            per_candidate_scan
+        )
+        batched_roots, batched_seconds = timed_pass(batched_scan)
         return {
             "candidates": len(matchers),
             "events": len(sequence),
             "matches": sum(len(roots) for roots in batched_roots),
             "identical_to_reference": (
-                batched_roots == single_roots == object_roots
+                batched_roots == per_candidate_roots == object_roots
             ),
             "object_seconds": object_seconds,
-            "single_dense_seconds": single_seconds,
+            "per_candidate_seconds": per_candidate_seconds,
             "batched_seconds": batched_seconds,
             "speedup_batched_vs_object": (
                 object_seconds / batched_seconds if batched_seconds else 0.0
             ),
-            "speedup_batched_vs_single_dense": (
-                single_seconds / batched_seconds if batched_seconds else 0.0
+            "speedup_batched_vs_per_candidate": (
+                per_candidate_seconds / batched_seconds
+                if batched_seconds
+                else 0.0
             ),
         }
 

@@ -145,17 +145,20 @@ def _cmd_match(args) -> int:
     matcher = TagMatcher(build_tag(cet))
     root_type = cet.event_type(cet.structure.root)
     total = sequence.count(root_type)
-    matches = list(matcher.matching_roots(sequence))
-    for index in matches:
-        result = matcher.match_from(sequence, index)
+    matched = 0
+    for index in matcher.viable_root_positions(sequence):
+        bindings = matcher.bindings_at(sequence, index)
+        if bindings is None:
+            continue
+        matched += 1
         print(
             "match at t=%d: %s"
-            % (sequence[index].time, json.dumps(result.bindings, sort_keys=True))
+            % (sequence[index].time, json.dumps(bindings, sort_keys=True))
         )
-    frequency = len(matches) / total if total else 0.0
+    frequency = matched / total if total else 0.0
     print(
         "%d/%d %s occurrences matched (frequency %.3f)"
-        % (len(matches), total, root_type, frequency)
+        % (matched, total, root_type, frequency)
     )
     return 0
 
@@ -294,25 +297,15 @@ def _cmd_mine(args) -> int:
     system = standard_system()
     problem = problem_from_dict(load_json(args.problem), system)
     sequence = _load_events(args)
-    previous_batch = os.environ.get("REPRO_BATCH")
-    if args.batch_candidates:
-        os.environ["REPRO_BATCH"] = args.batch_candidates
-    try:
-        outcome = discover(
-            problem,
-            sequence,
-            system,
-            screen_depth=args.screen_depth,
-            engine=args.engine,
-            parallel=_parse_count(args.parallel, "--parallel"),
-            shard_size=_parse_count(args.shard_size, "--shard-size"),
-        )
-    finally:
-        if args.batch_candidates:
-            if previous_batch is None:
-                os.environ.pop("REPRO_BATCH", None)
-            else:
-                os.environ["REPRO_BATCH"] = previous_batch
+    outcome = discover(
+        problem,
+        sequence,
+        system,
+        screen_depth=args.screen_depth,
+        engine=args.engine,
+        parallel=_parse_count(args.parallel, "--parallel"),
+        shard_size=_parse_count(args.shard_size, "--shard-size"),
+    )
     if not outcome.stats.consistent:
         print("structure is inconsistent; nothing to mine")
         return 1
@@ -361,20 +354,10 @@ def _cmd_bench(args) -> int:
         if args.experiments
         else None
     )
-    previous_columnar = os.environ.get("REPRO_COLUMNAR")
-    if args.columnar:
-        os.environ["REPRO_COLUMNAR"] = args.columnar
-    try:
-        payload = run_suite(
-            engine=args.engine, profile=args.profile, experiments=experiments,
-            trace_dir=args.trace_dir,
-        )
-    finally:
-        if args.columnar:
-            if previous_columnar is None:
-                os.environ.pop("REPRO_COLUMNAR", None)
-            else:
-                os.environ["REPRO_COLUMNAR"] = previous_columnar
+    payload = run_suite(
+        engine=args.engine, profile=args.profile, experiments=experiments,
+        trace_dir=args.trace_dir,
+    )
     profiler = getattr(args, "profiler", None)
     if profiler is not None:
         # Snapshot the still-running profiler into the payload (main()
@@ -820,15 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: auto-sized from the worker count)",
     )
     mine.add_argument(
-        "--batch-candidates",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="batched multi-candidate frontier scanning (sets "
-        "REPRO_BATCH for this run, restored afterwards; 'off' is the "
-        "per-candidate differential reference; default: inherit the "
-        "environment). Output is identical in every mode.",
-    )
-    mine.add_argument(
         "--report",
         action="store_true",
         help="print a formatted report instead of raw solution lines",
@@ -846,14 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the X1-X17 regression harness (see docs/PERFORMANCE.md)",
     )
     _add_engine_option(bench)
-    bench.add_argument(
-        "--columnar",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="force the columnar store backend for this run (sets "
-        "REPRO_COLUMNAR for the suite, restored afterwards; "
-        "default: inherit the environment)",
-    )
     bench.add_argument(
         "--profile",
         choices=sorted(PROFILES),

@@ -29,6 +29,7 @@ from ..automata.matching import TagMatcher
 from ..constraints.structure import ComplexEventType, EventStructure
 from ..granularity.registry import GranularitySystem
 from ..obs import counter, span
+from .evaluation import frontier_frequencies
 from .events import EventSequence
 from .pruning import (
     PruningStats,
@@ -227,92 +228,60 @@ def candidate_assignments(
 
 
 def _batched_scan(
-    problem: EventDiscoveryProblem,
-    outcome: DiscoveryOutcome,
     reduced: EventSequence,
     system: GranularitySystem,
+    structure: EventStructure,
     candidates: List[Dict[str, str]],
     windows,
     roots: List[int],
-    total: int,
     horizon: Optional[int],
     strict: bool,
     anchor_screen: bool,
-) -> None:
-    """Step 5 via the banked multi-candidate engine (``REPRO_BATCH``).
+) -> List[Tuple[int, int]]:
+    """Step 5: the surviving frontier scanned in banked traversals.
 
-    Per-candidate anchor screening is unchanged (the identical viable
-    root sets the per-candidate path computes); what is shared is the
-    traversal - one :class:`~repro.automata.dense.BatchRuntime` sweep
-    per root advances every candidate for which that root is viable.
-    Per-candidate hits and starts split back exactly, so solutions,
-    frequencies and ``automaton_starts`` are bit-identical to the
-    ``REPRO_BATCH=off`` reference (held by the differential suite).
+    One :func:`~repro.parallel.engine.scan_group` per candidate group
+    over all roots - the same per-group step each parallel task runs
+    over one shard's roots, so serial and parallel outcomes are
+    bit-identical.  Returns ``(hits, starts)`` per candidate.
     """
-    from ..automata.dense import BatchRuntime, compile_dense_batch
-    from ..mining.evaluation import frontier_frequencies
-    from ..parallel.engine import candidate_requirements
+    from ..automata.dense import BatchRuntime
+    from ..parallel.engine import (
+        candidate_requirements,
+        compile_groups,
+        scan_group,
+    )
 
-    structure = problem.structure
     view = reduced.columnar()
     root_times = [reduced[root].time for root in roots]
-    builds = [
-        build_tag(ComplexEventType(structure, assignment), system=system)
-        for assignment in candidates
-    ]
-    hit_counts = [0] * len(candidates)
-    start_counts = [0] * len(candidates)
-    for positions, batch in compile_dense_batch(
-        [build.tag for build in builds]
+    counts = [(0, 0)] * len(candidates)
+    for positions, batch, root_symbol in compile_groups(
+        structure, candidates, system
     ):
-        viable_lists = []
-        for position in positions:
-            requirements = (
-                candidate_requirements(
-                    candidates[position], windows, structure.root
-                )
-                if anchor_screen and windows
-                else ()
-            )
-            if requirements:
-                mask = view.screen_anchors(root_times, requirements)
-                viable = [
-                    root for root, ok in zip(roots, mask) if ok
-                ]
-            else:
-                viable = list(roots)
-            viable_lists.append(viable)
         runtime = BatchRuntime(
             batch,
             view,
-            builds[positions[0]].root_symbol,
+            root_symbol,
             structure.root,
             strict=strict,
             horizon_seconds=horizon,
         )
-        matched = runtime.scan_roots(viable_lists)
-        for k, position in enumerate(positions):
-            hit_counts[position] = len(matched[k])
-            start_counts[position] = len(viable_lists[k])
-    frequencies = frontier_frequencies(hit_counts, total)
-    for position, assignment in enumerate(candidates):
-        cet = ComplexEventType(structure, assignment)
-        outcome.candidates_evaluated += 1
-        outcome.automaton_starts += start_counts[position]
-        frequency = frequencies[position]
-        frequent = frequency > problem.min_confidence
-        with span(
-            "mine.candidate",
-            assignment=" ".join(
-                "%s=%s" % item for item in sorted(assignment.items())
-            ),
-        ) as candidate_span:
-            candidate_span.set(
-                frequency=round(frequency, 6), frequent=frequent
-            )
-        if frequent:
-            outcome.solutions.append(cet)
-            outcome.frequencies[cet] = frequency
+        group_counts = scan_group(
+            runtime,
+            roots,
+            root_times,
+            [
+                candidate_requirements(
+                    candidates[position], windows, structure.root
+                )
+                if anchor_screen
+                else ()
+                for position in positions
+            ],
+        )
+        for position, count in zip(positions, group_counts):
+            counts[position] = count
+    return counts
 
 
 def _frequency(
@@ -539,23 +508,19 @@ def _discover(
     horizon = None
     if windows and len(windows) == len(structure.variables) - 1:
         horizon = max(hi for _, hi in windows.values())
-    from ..parallel.engine import (
-        candidate_requirements,
-        parallel_scan,
-        resolve_workers,
-    )
+    from ..parallel.engine import parallel_scan, resolve_workers
 
     workers = resolve_workers(parallel)
     with span("mine.scan", roots=len(roots), workers=workers) as scan_span:
-        if workers > 1:
-            candidates = list(
-                candidate_assignments(
-                    problem,
-                    reduced,
-                    survivors=survivors,
-                    allowed_pairs=allowed_pairs,
-                )
+        candidates = list(
+            candidate_assignments(
+                problem,
+                reduced,
+                survivors=survivors,
+                allowed_pairs=allowed_pairs,
             )
+        )
+        if workers > 1:
             results, report = parallel_scan(
                 reduced,
                 system,
@@ -570,112 +535,36 @@ def _discover(
                 anchor_screen=anchor_screen,
             )
             outcome.parallelism = report
-            for result in results:  # candidate-enumeration order
-                cet = ComplexEventType(structure, result.assignment)
-                outcome.candidates_evaluated += 1
-                outcome.automaton_starts += result.starts
-                frequency = result.hits / total if total else 0.0
-                frequent = frequency > problem.min_confidence
-                with span(
-                    "mine.candidate",
-                    assignment=" ".join(
-                        "%s=%s" % item
-                        for item in sorted(result.assignment.items())
-                    ),
-                ) as candidate_span:
-                    candidate_span.set(
-                        frequency=round(frequency, 6), frequent=frequent
-                    )
-                if frequent:
-                    outcome.solutions.append(cet)
-                    outcome.frequencies[cet] = frequency
-            scan_span.set(candidates=outcome.candidates_evaluated)
-            return outcome
-        from ..automata.dense import batch_active
-
-        if batch_active():
-            candidates = list(
-                candidate_assignments(
-                    problem,
-                    reduced,
-                    survivors=survivors,
-                    allowed_pairs=allowed_pairs,
-                )
+            counts = [(result.hits, result.starts) for result in results]
+        else:
+            counts = _batched_scan(
+                reduced,
+                system,
+                structure,
+                candidates,
+                windows,
+                roots,
+                horizon,
+                strict,
+                anchor_screen,
             )
-            if len(candidates) > 1:
-                _batched_scan(
-                    problem,
-                    outcome,
-                    reduced,
-                    system,
-                    candidates,
-                    windows,
-                    roots,
-                    total,
-                    horizon,
-                    strict,
-                    anchor_screen,
-                )
-                scan_span.set(candidates=outcome.candidates_evaluated)
-                return outcome
-            # A frontier of one gains nothing from banking; fall
-            # through to the per-candidate path below.
-        view = None
-        index = None
-        if anchor_screen and windows:
-            from ..store.columnar import columnar_active
-
-            if columnar_active():
-                # Batched screen: one searchsorted sweep per requirement
-                # over the whole anchor column (same viable set as the
-                # per-anchor posting-list probes).
-                view = reduced.columnar()
-                root_times = [reduced[root].time for root in roots]
-            else:
-                index = reduced.anchor_index()
-        for assignment in candidate_assignments(
-            problem, reduced, survivors=survivors, allowed_pairs=allowed_pairs
+        frequencies = frontier_frequencies(
+            [hits for hits, _ in counts], total
+        )
+        # Candidate-enumeration order, whichever engine ran the scan.
+        for assignment, (_, starts), frequency in zip(
+            candidates, counts, frequencies
         ):
             cet = ComplexEventType(structure, assignment)
+            outcome.candidates_evaluated += 1
+            outcome.automaton_starts += starts
+            frequent = frequency > problem.min_confidence
             with span(
                 "mine.candidate",
                 assignment=" ".join(
                     "%s=%s" % item for item in sorted(assignment.items())
                 ),
             ) as candidate_span:
-                matcher = TagMatcher(
-                    build_tag(cet, system=system),
-                    strict=strict,
-                    horizon_seconds=horizon,
-                )
-                outcome.candidates_evaluated += 1
-                # The anchor screen: start automata only at roots whose
-                # propagated windows the posting-list index can witness
-                # for *this* assignment (the parallel engine applies the
-                # identical filter, keeping the two bit-identical).
-                viable = roots
-                if view is not None:
-                    mask = view.screen_anchors(
-                        root_times,
-                        candidate_requirements(
-                            assignment, windows, structure.root
-                        ),
-                    )
-                    viable = [
-                        root for root, ok in zip(roots, mask) if ok
-                    ]
-                elif index is not None:
-                    viable = index.viable_anchors(
-                        [(root, reduced[root].time) for root in roots],
-                        candidate_requirements(
-                            assignment, windows, structure.root
-                        ),
-                    )
-                frequency, starts = _frequency(
-                    matcher, reduced, viable, total
-                )
-                outcome.automaton_starts += starts
-                frequent = frequency > problem.min_confidence
                 candidate_span.set(
                     frequency=round(frequency, 6), frequent=frequent
                 )

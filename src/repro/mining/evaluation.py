@@ -69,13 +69,12 @@ def frontier_frequencies(
 ) -> Tuple[float, ...]:
     """Per-candidate frequencies from batched hit counters.
 
-    The batched scan engine (``REPRO_BATCH=on``) counts hits per
-    candidate while sharing one traversal across the whole frontier;
-    the split back to per-candidate support is exact - each counter is
-    incremented only for its own candidate's accepting runs - so the
-    frequency definition is unchanged from the per-candidate path:
-    ``hits / total_roots``, with the empty-sequence convention of 0.0
-    when there are no reference occurrences.
+    The scan engine counts hits per candidate while sharing one
+    traversal across the whole frontier; the split back to
+    per-candidate support is exact - each counter is incremented only
+    for its own candidate's accepting runs - so the frequency is the
+    paper's ``hits / total_roots``, with the empty-sequence convention
+    of 0.0 when there are no reference occurrences.
     """
     if total_roots <= 0:
         return tuple(0.0 for _ in hit_counts)

@@ -45,7 +45,6 @@ class EventSequence:
             self._times_by_type.setdefault(event.etype, []).append(
                 event.time
             )
-        self._anchor_index = None
         self._columnar = None
 
     # ------------------------------------------------------------------
@@ -123,22 +122,12 @@ class EventSequence:
             return 0
         return bisect_right(times, stop) - bisect_left(times, start)
 
-    def anchor_index(self) -> "AnchorIndex":
-        """The per-type posting-list/skip index (built once, cached)."""
-        if self._anchor_index is None:
-            from ..store.anchorindex import AnchorIndex
-
-            self._anchor_index = AnchorIndex.from_events(
-                (e.etype, e.time) for e in self._events
-            )
-        return self._anchor_index
-
     def columnar(self) -> "ColumnarEventStore":
         """The cached columnar view of this sequence.
 
         Positions in the view equal positions in the sequence (both are
-        time-sorted with ties in insertion order), so the dense batch
-        matcher and the object matcher agree index for index.  Built
+        time-sorted with ties in insertion order), so the TAG runtime
+        and the object reference matcher agree index for index.  Built
         once and cached - the sequence is immutable.
         """
         if self._columnar is None:

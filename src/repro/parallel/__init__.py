@@ -1,9 +1,9 @@
 """repro.parallel: the work-sharded mining/matching engine.
 
-Splits the paper's step-5 TAG scan into candidate x time-shard tasks
-(:mod:`~repro.parallel.shards`), screens anchors through the store's
-posting-list index, and fans the tasks to a fork-based worker pool with
-deterministic merging (:mod:`~repro.parallel.engine`).  Serial and
+Splits the paper's step-5 TAG scan into candidate-group x time-shard
+tasks (:mod:`~repro.parallel.shards`), screens anchors through the
+columnar store's posting lists, and fans the tasks to a fork-based
+worker pool with deterministic merging (:mod:`~repro.parallel.engine`).  Serial and
 parallel runs return bit-identical outcomes; ``REPRO_PARALLEL=off`` is
 the kill switch.  See docs/PERFORMANCE.md.
 """

@@ -5,33 +5,32 @@ down: candidate assignments are independent, and anchored runs are
 time-local (a run started at root ``t0`` with horizon ``H`` never reads
 past ``t0 + H``).  This module exploits both:
 
-* the surviving candidates and the planned time shards
-  (:mod:`repro.parallel.shards`) form a task grid; each task scans one
-  shard's owned roots for one candidate;
-* before any TAG starts, the shard's roots are filtered through the
-  :class:`~repro.store.anchorindex.AnchorIndex` against the candidate's
-  propagated windows - the *anchor screen* - so only viable anchors pay
-  for an automaton run (the same screen runs in the serial engine, which
-  keeps serial and parallel results bit-identical);
+* candidates sharing a clock signature are compiled into one
+  :class:`~repro.automata.dense.DenseBatch` in the parent; those
+  groups and the planned time shards (:mod:`repro.parallel.shards`)
+  form a task grid, and each task scans one shard's owned roots for one
+  group in a single banked traversal;
+* before any TAG starts, the shard's roots are screened through
+  :meth:`~repro.store.columnar.ColumnarEventStore.screen_anchors`
+  against each member's propagated windows - the *anchor screen* - so
+  only viable anchors pay for an automaton run (the same screen runs in
+  the serial engine, which keeps serial and parallel results
+  bit-identical);
 * tasks fan out over a fork-based ``ProcessPoolExecutor``.  Workers
-  inherit the reduced sequence, the granularity system and the warmed
-  conversion cache through fork (nothing large is pickled; tasks are
-  two-integer tuples), and return per-task hit counts plus their local
-  observability state: metric counter deltas, conversion-cache counter
-  deltas, and serialized spans.  The parent merges all three back -
+  inherit the reduced sequence, the compiled groups, the granularity
+  system and the warmed conversion cache through fork (nothing large
+  is pickled; tasks are two-integer tuples), and return per-member hit
+  counts plus their local observability state: metric counter deltas,
+  conversion-cache counter deltas, and serialized spans.  The parent merges all three back -
   counters via :meth:`~repro.obs.metrics.MetricsRegistry.
   merge_counter_deltas`, cache traffic via :meth:`~repro.granularity.
   convcache.ConversionCache.merge_counts`, spans by grafting under the
   open ``mine.scan`` span - so process-wide accounting stays exact;
-* when the columnar store is active the parent exports its int64
-  columns once over :class:`~repro.store.columnar.SharedColumns`
-  (POSIX shared memory, mmap-file fallback) and each worker *attaches*
-  zero-copy instead of relying on copy-on-write fork pages - the pool
-  initializer adopts the attached view into the inherited sequence;
-* with ``REPRO_BATCH`` on, candidates sharing a clock signature are
-  compiled into one :class:`~repro.automata.dense.DenseBatch` in the
-  parent; a pool task then scans one *group* of candidates over one
-  shard in a single banked traversal and returns per-member counts.
+* the parent exports its int64 columns once over
+  :class:`~repro.store.columnar.SharedColumns` (POSIX shared memory,
+  mmap-file fallback) and each worker *attaches* zero-copy instead of
+  relying on copy-on-write fork pages - the pool initializer adopts the
+  attached view into the inherited sequence.
 
 Units (contiguous slices of the task grid) are dispatched through a
 :class:`~repro.parallel.stealing.StealScheduler`: one in-flight unit
@@ -52,11 +51,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..automata.builder import build_tag
-from ..automata.matching import TagMatcher
+from ..automata.dense import BatchRuntime, DenseBatch, compile_dense_batch
 from ..constraints.structure import ComplexEventType, EventStructure
 from ..granularity.registry import GranularitySystem
 from ..mining.events import EventSequence
@@ -74,7 +73,7 @@ from ..obs import (
     obs_debug,
     span,
 )
-from ..store.anchorindex import Requirement
+from ..store.columnar import Requirement
 from .shards import Shard, check_shard_invariants, plan_shards
 from .stealing import StealScheduler
 
@@ -84,7 +83,7 @@ _SHARDS_TOTAL = counter(
 )
 _TASKS_TOTAL = counter(
     "repro_parallel_tasks_total",
-    "Candidate x shard scan tasks executed (pool or inline)",
+    "Candidate-group x shard scan tasks executed (pool or inline)",
 )
 _FALLBACK_TOTAL = counter(
     "repro_parallel_fallback_total",
@@ -159,6 +158,35 @@ def candidate_requirements(
     )
 
 
+def compile_groups(
+    structure: EventStructure,
+    candidates: Sequence[Dict[str, str]],
+    system: GranularitySystem,
+) -> List[Tuple[Tuple[int, ...], DenseBatch, str]]:
+    """The frontier's banks as ``(candidate positions, bank, root symbol)``.
+
+    Candidates are grouped by root symbol first, so every bank anchors
+    on one event type, then by clock signature
+    (:func:`~repro.automata.dense.compile_dense_batch`).
+    """
+    builds = [
+        build_tag(ComplexEventType(structure, assignment), system=system)
+        for assignment in candidates
+    ]
+    by_symbol: Dict[str, List[int]] = {}
+    for position, build in enumerate(builds):
+        by_symbol.setdefault(build.root_symbol, []).append(position)
+    groups = []
+    for symbol, members in by_symbol.items():
+        for relative, bank in compile_dense_batch(
+            [builds[member].tag for member in members]
+        ):
+            groups.append(
+                (tuple(members[r] for r in relative), bank, symbol)
+            )
+    return groups
+
+
 # ----------------------------------------------------------------------
 # Worker-side state
 # ----------------------------------------------------------------------
@@ -168,25 +196,20 @@ class ScanContext:
 
     Installed as the module-global :data:`_CTX` in the parent before
     the pool is created; submitted tasks are two-integer tuples indexing
-    into ``candidates`` and ``shards``.
+    into ``groups`` and ``shards``.
     """
 
     sequence: EventSequence
     system: GranularitySystem
     structure: EventStructure
-    candidates: List[Dict[str, str]]
     requirements: List[Tuple[Requirement, ...]]
     shards: List[Shard]
     horizon: Optional[int]
     strict: bool
     trace: bool
-    #: Banked candidate groups when ``REPRO_BATCH`` is on: each entry is
-    #: ``(candidate positions, DenseBatch, root symbol)`` and tasks
-    #: index groups instead of single candidates.  Empty = per-candidate
-    #: tasks (the reference path).
-    batch_groups: List[Tuple[Tuple[int, ...], object, str]] = field(
-        default_factory=list
-    )
+    #: Banked candidate groups (:func:`compile_groups`); tasks index
+    #: into this list.
+    groups: List[Tuple[Tuple[int, ...], DenseBatch, str]]
     #: Identity of the parent's open ``mine.scan`` span: workers build
     #: their tracer from it, so merged spans carry the originating
     #: trace_id and re-parent under the exact span that forked them.
@@ -195,63 +218,16 @@ class ScanContext:
 
 _CTX: Optional[ScanContext] = None
 
-#: Per-worker matcher memo: each worker builds one TAG per candidate it
-#: touches, however many shards of that candidate it scans (the
-#: per-worker dedup of construction work).
-_MATCHERS: Dict[int, TagMatcher] = {}
-
-#: Per-worker batch-runtime memo (one per candidate group touched).
-#: The banked tables themselves arrive through fork; only the thin
-#: runtime wrapper (plan lookup, routing index seeds) is per-worker.
-_RUNTIMES: Dict[int, object] = {}
+#: Per-worker runtime memo (one per candidate group touched).  The
+#: banked tables themselves arrive through fork; only the thin runtime
+#: wrapper (plan lookup, routing index seeds) is per-worker.
+_RUNTIMES: Dict[int, BatchRuntime] = {}
 
 
-def _matcher_for(ctx: ScanContext, candidate_index: int) -> TagMatcher:
-    matcher = _MATCHERS.get(candidate_index)
-    if matcher is None:
-        cet = ComplexEventType(ctx.structure, ctx.candidates[candidate_index])
-        matcher = TagMatcher(
-            build_tag(cet, system=ctx.system),
-            strict=ctx.strict,
-            horizon_seconds=ctx.horizon,
-        )
-        _MATCHERS[candidate_index] = matcher
-    return matcher
-
-
-def _scan_shard(
-    ctx: ScanContext, candidate_index: int, shard_index: int
-) -> Tuple[int, int]:
-    """One task: scan one shard's owned roots for one candidate.
-
-    Returns (hits, starts); starts counts the roots that survived the
-    anchor screen (each starts exactly one automaton run, matching the
-    serial engine's accounting).
-    """
-    shard = ctx.shards[shard_index]
-    matcher = _matcher_for(ctx, candidate_index)
-    index = ctx.sequence.anchor_index()
-    viable = index.viable_anchors(
-        [(root, ctx.sequence[root].time) for root in shard.roots],
-        ctx.requirements[candidate_index],
-    )
-    hits = 0
-    with span(
-        "tag.match", roots=len(shard.roots), shard=shard.index
-    ) as match_span:
-        for root in viable:
-            if matcher.occurs_at(ctx.sequence, root):
-                hits += 1
-        match_span.set(starts=len(viable), hits=hits)
-    return hits, len(viable)
-
-
-def _batch_runtime_for(ctx: ScanContext, group_index: int):
+def _runtime_for(ctx: ScanContext, group_index: int) -> BatchRuntime:
     runtime = _RUNTIMES.get(group_index)
     if runtime is None:
-        from ..automata.dense import BatchRuntime
-
-        _positions, batch, root_symbol = ctx.batch_groups[group_index]
+        _positions, batch, root_symbol = ctx.groups[group_index]
         runtime = BatchRuntime(
             batch,
             ctx.sequence.columnar(),
@@ -264,33 +240,54 @@ def _batch_runtime_for(ctx: ScanContext, group_index: int):
     return runtime
 
 
-def _scan_shard_batch(
-    ctx: ScanContext, group_index: int, shard_index: int
-) -> List[Tuple[int, int, int]]:
-    """One batched task: scan one shard for one candidate *group*.
+def scan_group(
+    runtime: BatchRuntime,
+    roots: Sequence[int],
+    root_times: Sequence[int],
+    requirements: Sequence[Tuple[Requirement, ...]],
+) -> List[Tuple[int, int]]:
+    """The step-5 scan of one candidate group over ``roots``.
 
-    The anchor screen runs per member exactly as the per-candidate path
-    would (same :meth:`~repro.store.anchorindex.AnchorIndex.
-    viable_anchors` calls on the shard's owned roots); the automaton
-    traversal is shared across the group.  Returns
-    ``(candidate_index, hits, starts)`` per member, so per-candidate
-    merging is unchanged from the reference path.
+    Each member's roots are screened against its own requirements
+    (:meth:`~repro.store.columnar.ColumnarEventStore.viable_positions`),
+    then one :meth:`~repro.automata.dense.BatchRuntime.scan_roots`
+    traversal advances the whole group.  Returns ``(hits, starts)`` per
+    member, where starts counts the roots that survived the screen
+    (each starts exactly one automaton run).  The serial engine calls
+    this over all roots and each parallel task over one shard's, so
+    both count identically.
     """
-    positions, _batch, _root_symbol = ctx.batch_groups[group_index]
-    shard = ctx.shards[shard_index]
-    index = ctx.sequence.anchor_index()
-    root_pairs = [
-        (root, ctx.sequence[root].time) for root in shard.roots
-    ]
+    view = runtime.store
     viable_lists = [
-        index.viable_anchors(root_pairs, ctx.requirements[candidate])
-        for candidate in positions
+        view.viable_positions(roots, root_times, member_requirements)
+        for member_requirements in requirements
     ]
-    runtime = _batch_runtime_for(ctx, group_index)
     matched = runtime.scan_roots(viable_lists)
     return [
-        (candidate, len(matched[member]), len(viable_lists[member]))
-        for member, candidate in enumerate(positions)
+        (len(hits), len(viable))
+        for hits, viable in zip(matched, viable_lists)
+    ]
+
+
+def _execute_task(
+    ctx: ScanContext, group_index: int, shard_index: int
+) -> List[Tuple[int, int, int, int]]:
+    """One task: :func:`scan_group` over one shard's owned roots.
+
+    Returns one ``(candidate, shard, hits, starts)`` entry per member.
+    """
+    members, _batch, _root_symbol = ctx.groups[group_index]
+    roots = ctx.shards[shard_index].roots
+    root_times = [ctx.sequence[root].time for root in roots]
+    counts = scan_group(
+        _runtime_for(ctx, group_index),
+        roots,
+        root_times,
+        [ctx.requirements[candidate] for candidate in members],
+    )
+    return [
+        (candidate, shard_index, hits, starts)
+        for candidate, (hits, starts) in zip(members, counts)
     ]
 
 
@@ -329,27 +326,6 @@ def _warm_worker(namespace: int, entries, forms=(), shm_handle=None) -> None:
                     pass  # count mismatch: keep the inherited view
 
 
-def _execute_task(
-    ctx: ScanContext, first: int, second: int
-) -> List[Tuple[int, int, int, int]]:
-    """Run one grid task, per-candidate or batched.
-
-    With batch groups installed, ``first`` indexes a group and the
-    return value carries one ``(candidate, shard, hits, starts)`` entry
-    per member; otherwise ``first`` is a candidate index and exactly one
-    entry comes back.  Either way the merge loop sums per candidate.
-    """
-    if ctx.batch_groups:
-        return [
-            (candidate, second, hits, starts)
-            for candidate, hits, starts in _scan_shard_batch(
-                ctx, first, second
-            )
-        ]
-    hits, starts = _scan_shard(ctx, first, second)
-    return [(first, second, hits, starts)]
-
-
 def _pool_batch(batch: Sequence[Tuple[int, int]]) -> Dict[str, object]:
     """Worker entry point: run a contiguous slice of the task grid.
 
@@ -369,17 +345,13 @@ def _pool_batch(batch: Sequence[Tuple[int, int]]) -> Dict[str, object]:
     cache_before = cache.snapshot()
     tracer = Tracer(parent=ctx.trace_context) if ctx.trace else None
     results: List[Tuple[int, int, int, int]] = []
-    label = "group" if ctx.batch_groups else "candidate"
 
     def run_tasks() -> None:
-        for first, second in batch:
+        for group, shard in batch:
             with span(
-                "mine.worker",
-                pid=os.getpid(),
-                shard=second,
-                **{label: first},
+                "mine.worker", pid=os.getpid(), group=group, shard=shard
             ) as worker_span:
-                entries = _execute_task(ctx, first, second)
+                entries = _execute_task(ctx, group, shard)
                 worker_span.set(
                     hits=sum(entry[2] for entry in entries),
                     starts=sum(entry[3] for entry in entries),
@@ -411,16 +383,15 @@ def _inline_batch(batch: Sequence[Tuple[int, int]]) -> Dict[str, object]:
     already-active tracer, so nothing is captured for merging.
     """
     results: List[Tuple[int, int, int, int]] = []
-    label = "group" if _CTX.batch_groups else "candidate"
-    for first, second in batch:
+    for group, shard in batch:
         with span(
             "mine.worker",
             pid=os.getpid(),
-            shard=second,
+            group=group,
+            shard=shard,
             inline=True,
-            **{label: first},
         ) as worker_span:
-            entries = _execute_task(_CTX, first, second)
+            entries = _execute_task(_CTX, group, shard)
             worker_span.set(
                 hits=sum(entry[2] for entry in entries),
                 starts=sum(entry[3] for entry in entries),
@@ -439,9 +410,9 @@ def _plan_batches(
 ) -> List[List[Tuple[int, int]]]:
     """Contiguous batches of the task grid, ~4 per worker.
 
-    Contiguity keeps each worker on few distinct candidates (the
-    matcher memo stays hot); ~4 batches per worker rebalances
-    stragglers without per-task IPC.
+    Contiguity keeps each worker on few distinct groups (the runtime
+    memo stays hot); ~4 batches per worker rebalances stragglers
+    without per-task IPC.
     """
     target = max(1, -(-len(tasks) // max(1, workers * 4)))
     return [
@@ -483,17 +454,20 @@ def parallel_scan(
     ``executor`` is ``"auto"`` (pool when it would help and fork
     exists), ``"pool"`` or ``"inline"`` (the test hook).
     """
-    global _CTX, _MATCHERS, _RUNTIMES
+    global _CTX, _RUNTIMES
     requirements = [
         candidate_requirements(assignment, windows, structure.root)
         if anchor_screen
         else ()
         for assignment in candidates
     ]
+    # Compile the frontier into banked tables once, in the parent;
+    # workers inherit the compiled groups through fork and share one
+    # traversal per (group, shard) task.
+    groups = compile_groups(structure, candidates, system)
     if shard_size in (None, "auto") and roots:
-        # The task grid is candidates x shards: candidates already
-        # provide parallel grain, so plan only enough time shards to
-        # fill ~4 batches per worker overall.
+        # Candidates already provide parallel grain, so plan only
+        # enough time shards to fill ~4 batches per worker overall.
         desired = max(1, -(-workers * 4 // max(1, len(candidates))))
         shard_size = max(1, -(-len(roots) // desired))
     shards = plan_shards(
@@ -501,44 +475,11 @@ def parallel_scan(
     )
     if obs_debug():
         check_shard_invariants(shards, sequence, list(roots), horizon)
-
-    from ..automata.dense import batch_active
-    from ..store.columnar import columnar_active
-
-    batch_groups: List[Tuple[Tuple[int, ...], object, str]] = []
-    if batch_active() and len(candidates) > 1:
-        # Compile the frontier into banked tables once, in the parent;
-        # workers inherit the compiled groups through fork and share
-        # one traversal per (group, shard) task.  Grouping by root
-        # symbol first keeps every group anchored on one event type.
-        from ..automata.dense import compile_dense_batch
-
-        builds = [
-            build_tag(ComplexEventType(structure, assignment), system=system)
-            for assignment in candidates
-        ]
-        by_symbol: Dict[str, List[int]] = {}
-        for position, build in enumerate(builds):
-            by_symbol.setdefault(build.root_symbol, []).append(position)
-        for symbol, members in by_symbol.items():
-            for relative, bank in compile_dense_batch(
-                [builds[member].tag for member in members]
-            ):
-                batch_groups.append(
-                    (tuple(members[r] for r in relative), bank, symbol)
-                )
-    if batch_groups:
-        tasks = [
-            (group_index, shard.index)
-            for group_index in range(len(batch_groups))
-            for shard in shards
-        ]
-    else:
-        tasks = [
-            (candidate_index, shard.index)
-            for candidate_index in range(len(candidates))
-            for shard in shards
-        ]
+    tasks = [
+        (group_index, shard.index)
+        for group_index in range(len(groups))
+        for shard in shards
+    ]
     mode = executor
     if mode == "auto":
         mode = "pool" if workers > 1 and len(tasks) > 1 else "inline"
@@ -550,35 +491,32 @@ def parallel_scan(
     _TASKS_TOTAL.add(len(tasks))
     _WORKERS_GAUGE.set(workers_used)
 
+    # Build the columnar view (and its posting columns) once in the
+    # parent; pool workers then *attach* to the int64 columns over
+    # shared memory instead of faulting copy-on-write fork pages.
+    view = sequence.columnar()
     shm_owner = None
-    if columnar_active():
-        # Build the columnar view (and its posting columns) once in the
-        # parent; pool workers then *attach* to the int64 columns over
-        # shared memory instead of faulting copy-on-write fork pages.
-        view = sequence.columnar()
-        if mode == "pool":
-            try:
-                shm_owner = view.to_shared()
-            except OSError:
-                shm_owner = None  # fork inheritance still works
+    if mode == "pool":
+        try:
+            shm_owner = view.to_shared()
+        except OSError:
+            shm_owner = None  # fork inheritance still works
 
     ctx = ScanContext(
         sequence=sequence,
         system=system,
         structure=structure,
-        candidates=list(candidates),
         requirements=requirements,
         shards=shards,
         horizon=horizon,
         strict=strict,
         trace=current_tracer() is not None,
         trace_context=current_context(),
-        batch_groups=batch_groups,
+        groups=groups,
     )
     batches = _plan_batches(tasks, workers_used)
     scheduler: Optional[StealScheduler] = None
     _CTX = ctx
-    _MATCHERS = {}
     _RUNTIMES = {}
     try:
         if mode == "pool":
@@ -622,7 +560,6 @@ def parallel_scan(
             raw = [_inline_batch(batch) for batch in batches]
     finally:
         _CTX = None
-        _MATCHERS = {}
         _RUNTIMES = {}
         if shm_owner is not None:
             # Unlink even on worker crash: attached segments die with
@@ -660,7 +597,7 @@ def parallel_scan(
         "shards": len(shards),
         "tasks": len(tasks),
         "executor": mode,
-        "batch_groups": len(batch_groups),
+        "batch_groups": len(groups),
         "steals": scheduler.steals if scheduler is not None else 0,
         "shm": shm_owner.kind if shm_owner is not None else None,
     }

@@ -1,38 +1,27 @@
-"""Columnar event storage: int64 columns behind ``REPRO_COLUMNAR``.
+"""Columnar event storage: the int64 columns stored-sequence matching runs on.
 
 The object-based :class:`~repro.store.eventstore.EventStore` keeps one
 Python object per event, which caps matching throughput around 10^5
 events.  This module stores the same data as four parallel int64
 columns - times, type ids, attribute codes, record ids - plus the
-PR-4 anchor-index structures ported to *column offsets*: per-type
-posting lists (positions into the time-sorted columns) and a
-time-bucketed skip index.  The dense TAG runtime
-(:mod:`repro.automata.dense`) sweeps these columns with batched
-select/gather operations instead of per-event Python dispatch.
+anchor-screening structures as *column offsets*: per-type posting
+lists (positions into the time-sorted columns) and a time-bucketed skip
+index.  The TAG runtime (:mod:`repro.automata.dense`) sweeps these
+columns with batched select/gather operations instead of per-event
+Python dispatch; it is the only runtime that matches over a stored
+sequence, with the object NDFA simulation in
+:mod:`repro.automata.matching` kept as the reference.
 
-Backend taxonomy (mirrors ``REPRO_SIZETABLE`` / ``REPRO_NO_NUMPY``):
-
-``REPRO_COLUMNAR=auto`` (default)
-    columnar batch matching is used wherever a caller holds a columnar
-    view; the pure-Python ``array`` fallback keeps the layout available
-    without numpy.
-``REPRO_COLUMNAR=on``
-    same as ``auto`` today (the mode exists so scripts can pin the
-    behaviour against future default changes).
-``REPRO_COLUMNAR=off``
-    the kill switch: every consumer stays on the object-based reference
-    path, which remains the differential oracle.
-
-Within the columnar layout, ``REPRO_NO_NUMPY`` (or a missing numpy)
-selects the ``fallback`` kernel: ``array('q')`` columns and bisect
-scans instead of vectorized searchsorted.  Both kernels are
-bit-identical; ``tests/differential/test_columnar_vs_object.py`` is
-the oracle.
+``REPRO_NO_NUMPY`` (or a missing numpy) selects the ``fallback``
+kernel: ``array('q')`` columns and bisect scans instead of vectorized
+searchsorted.  Both kernels are bit-identical;
+``tests/differential/test_columnar_vs_object.py`` holds them against
+the reference.
 
 Stores larger than RAM can be saved with :meth:`ColumnarEventStore.
 save` and reopened memory-mapped; a corrupt or truncated file makes
-:func:`load_columnar` fall back to the object path, counted by
-``repro_columnar_fallback_total``.
+:func:`load_columnar` return None so the caller rebuilds the view from
+its source of truth, counted by ``repro_columnar_fallback_total``.
 """
 
 from __future__ import annotations
@@ -51,7 +40,6 @@ from typing import (
 )
 
 from ..obs import counter, span
-from .anchorindex import _MAX_BUCKET_PROBES, _pick_shift
 
 try:  # pragma: no cover - exercised via the no-numpy CI job
     if os.environ.get("REPRO_NO_NUMPY"):
@@ -61,8 +49,13 @@ try:  # pragma: no cover - exercised via the no-numpy CI job
 except ImportError:  # pragma: no cover - numpy is present in dev envs
     _np = None
 
-#: Columnar modes selectable through ``REPRO_COLUMNAR``.
-MODES = ("auto", "on", "off")
+#: One anchor requirement: an event of ``etype`` must exist with a
+#: timestamp in ``[anchor_time + lo, anchor_time + hi]``.
+Requirement = Tuple[str, int, int]
+
+#: Beyond this many buckets per window the skip check costs more than
+#: the binary search it would save; fall straight through to bisect.
+_MAX_BUCKET_PROBES = 8
 
 #: Sentinel for "no attributes" in the attribute-code column.
 NO_ATTRS = 0
@@ -76,7 +69,8 @@ _EVENTS = counter(
 )
 _FALLBACKS = counter(
     "repro_columnar_fallback_total",
-    "Columnar loads/scans that fell back to the object path",
+    "Column-file loads and shared-memory attaches that fell back to "
+    "rebuilding or inheriting the view",
 )
 _BATCH_SCREENS = counter(
     "repro_columnar_screens_total",
@@ -93,31 +87,18 @@ class ColumnarFormatError(ValueError):
     undecodable header, or size mismatch)."""
 
 
-def resolve_columnar(mode: Optional[str] = None) -> str:
-    """Normalise a columnar mode to ``on`` or ``off``.
+def _pick_shift(span_seconds: int, n_events: int) -> int:
+    """Bucket width as a power of two: aim for ~1 event per bucket.
 
-    ``mode`` overrides the ``REPRO_COLUMNAR`` environment variable;
-    ``auto`` resolves to ``on`` (the array fallback means the layout is
-    always available - ``auto`` exists as the forward-compatible
-    default spelling).
+    Wider buckets on sparse data, narrower on dense data; floors at
+    64 s so minute-aligned feeds don't degenerate to one bucket per
+    event timestamp.
     """
-    value = (
-        mode
-        if mode is not None
-        else os.environ.get("REPRO_COLUMNAR", "auto")
-    )
-    value = value.strip().lower() or "auto"
-    if value not in MODES:
-        raise ValueError(
-            "unknown columnar mode %r (expected one of %r)"
-            % (value, MODES)
-        )
-    return "off" if value == "off" else "on"
-
-
-def columnar_active() -> bool:
-    """Should consumers route matching through the columnar backend?"""
-    return resolve_columnar() == "on"
+    width = max(64, span_seconds // max(n_events, 1))
+    shift = 6
+    while (1 << shift) < width and shift < 40:
+        shift += 1
+    return shift
 
 
 def columnar_kernel() -> str:
@@ -370,7 +351,7 @@ class ColumnarEventStore:
 
     def postings(self, etype: str) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """(positions, times) of one type - the posting list as column
-        offsets, identical to the object AnchorIndex's view."""
+        offsets (positions equal the source sequence's indices)."""
         tid = self._type_index.get(etype)
         if tid is None:
             return (), ()
@@ -380,15 +361,19 @@ class ColumnarEventStore:
         )
 
     # ------------------------------------------------------------------
-    # Window queries (AnchorIndex semantics, column-offset form)
+    # Window queries (inclusive ``[start, stop]``, column-offset form)
     # ------------------------------------------------------------------
     @property
     def bucket_seconds(self) -> int:
         return 1 << self._shift
 
     def may_contain(self, etype: str, start: int, stop: int) -> bool:
-        """Skip-index probe: False proves absence (same contract as
-        :meth:`repro.store.anchorindex.AnchorIndex.may_contain`)."""
+        """Skip-index probe: False means *definitely* no occurrence.
+
+        True means "possibly" - a bucket hit still needs the exact
+        bisect.  Windows spanning many buckets skip the probe (the
+        bisect is cheaper than a long membership scan).
+        """
         tid = self._type_index.get(etype)
         if tid is None:
             return False
@@ -403,6 +388,7 @@ class ColumnarEventStore:
         return lo < len(buckets) and buckets[lo] <= b1
 
     def has_in_window(self, etype: str, start: int, stop: int) -> bool:
+        """Exact: is there an ``etype`` event with time in [start, stop]?"""
         if stop < start:
             return False
         if not self.may_contain(etype, start, stop):
@@ -415,6 +401,7 @@ class ColumnarEventStore:
         return i < len(times) and times[i] <= stop
 
     def count_in_window(self, etype: str, start: int, stop: int) -> int:
+        """Exact count of ``etype`` events with time in [start, stop]."""
         if stop < start:
             return 0
         tid = self._type_index.get(etype)
@@ -428,6 +415,7 @@ class ColumnarEventStore:
     def positions_in_window(
         self, etype: str, start: int, stop: int
     ) -> Tuple[int, ...]:
+        """Positions of ``etype`` events with time in [start, stop]."""
         if stop < start:
             return ()
         tid = self._type_index.get(etype)
@@ -444,16 +432,17 @@ class ColumnarEventStore:
     def screen_anchors(
         self,
         anchor_times: Sequence[int],
-        requirements: Sequence[Tuple[str, int, int]],
+        requirements: Sequence[Requirement],
     ) -> List[bool]:
         """Anchor viability for a whole anchor column in one sweep.
 
-        Returns one boolean per anchor: True iff every requirement
-        ``(etype, lo, hi)`` is witnessed by an event of that type in
-        ``[anchor + lo, anchor + hi]`` - exactly
-        :meth:`~repro.store.anchorindex.AnchorIndex.viable`, evaluated
-        as vectorized searchsorted over the posting columns instead of
-        one probe per (anchor, requirement).
+        Returns one boolean per anchor, in input order: True iff every
+        requirement ``(etype, lo, hi)`` is witnessed by an event of that
+        type in ``[anchor + lo, anchor + hi]``.  Requirements come from
+        sound over-approximations (propagated windows), so False proves
+        no match anchored there; True proves nothing.  Evaluated as
+        vectorized searchsorted over the posting columns instead of one
+        probe per (anchor, requirement).
         """
         n = len(anchor_times)
         if not requirements:
@@ -489,6 +478,23 @@ class ColumnarEventStore:
                 ok[i] = j < size and times[j] <= anchor_times[i] + hi
         return ok
 
+    def viable_positions(
+        self,
+        positions: Sequence[int],
+        times: Sequence[int],
+        requirements: Sequence[Requirement],
+    ) -> List[int]:
+        """The anchors passing :meth:`screen_anchors`, as positions.
+
+        ``positions[i]`` is the anchor at ``times[i]``; survivors keep
+        their input order, and with no requirements every anchor is
+        viable (nothing to refute, no screen runs).
+        """
+        if not requirements:
+            return list(positions)
+        mask = self.screen_anchors(times, requirements)
+        return [position for position, keep in zip(positions, mask) if keep]
+
     # ------------------------------------------------------------------
     # Per-granularity tick columns (the PR-5 bisection, whole columns)
     # ------------------------------------------------------------------
@@ -518,7 +524,7 @@ class ColumnarEventStore:
         return tick_col, defined_col
 
     def plan_cache(self) -> Dict[object, object]:
-        """Per-store memo used by the dense runtime (keyed per plan)."""
+        """Per-store memo used by the TAG runtime (keyed per plan)."""
         return self._plan_cache
 
     # ------------------------------------------------------------------
@@ -929,9 +935,9 @@ def load_columnar(
 ) -> Optional[ColumnarEventStore]:
     """Open a persisted columnar store, or None on any corruption.
 
-    The None return is the *fall back to the object path* signal: the
-    caller reloads from its JSONL/CSV source of truth instead.  Every
-    fallback increments ``repro_columnar_fallback_total``.
+    The None return is the *rebuild the view* signal: the caller
+    reloads from its JSONL/CSV source of truth instead.  Every fallback
+    increments ``repro_columnar_fallback_total``.
     """
     with span("columnar.load", path=os.path.basename(path)) as load_span:
         try:
@@ -943,7 +949,3 @@ def load_columnar(
         load_span.set(events=len(store))
         return store
 
-
-def record_fallback() -> None:
-    """Count one columnar-to-object fallback (scan-layer use)."""
-    _FALLBACKS.inc()

@@ -33,7 +33,6 @@ from ..mining.events import Event, EventSequence
 from ..obs import obs_debug
 from ..resilience.errors import EventValidationError, validate_event
 from ..resilience.quarantine import Quarantine
-from .anchorindex import AnchorIndex, _pick_shift
 
 
 class EventRecord:
@@ -81,10 +80,8 @@ class EventStore:
         self._sorted = True  # records currently in time order
         self._times: List[int] = []
         self._by_type: Dict[str, List[int]] = {}
-        self._times_by_type: Dict[str, List[int]] = {}
         self._by_id: Dict[int, EventRecord] = {}
         self._indexed = True
-        self._anchor_index: Optional[AnchorIndex] = None
         self._columnar = None
 
     # ------------------------------------------------------------------
@@ -109,13 +106,11 @@ class EventStore:
             self._sorted = False
             self._indexed = False
         self._records.append(record)
-        self._anchor_index = None
         self._columnar = None
         if self._indexed:
             position = len(self._records) - 1
             self._times.append(time)
             self._by_type.setdefault(etype, []).append(position)
-            self._times_by_type.setdefault(etype, []).append(time)
             self._by_id[record.record_id] = record
             if obs_debug():
                 self._check_index_invariants()
@@ -170,16 +165,11 @@ class EventStore:
             self._sorted = True
         self._times = [record.time for record in self._records]
         self._by_type = {}
-        self._times_by_type = {}
         self._by_id = {}
         for position, record in enumerate(self._records):
             self._by_type.setdefault(record.etype, []).append(position)
-            self._times_by_type.setdefault(record.etype, []).append(
-                record.time
-            )
             self._by_id[record.record_id] = record
         self._indexed = True
-        self._anchor_index = None
         self._columnar = None
         if obs_debug():
             self._check_index_invariants()
@@ -203,35 +193,12 @@ class EventStore:
             for i in range(len(self._times) - 1)
         ), "time index not sorted"
         by_type: Dict[str, List[int]] = {}
-        times_by_type: Dict[str, List[int]] = {}
         for position, record in enumerate(self._records):
             by_type.setdefault(record.etype, []).append(position)
-            times_by_type.setdefault(record.etype, []).append(record.time)
         assert self._by_type == by_type, "posting lists diverged"
-        assert self._times_by_type == times_by_type, (
-            "per-type time index diverged"
-        )
         assert self._by_id == {
             r.record_id: r for r in self._records
         }, "id map diverged"
-
-    def anchor_index(self) -> AnchorIndex:
-        """The per-type posting-list/skip index over current contents.
-
-        Built from the incrementally maintained posting lists (no extra
-        pass over the records) and invalidated by any write.
-        """
-        self._ensure_index()
-        if self._anchor_index is None:
-            span = (
-                self._times[-1] - self._times[0] if self._times else 0
-            )
-            self._anchor_index = AnchorIndex(
-                self._by_type,
-                self._times_by_type,
-                _pick_shift(span, len(self._records)),
-            )
-        return self._anchor_index
 
     def columnar(self):
         """The cached columnar snapshot of current contents.

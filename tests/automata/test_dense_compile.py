@@ -304,6 +304,27 @@ class TestRawTags:
         mapping = dict(zip(clock_names, values))
         assert dense_guard.evaluate(values) == guard.evaluate(mapping)
 
+    @given(data=st.data())
+    @RELAXED
+    def test_holds_equals_evaluate_on_tick_differences(self, data):
+        """The runtime's tick form of a guard: clock c valued
+        now_ticks[c] - reset_ticks[c], undefined when either tick is."""
+        clock_names = ["c0", "c1", "c2"]
+        guard = data.draw(guards(clock_names, depth=3))
+        dense_guard = DenseGuard(
+            guard, {name: i for i, name in enumerate(clock_names)}
+        )
+        tick = st.one_of(st.none(), st.integers(-4, 8))
+        reset_ticks = [data.draw(tick) for _ in clock_names]
+        now_ticks = [data.draw(tick) for _ in clock_names]
+        values = [
+            None if reset is None or now is None else now - reset
+            for reset, now in zip(reset_ticks, now_ticks)
+        ]
+        assert dense_guard.holds(reset_ticks, now_ticks) == (
+            dense_guard.evaluate(values)
+        )
+
 
 class TestCompileDenseEntryPoint:
     def test_tag_method_matches_function(self):

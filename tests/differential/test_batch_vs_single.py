@@ -1,15 +1,17 @@
-"""Differential oracle: batched frontier scanning vs single-candidate.
+"""Differential oracle: banked frontier scanning vs the object reference.
 
-``REPRO_BATCH=off`` is the differential reference: the banked
-:class:`~repro.automata.dense.DenseBatch` tables and the
-:class:`~repro.automata.dense.BatchRuntime` frontier sweep are only
-allowed to exist because they are *bit-identical* to running each
-candidate's dense automaton alone - same match sets, same bindings,
-same support counts, same mining fingerprints.  Hypothesis generates
-candidate frontiers (several assignments of one structure, mixed
-granularities, duplicate timestamps) and shrinks any disagreement; the
-``kernel`` fixture replays every property under both the numpy and the
-pure-Python ``array`` columnar kernels.
+The banked :class:`~repro.automata.dense.DenseBatch` tables and the
+:class:`~repro.automata.dense.BatchRuntime` sweep are the only
+stored-sequence matching runtime, so every production entry point -
+``match_many`` on one-member and many-member banks, per-matcher
+``matching_roots``, ``batch_matching_roots``, ``discover`` and
+``parallel_scan`` - is held against the object NDFA simulation
+(:meth:`~repro.automata.matching.TagMatcher.match_from`) root by root:
+same match sets, same bindings, same support counts, same solutions.
+Hypothesis generates candidate frontiers (one or several assignments of
+one structure, mixed granularities, duplicate timestamps) and shrinks
+any disagreement; the ``kernel`` fixture replays every property under
+both the numpy and the pure-Python ``array`` columnar kernels.
 
 The chaos half of the suite covers the zero-copy shard transport:
 refcounted :class:`~repro.store.columnar.SharedColumns` unlink
@@ -21,7 +23,6 @@ owner's ``close()``.
 
 import glob
 import os
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,7 +32,7 @@ import repro.store.columnar as columnar_module
 from repro.automata.builder import build_tag
 from repro.automata.dense import (
     BatchRuntime,
-    DenseRuntime,
+    DenseBatch,
     compile_dense,
     compile_dense_batch,
 )
@@ -40,9 +41,18 @@ from repro.constraints import TCG, ComplexEventType, EventStructure
 from repro.granularity import standard_system
 from repro.mining.discovery import EventDiscoveryProblem, discover
 from repro.mining.events import EventSequence
+from repro.mining.pruning import consistency_gate, seconds_windows
+from repro.obs import global_metrics
 from repro.parallel import fork_available, parallel_scan
 from repro.store import ColumnarEventStore
 from repro.store.columnar import attach_shared
+
+from .reference import (
+    reference_outcomes,
+    reference_roots,
+    reference_solutions,
+    solution_map,
+)
 
 SYSTEM = standard_system()
 
@@ -66,26 +76,6 @@ def kernel(request, monkeypatch):
     return request.param
 
 
-@contextmanager
-def batch_mode(mode):
-    """Pin ``REPRO_BATCH`` (with the columnar backend on, which
-    batching requires) for the duration of the block."""
-    previous = {
-        name: os.environ.get(name)
-        for name in ("REPRO_BATCH", "REPRO_COLUMNAR")
-    }
-    os.environ["REPRO_BATCH"] = mode
-    os.environ["REPRO_COLUMNAR"] = "on"
-    try:
-        yield
-    finally:
-        for name, value in previous.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
 def _shm_segments():
     return set(glob.glob("/dev/shm/psm_*"))
 
@@ -95,7 +85,11 @@ def _shm_segments():
 # ----------------------------------------------------------------------
 @st.composite
 def frontier_cases(draw):
-    """A candidate frontier over one structure plus a random store."""
+    """A candidate frontier over one structure plus a random store.
+
+    A one-type pool makes a frontier of one, the shape every single
+    pattern query runs as a one-member bank.
+    """
     shape = draw(st.sampled_from(["chain2", "chain3", "fan"]))
     if shape == "chain2":
         names, arcs = ["R", "A"], [("R", "A")]
@@ -110,7 +104,7 @@ def frontier_cases(draw):
         span = draw(st.integers(0, 3))
         constraints[arc] = [TCG(m, m + span, SYSTEM.get(label))]
     structure = EventStructure(names, constraints)
-    types = ["t%d" % i for i in range(draw(st.integers(2, 3)))]
+    types = ["t%d" % i for i in range(draw(st.integers(1, 3)))]
     # The frontier: every assignment of the non-root variables to the
     # type pool, all anchored on "r" - the multi-candidate shape the
     # batch compiler banks together.
@@ -157,29 +151,68 @@ class TestMatchSets:
     @given(case=frontier_cases())
     @RELAXED
     def test_batched_match_sets_equal_single(self, kernel, case):
-        """batch_matching_roots under on == off == the raw per-matcher
-        loop, for any frontier/store/kernel combination."""
+        """batch_matching_roots and the per-matcher matching_roots
+        (one-member banks) both equal the reference, for any
+        frontier/store/kernel combination."""
         structure, frontier, sequence, horizon, strict = case
         matchers = _build_matchers(structure, frontier, horizon, strict)
-        with batch_mode("on"):
-            batched = batch_matching_roots(matchers, sequence)
-        with batch_mode("off"):
-            single = batch_matching_roots(matchers, sequence)
-            raw = [list(m.matching_roots(sequence)) for m in matchers]
-        assert batched == single == raw
+        reference = [reference_roots(m, sequence) for m in matchers]
+        assert batch_matching_roots(matchers, sequence) == reference
+        assert [list(m.matching_roots(sequence)) for m in matchers] == (
+            reference
+        )
 
     @given(case=frontier_cases())
     @RELAXED
-    def test_match_many_bindings_equal_dense_runtime(self, kernel, case):
-        """Per-root outcomes - including variable bindings - from one
-        BatchRuntime sweep equal each member's own DenseRuntime run."""
+    def test_match_many_bindings_equal_reference(self, kernel, case):
+        """Per-root outcomes - including variable bindings - from
+        many-member and one-member banks equal each member's
+        match_from."""
         structure, frontier, sequence, horizon, strict = case
         matchers = _build_matchers(structure, frontier, horizon, strict)
-        with batch_mode("on"):
-            store = sequence.columnar()
-            denses = [compile_dense(m.tag) for m in matchers]
-            root_symbol = matchers[0].build.root_symbol
-            for positions, batch in compile_dense_batch(denses):
+        store = sequence.columnar()
+        root_symbol = matchers[0].build.root_symbol
+        expected = [reference_outcomes(m, sequence) for m in matchers]
+        denses = [compile_dense(m.tag) for m in matchers]
+        banks = compile_dense_batch(denses) + [
+            ((p,), DenseBatch([dense])) for p, dense in enumerate(denses)
+        ]
+        for positions, batch in banks:
+            runtime = BatchRuntime(
+                batch,
+                store,
+                root_symbol,
+                structure.root,
+                strict=strict,
+                horizon_seconds=horizon,
+            )
+            for root in expected[0]:
+                outcomes = runtime.match_many(root)
+                for k, p in enumerate(positions):
+                    assert outcomes[k] == expected[p][root]
+
+    @given(case=frontier_cases())
+    @RELAXED
+    def test_bank_work_counters_equal_member_sum(self, kernel, case):
+        """A bank reports the transitions, skips and guard rejections
+        of its members' runs exactly: members that share a frontier
+        replay one wake's outcome, and the replay adds that wake's
+        counts again, so the totals equal the one-member banks' sum."""
+        structure, frontier, sequence, horizon, strict = case
+        matchers = _build_matchers(structure, frontier, horizon, strict)
+        store = sequence.columnar()
+        root_symbol = matchers[0].build.root_symbol
+        roots = list(reference_outcomes(matchers[0], sequence))
+        registry = global_metrics()
+        names = [
+            "repro_tag_transitions_total",
+            "repro_tag_skips_total",
+            "repro_tag_guard_rejections_total",
+        ]
+
+        def work(banks):
+            before = [registry.get(name).value() for name in names]
+            for batch in banks:
                 runtime = BatchRuntime(
                     batch,
                     store,
@@ -188,46 +221,21 @@ class TestMatchSets:
                     strict=strict,
                     horizon_seconds=horizon,
                 )
-                roots = [
-                    i
-                    for i in range(len(sequence))
-                    if sequence[i].etype == "r"
-                ]
-                singles = [
-                    DenseRuntime(
-                        denses[p],
-                        store,
-                        root_symbol,
-                        structure.root,
-                        strict=strict,
-                        horizon_seconds=horizon,
-                    )
-                    for p in positions
-                ]
                 for root in roots:
-                    outcomes = runtime.match_many(root)
-                    for k in range(len(positions)):
-                        assert outcomes[k] == singles[k].match(root)
+                    runtime.match_many(root)
+            return [
+                registry.get(name).value() - value
+                for name, value in zip(names, before)
+            ]
+
+        denses = [compile_dense(m.tag) for m in matchers]
+        banked = work([batch for _, batch in compile_dense_batch(denses)])
+        assert banked == work([DenseBatch([dense]) for dense in denses])
 
 
 # ----------------------------------------------------------------------
 # Mining fingerprints
 # ----------------------------------------------------------------------
-def _fingerprint(outcome):
-    return (
-        sorted(
-            str(sorted(assignment.items()))
-            for assignment in outcome.solution_assignments()
-        ),
-        {
-            str(sorted(cet.assignment.items())): freq
-            for cet, freq in outcome.frequencies.items()
-        },
-        outcome.candidates_evaluated,
-        outcome.automaton_starts,
-    )
-
-
 @st.composite
 def mining_cases(draw):
     hour = SYSTEM.get("hour")
@@ -247,30 +255,53 @@ def mining_cases(draw):
         for slot in sorted(slots)
     ]
     confidence = draw(st.sampled_from([0.0, 0.25, 0.5]))
-    problem = EventDiscoveryProblem(structure, confidence, "r")
+    # Pinning both pools to one type gives a frontier of at most one.
+    candidates = (
+        {"A": frozenset([types[1]]), "B": frozenset([types[-1]])}
+        if draw(st.booleans())
+        else {}
+    )
+    problem = EventDiscoveryProblem(structure, confidence, "r", candidates)
     return problem, EventSequence(events)
 
 
 class TestMiningFingerprints:
     @given(case=mining_cases())
     @RELAXED
-    def test_discover_identical_under_batch_on_off(self, kernel, case):
+    def test_discover_equals_reference(self, kernel, case):
         problem, sequence = case
-        with batch_mode("off"):
-            reference = discover(problem, sequence, SYSTEM)
-        with batch_mode("on"):
-            batched = discover(problem, sequence, SYSTEM)
-        assert _fingerprint(batched) == _fingerprint(reference)
+        outcome = discover(problem, sequence, SYSTEM)
+        assert solution_map(outcome) == reference_solutions(
+            problem, sequence, SYSTEM
+        )
 
-    @given(case=mining_cases())
+    @given(case=frontier_cases(), shard_size=st.sampled_from([1, 3, "auto"]))
     @RELAXED
-    def test_auto_mode_equals_reference(self, kernel, case):
-        problem, sequence = case
-        with batch_mode("off"):
-            reference = discover(problem, sequence, SYSTEM)
-        with batch_mode("auto"):
-            auto = discover(problem, sequence, SYSTEM)
-        assert _fingerprint(auto) == _fingerprint(reference)
+    def test_parallel_scan_equals_reference(self, kernel, case, shard_size):
+        """Per-candidate hits of the (group, shard) task grid, screened
+        through the propagated windows, equal the reference's."""
+        structure, frontier, sequence, horizon, strict = case
+        matchers = _build_matchers(structure, frontier, horizon, strict)
+        consistent, propagation = consistency_gate(structure, SYSTEM)
+        windows = seconds_windows(propagation) if consistent else {}
+        roots = list(sequence.occurrence_indices("r"))
+        results, report = parallel_scan(
+            sequence,
+            SYSTEM,
+            structure,
+            frontier,
+            windows,
+            roots,
+            horizon,
+            strict=strict,
+            workers=2,
+            shard_size=shard_size,
+            executor="inline",
+        )
+        assert [result.hits for result in results] == [
+            len(reference_roots(m, sequence)) for m in matchers
+        ]
+        assert report["tasks"] == report["batch_groups"] * report["shards"]
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +402,6 @@ class TestWorkerCrashChaos:
         """An orchestration failure after the shard export must still
         reach the owner's close() - no segment survives the wreck."""
         monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        monkeypatch.setenv("REPRO_COLUMNAR", "on")
         from repro.parallel import stealing
 
         hour = SYSTEM.get("hour")
@@ -404,7 +434,6 @@ class TestWorkerCrashChaos:
 
     def test_pool_scan_leaves_no_segments(self, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        monkeypatch.setenv("REPRO_COLUMNAR", "on")
         hour = SYSTEM.get("hour")
         structure = EventStructure(
             ["R", "A"], {("R", "A"): [TCG(0, 1, hour)]}

@@ -1,13 +1,16 @@
-"""Differential oracle: columnar batch matching vs the object path.
+"""Differential oracle: columnar matching vs the object reference.
 
-The columnar backend (``REPRO_COLUMNAR=on``) is only allowed to exist
-because it is *bit-identical* to the object-based reference: same match
-sets, same bindings, same anchor-index answers, same mining outcomes.
-Hypothesis generates the stores and the patterns and shrinks any
-disagreement to a minimal counterexample; the ``kernel`` fixture runs
-every property under both the numpy and the pure-Python ``array``
-kernels in one process (CI additionally runs the whole suite under
-``REPRO_NO_NUMPY=1``).
+Production matching over a stored sequence runs dense transition
+tables over the columnar view; it is only allowed to exist because it
+is *bit-identical* to the object NDFA simulation,
+:meth:`~repro.automata.matching.TagMatcher.match_from`, root by root:
+same match sets, same bindings, same mining outcomes.  The anchor
+screen's posting-list answers are held against brute force over the
+sequence.  Hypothesis generates the stores and the patterns and
+shrinks any disagreement to a minimal counterexample; the ``kernel``
+fixture runs every property under both the numpy and the pure-Python
+``array`` kernels in one process (CI additionally runs the whole suite
+under ``REPRO_NO_NUMPY=1``).
 
 Duplicate timestamps are generated on purpose (times are drawn with
 replacement) and horizons are drawn from *realised event-time
@@ -15,9 +18,6 @@ differences*, so deadline comparisons land exactly on event boundaries
 - the straddling cases where an off-by-one in the bisection cut would
 show up.
 """
-
-import os
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,9 +30,14 @@ from repro.granularity import standard_system
 from repro.mining.discovery import EventDiscoveryProblem, discover
 from repro.mining.events import Event, EventSequence
 from repro.store import ColumnarEventStore
-from repro.store.anchorindex import AnchorIndex
 
 from ..strategies import rooted_dags
+from .reference import (
+    reference_outcomes,
+    reference_roots,
+    reference_solutions,
+    solution_map,
+)
 
 SYSTEM = standard_system()
 
@@ -59,19 +64,6 @@ def kernel(request, monkeypatch):
     else:
         monkeypatch.setattr(columnar_module, "_np", None)
     return request.param
-
-
-@contextmanager
-def columnar_mode(mode):
-    previous = os.environ.get("REPRO_COLUMNAR")
-    os.environ["REPRO_COLUMNAR"] = mode
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_COLUMNAR", None)
-        else:
-            os.environ["REPRO_COLUMNAR"] = previous
 
 
 # ----------------------------------------------------------------------
@@ -122,35 +114,24 @@ class TestMatchSets:
             strict=strict,
             horizon_seconds=horizon,
         )
-        with columnar_mode("off"):
-            roots_object = list(matcher.matching_roots(sequence))
-            reference = {
-                index: matcher.match_from(sequence, index)
-                for index in sequence.occurrence_indices(
-                    matcher.build.root_symbol
-                )
-            }
-        with columnar_mode("on"):
-            roots_columnar = list(matcher.matching_roots(sequence))
-            runtime = matcher._columnar_runtime(sequence)
-            assert runtime is not None
-            for index, expected in reference.items():
-                matched, bindings = runtime.match(index)
-                assert matched == expected.matched, (
-                    "index %d: columnar=%s object=%s" % (
-                        index, matched, expected.matched,
-                    )
-                )
-                assert bindings == expected.bindings
-        assert roots_columnar == roots_object
+        reference = reference_outcomes(matcher, sequence)
+        for index, (matched, bindings) in reference.items():
+            assert matcher.occurs_at(sequence, index) == matched, (
+                "index %d: production=%s reference=%s"
+                % (index, not matched, matched)
+            )
+            assert matcher.bindings_at(sequence, index) == bindings
+        assert list(matcher.matching_roots(sequence)) == [
+            index for index, (matched, _) in reference.items() if matched
+        ]
 
     @given(case=stores_and_patterns())
     @RELAXED
     def test_anchor_screen_preserves_match_set(self, kernel, case):
-        """Requirements derived from realised matches must not drop
-        roots: the screened matching_roots equals the unscreened one
-        when requirements are sound (here: the trivially sound
-        whole-span window for each non-root variable)."""
+        """Sound requirements must not drop roots: the screened
+        matching_roots equals the unscreened reference (here with the
+        trivially sound whole-span window for each non-root
+        variable)."""
         cet, sequence, horizon, strict = case
         if not len(sequence):
             return
@@ -169,15 +150,12 @@ class TestMatchSets:
             anchor_requirements=requirements,
         )
         plain = TagMatcher(build, strict=strict, horizon_seconds=horizon)
-        with columnar_mode("on"):
-            got = list(screened.matching_roots(sequence))
-        with columnar_mode("off"):
-            expected = list(plain.matching_roots(sequence))
-        assert got == expected
+        got = list(screened.matching_roots(sequence))
+        assert got == reference_roots(plain, sequence)
 
 
 # ----------------------------------------------------------------------
-# Property 2: anchor-index postings and window queries
+# Property 2: posting lists, window queries and the anchor screen
 # ----------------------------------------------------------------------
 @st.composite
 def stores_and_windows(draw):
@@ -202,32 +180,38 @@ def stores_and_windows(draw):
     return sequence, windows
 
 
-class TestAnchorIndexParity:
+def _brute_positions(sequence, etype, start, stop):
+    return tuple(
+        index
+        for index in sequence.occurrence_indices(etype)
+        if start <= sequence[index].time <= stop
+    )
+
+
+class TestAnchorScreen:
     @given(case=stores_and_windows())
     @RELAXED
     def test_postings_and_window_queries_identical(self, kernel, case):
         sequence, windows = case
         view = ColumnarEventStore.from_sequence(sequence)
-        index = AnchorIndex.from_events(
-            (e.etype, e.time) for e in sequence
-        )
-        assert sorted(view.types()) == sorted(index.types())
-        for etype in index.types():
+        assert sorted(view.types()) == sorted(sequence.types())
+        for etype in sequence.types():
             positions, times = view.postings(etype)
-            assert positions == index.positions(etype)
-            assert times == tuple(
-                sequence[p].time for p in index.positions(etype)
-            )
+            assert positions == sequence.occurrence_indices(etype)
+            assert times == tuple(sequence[p].time for p in positions)
         for etype, start, stop in windows:
-            assert view.has_in_window(etype, start, stop) == \
-                index.has_in_window(etype, start, stop)
-            assert view.count_in_window(etype, start, stop) == \
-                index.count_in_window(etype, start, stop)
-            assert view.positions_in_window(etype, start, stop) == \
-                index.positions_in_window(etype, start, stop)
+            expected = _brute_positions(sequence, etype, start, stop)
+            assert view.positions_in_window(etype, start, stop) == expected
+            assert view.count_in_window(etype, start, stop) == len(
+                expected
+            )
+            assert view.has_in_window(etype, start, stop) == bool(expected)
+            assert view.has_in_window(
+                etype, start, stop
+            ) == sequence.has_type_in_window(etype, start, stop)
             if not view.may_contain(etype, start, stop):
                 # may_contain must stay a sound over-approximation.
-                assert not view.has_in_window(etype, start, stop)
+                assert not expected
 
     @given(case=stores_and_windows())
     @RELAXED
@@ -238,9 +222,6 @@ class TestAnchorIndexParity:
         if not len(sequence):
             return
         view = ColumnarEventStore.from_sequence(sequence)
-        index = AnchorIndex.from_events(
-            (e.etype, e.time) for e in sequence
-        )
         anchor_times = [e.time for e in sequence]
         requirements = [
             (etype, min(lo, hi), max(lo, hi))
@@ -248,7 +229,11 @@ class TestAnchorIndexParity:
         ]
         mask = view.screen_anchors(anchor_times, requirements)
         assert mask == [
-            index.viable(time, requirements) for time in anchor_times
+            all(
+                sequence.has_type_in_window(etype, time + lo, time + hi)
+                for etype, lo, hi in requirements
+            )
+            for time in anchor_times
         ]
 
 
@@ -274,41 +259,32 @@ def mining_cases(draw):
         for slot in slots
     ]
     confidence = draw(st.sampled_from([0.0, 0.25, 0.5]))
-    return structure, EventSequence(events), confidence
-
-
-def _outcome_fingerprint(outcome):
-    return (
-        sorted(
-            tuple(sorted(cet.assignment.items()))
-            for cet in outcome.solutions
-        ),
-        {
-            tuple(sorted(cet.assignment.items())): frequency
-            for cet, frequency in outcome.frequencies.items()
-        },
-        outcome.candidates_evaluated,
-        outcome.automaton_starts,
+    pools = draw(
+        st.sampled_from(
+            [
+                {"X1": frozenset(["a", "b"]), "X2": None},
+                # One type per pool: a frontier of at most one.
+                {"X1": frozenset(["a"]), "X2": frozenset(["b"])},
+            ]
+        )
     )
+    return structure, EventSequence(events), confidence, pools
 
 
 class TestMiningParity:
     @given(case=mining_cases())
     @RELAXED
     def test_mining_outcomes_identical(self, kernel, case):
-        structure, sequence, confidence = case
+        structure, sequence, confidence, pools = case
         problem = EventDiscoveryProblem(
             structure=structure,
             min_confidence=confidence,
             reference_type="ref",
-            candidates={"X1": frozenset(["a", "b"]), "X2": None},
+            candidates=pools,
         )
-        with columnar_mode("on"):
-            fast = discover(problem, sequence, SYSTEM)
-        with columnar_mode("off"):
-            reference = discover(problem, sequence, SYSTEM)
-        assert _outcome_fingerprint(fast) == _outcome_fingerprint(
-            reference
+        outcome = discover(problem, sequence, SYSTEM)
+        assert solution_map(outcome) == reference_solutions(
+            problem, sequence, SYSTEM
         )
 
 
@@ -325,11 +301,8 @@ def _chain_cet(gap_lo, gap_hi, granularity="hour"):
 
 class TestTargetedEdges:
     def assert_parity(self, matcher, sequence):
-        with columnar_mode("off"):
-            expected = list(matcher.matching_roots(sequence))
-        with columnar_mode("on"):
-            got = list(matcher.matching_roots(sequence))
-        assert got == expected
+        expected = reference_roots(matcher, sequence)
+        assert list(matcher.matching_roots(sequence)) == expected
         return expected
 
     def test_deadline_exactly_on_match_event(self, kernel):

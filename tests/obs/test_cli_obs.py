@@ -54,9 +54,9 @@ class TestDiscoverAcceptance:
         assert "propagate.convert" in names     # conversion
         assert "stp.close" in names             # closures
         assert "tag.build" in names             # TAG construction
-        # TAG matching: the per-candidate scan, or one banked frontier
-        # sweep when REPRO_BATCH (default on) merges the candidates.
-        assert names & {"tag.match", "tag.batch_scan"}
+        # TAG matching: step 5 scans the frontier in banked sweeps.
+        assert "tag.batch_scan" in names
+        assert "tag.match" not in names
         assert "mine.candidate" in names
         # The metrics dump rides on stdout and is well-formed.
         dump_start = out.index("# HELP")

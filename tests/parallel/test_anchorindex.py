@@ -1,16 +1,24 @@
-"""The posting-list anchor index: exactness, screening, maintenance."""
+"""Anchor screening over the columnar posting lists.
+
+:class:`~repro.store.columnar.ColumnarEventStore` answers the anchor
+screen's question - *is there an event of type E with a timestamp in
+[lo, hi]?* - from per-type posting lists and a time-bucketed skip
+index.  These checks hold the window queries and
+:meth:`~repro.store.columnar.ColumnarEventStore.screen_anchors` against
+brute force, the screened matcher against the unscreened one, and
+:meth:`~repro.store.eventstore.EventStore.columnar` against a rebuilt
+view after every kind of write.
+"""
 
 import random
-
-import pytest
 
 from repro.automata.builder import build_tag
 from repro.automata.matching import TagMatcher
 from repro.constraints import TCG, ComplexEventType, EventStructure
 from repro.core.api import compile_pattern
 from repro.mining.events import EventSequence
-from repro.store import EventStore
-from repro.store.anchorindex import AnchorIndex
+from repro.obs import global_metrics
+from repro.store import ColumnarEventStore, EventStore
 
 
 def _random_events(rng, n=200, types=("a", "b", "c"), span=10_000):
@@ -18,11 +26,11 @@ def _random_events(rng, n=200, types=("a", "b", "c"), span=10_000):
     return [(rng.choice(types), t) for t in times]
 
 
-class TestAnchorIndexQueries:
+class TestColumnarWindowQueries:
     def test_has_in_window_agrees_with_brute_force(self):
         rng = random.Random(7)
         events = _random_events(rng)
-        index = AnchorIndex.from_events(events)
+        view = ColumnarEventStore.from_events(events)
         for _ in range(300):
             etype = rng.choice(["a", "b", "c", "zzz"])
             start = rng.randrange(-100, 10_100)
@@ -30,12 +38,12 @@ class TestAnchorIndexQueries:
             expected = any(
                 e == etype and start <= t <= stop for e, t in events
             )
-            assert index.has_in_window(etype, start, stop) == expected
+            assert view.has_in_window(etype, start, stop) == expected
 
     def test_count_and_positions_agree_with_brute_force(self):
         rng = random.Random(8)
         events = _random_events(rng)
-        index = AnchorIndex.from_events(events)
+        view = ColumnarEventStore.from_events(events)
         for _ in range(200):
             etype = rng.choice(["a", "b", "c"])
             start = rng.randrange(0, 10_000)
@@ -46,29 +54,42 @@ class TestAnchorIndexQueries:
                 if e == etype and start <= t <= stop
             ]
             assert list(
-                index.positions_in_window(etype, start, stop)
+                view.positions_in_window(etype, start, stop)
             ) == expected
-            assert index.count_in_window(etype, start, stop) == len(expected)
+            assert view.count_in_window(etype, start, stop) == len(expected)
 
     def test_empty_and_inverted_windows(self):
-        index = AnchorIndex.from_events([("a", 10)])
-        assert not index.has_in_window("a", 20, 5)
-        assert index.count_in_window("a", 20, 5) == 0
-        assert index.positions_in_window("a", 20, 5) == ()
-        assert not index.has_in_window("missing", 0, 100)
+        view = ColumnarEventStore.from_events([("a", 10)])
+        assert not view.has_in_window("a", 20, 5)
+        assert view.count_in_window("a", 20, 5) == 0
+        assert view.positions_in_window("a", 20, 5) == ()
+        assert not view.has_in_window("missing", 0, 100)
 
-    def test_viable_anchors_without_requirements_is_passthrough(self):
-        index = AnchorIndex.from_events([("a", 10)])
-        anchors = [(3, 10), (9, 400)]
-        assert index.viable_anchors(anchors, ()) == [3, 9]
+    def test_screen_without_requirements_is_passthrough(self):
+        view = ColumnarEventStore.from_events([("a", 10)])
+        assert view.screen_anchors([10, 400], ()) == [True, True]
+        # viable_positions hands the positions back unchanged without
+        # running a screen at all.
+        screens = global_metrics().get("repro_columnar_screens_total")
+        before = screens.value()
+        assert view.viable_positions([7, 3, 9], [400, 10, 900], ()) == [
+            7,
+            3,
+            9,
+        ]
+        assert screens.value() == before
 
-    def test_viable_anchors_preserve_order_and_refute_soundly(self):
+    def test_screen_preserves_order_and_refutes_soundly(self):
         events = [("r", 0), ("a", 50), ("r", 1000), ("r", 2000), ("a", 2040)]
-        index = AnchorIndex.from_events(events)
-        anchors = [(0, 0), (2, 1000), (3, 2000)]
-        viable = index.viable_anchors(anchors, [("a", 0, 100)])
+        view = ColumnarEventStore.from_events(events)
+        # Anchors out of time order: the mask follows the input order.
+        mask = view.screen_anchors([2000, 0, 1000], [("a", 0, 100)])
         # Roots at t=0 and t=2000 have an "a" within 100 s; t=1000 not.
-        assert viable == [0, 3]
+        assert mask == [True, True, False]
+        # The same screen as positions: survivors in input order.
+        assert view.viable_positions(
+            [3, 0, 2], [2000, 0, 1000], [("a", 0, 100)]
+        ) == [3, 0]
 
 
 class TestMatcherAnchorRequirements:
@@ -88,6 +109,9 @@ class TestMatcherAnchorRequirements:
         plain = TagMatcher(build_tag(cet, system=system))
         screened = compile_pattern(structure, cet.assignment, system)
         assert screened.anchor_requirements
+        assert len(screened.viable_root_positions(sequence)) < len(
+            plain.viable_root_positions(sequence)
+        )
         assert list(screened.matching_roots(sequence)) == list(
             plain.matching_roots(sequence)
         )
@@ -106,6 +130,16 @@ class TestMatcherAnchorRequirements:
         assert lo <= 0 and hi >= 3600  # the window covers 0..2 hours
 
 
+def _assert_view_matches_rebuild(store):
+    view = store.columnar()
+    rebuilt = ColumnarEventStore.from_sequence(store.snapshot())
+    assert len(view) == len(rebuilt)
+    assert view.types() == rebuilt.types()
+    for etype in rebuilt.types():
+        assert view.postings(etype) == rebuilt.postings(etype)
+    return view
+
+
 class TestStoreIndexMaintenance:
     def test_incremental_append_matches_rebuilt_index(self, monkeypatch):
         monkeypatch.setenv("REPRO_OBS", "debug")
@@ -115,10 +149,7 @@ class TestStoreIndexMaintenance:
         for _ in range(120):
             t += rng.randrange(0, 50)
             store.append(rng.choice(["a", "b"]), t)
-        incremental = store.anchor_index()
-        rebuilt = EventStore.from_sequence(store.snapshot()).anchor_index()
-        for etype in ("a", "b"):
-            assert incremental.positions(etype) == rebuilt.positions(etype)
+        _assert_view_matches_rebuild(store)
 
     def test_out_of_order_append_still_yields_a_correct_index(
         self, monkeypatch
@@ -127,13 +158,14 @@ class TestStoreIndexMaintenance:
         store = EventStore()
         for etype, time in [("a", 100), ("b", 50), ("a", 75), ("b", 200)]:
             store.append(etype, time)
-        index = store.anchor_index()
-        assert index.has_in_window("b", 40, 60)
-        assert index.count_in_window("a", 0, 100) == 2
+        view = _assert_view_matches_rebuild(store)
+        assert view.has_in_window("b", 40, 60)
+        assert view.count_in_window("a", 0, 100) == 2
 
     def test_snapshot_index_sees_extended_events(self):
         store = EventStore()
         store.extend([("a", 10), ("a", 20)])
-        assert store.anchor_index().count_in_window("a", 0, 100) == 2
+        assert store.columnar().count_in_window("a", 0, 100) == 2
         store.extend([("a", 30)])
-        assert store.anchor_index().count_in_window("a", 0, 100) == 3
+        assert store.columnar().count_in_window("a", 0, 100) == 3
+        _assert_view_matches_rebuild(store)

@@ -148,11 +148,10 @@ class TestParallelScan:
         )
         assert [result.hits for result in results] == expected
         assert report["executor"] == "inline"
-        # With REPRO_BATCH active the grid is groups x shards (both
-        # candidates share a clock signature -> one group), otherwise
-        # candidates x shards.
-        grain = report["batch_groups"] or len(candidates)
-        assert report["tasks"] == grain * report["shards"]
+        # The grid is groups x shards; both candidates share a clock
+        # signature, so they bank into one group.
+        assert report["batch_groups"] == 1
+        assert report["tasks"] == report["shards"]
 
     def test_anchor_screen_reduces_starts_without_changing_hits(
         self, system

@@ -3,7 +3,7 @@
 The persistence contract: a well-formed file round-trips bit-identical
 columns (memory-mapped or not); ANY malformed file - truncated, wrong
 magic, corrupt header, size mismatch - makes :func:`load_columnar`
-return None (fall back to the object path) and increments
+return None (rebuild the view from the source of truth) and increments
 ``repro_columnar_fallback_total``, never raising to the caller.
 """
 
@@ -20,7 +20,6 @@ from repro.store import (
     EventStore,
     columnar_kernel,
     load_columnar,
-    resolve_columnar,
 )
 
 KERNELS = ["numpy", "fallback"]
@@ -52,20 +51,9 @@ def _fallback_delta(before):
 
 
 # ----------------------------------------------------------------------
-# Mode resolution
+# Kernel resolution
 # ----------------------------------------------------------------------
 class TestResolution:
-    def test_modes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COLUMNAR", raising=False)
-        assert resolve_columnar() == "on"
-        assert resolve_columnar("auto") == "on"
-        assert resolve_columnar("on") == "on"
-        assert resolve_columnar("off") == "off"
-        monkeypatch.setenv("REPRO_COLUMNAR", "off")
-        assert resolve_columnar() == "off"
-        with pytest.raises(ValueError):
-            resolve_columnar("banana")
-
     def test_kernel_names(self, kernel):
         assert columnar_kernel() == kernel
         assert ColumnarEventStore.from_events([]).kernel == kernel

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.automata import TagMatcher, build_tag
 from repro.cli import main
 from repro.constraints import TCG, ComplexEventType, EventStructure
 from repro.granularity import standard_system
@@ -93,6 +94,41 @@ class TestMatch:
         assert "match at t=%d" % (8 * H) in out
         assert "1/2 login occurrences matched" in out
         assert "frequency 0.500" in out
+
+    def test_printed_bindings_equal_reference(
+        self, tmp_path, system, pair_structure, pattern_file, capsys
+    ):
+        """Each printed binding comes from the production scan; it must
+        equal the object reference's ``match_from`` on the same root."""
+        sequence = EventSequence(
+            [
+                ("login", 1 * H),
+                ("logout", 2 * H),
+                ("logout", 3 * H),
+                ("login", D + 5 * H),
+                ("login", D + 6 * H),
+                ("logout", D + 7 * H),
+                ("login", 2 * D + 23 * H),
+                ("logout", 3 * D + 1 * H),   # crosses midnight
+            ]
+        )
+        path = str(tmp_path / "many.csv")
+        write_events(sequence, path)
+        assert main(["match", pattern_file, path]) == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("match at t="):
+                head, blob = line.split(": ", 1)
+                printed[int(head[len("match at t="):])] = json.loads(blob)
+        cet = ComplexEventType(pair_structure, {"A": "login", "B": "logout"})
+        matcher = TagMatcher(build_tag(cet, system=system))
+        expected = {}
+        for index in sequence.occurrence_indices("login"):
+            result = matcher.match_from(sequence, index)
+            if result.matched:
+                expected[sequence[index].time] = result.bindings
+        assert printed == expected
+        assert sorted(printed) == [1 * H, D + 5 * H, D + 6 * H]
 
 
 class TestMine:
