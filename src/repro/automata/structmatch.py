@@ -7,6 +7,16 @@ from variables to sequence events satisfying every TCG (paper Section
 root at a chosen occurrence, and prunes with the non-decreasing-
 timestamp property of rooted TCG DAGs.
 
+Each variable's candidates form a window of its type's occurrences.
+It starts with one bisect at the latest bound predecessor's timestamp
+and ends at the first event whose tick exceeds ``tick(t_P) + n`` for
+some TCG ``[m, n]`` on an arc ``(P, X)``.  The window is exact, not a
+heuristic: non-empty ticks are strictly ordered (Section 2), so
+``tick_of`` never decreases over covered instants, and every later
+event fails that TCG too.  An event in a gap of the TCG's granularity
+fails it as well, but a later event may be covered again, so such an
+event is skipped without ending the window.
+
 Exponential in the worst case, but exact - including for events with
 equal timestamps, where the (linear-scan) TAG matcher is documented to
 be incomplete when the sequence order contradicts the binding order.
@@ -14,7 +24,8 @@ be incomplete when the sequence order contradicts the binding order.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from bisect import bisect_left
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 from ..constraints.structure import ComplexEventType
 
@@ -31,9 +42,17 @@ def find_occurrence(
     """A variable -> event-index binding anchored at ``root_index``.
 
     Returns None when no occurrence of the complex event type uses the
-    event at ``root_index`` as its root.  Raises :class:`RuntimeError`
-    when the search budget is exhausted (practically unreachable for
-    realistic structures; exists to bound adversarial inputs).
+    event at ``root_index`` as its root.  Candidates for a variable X
+    are the occurrences of X's type from the latest bound predecessor's
+    timestamp up to the first one whose tick lies past ``tick(t_P) + n``
+    for a TCG ``[m, n]`` on ``(P, X)``; none when some ``t_P`` is
+    uncovered by that TCG's granularity.  Every event cut off this way
+    fails a TCG (ticks never decrease over covered instants), so the
+    binding is the one an unwindowed search in the same candidate order
+    would return.  Raises :class:`RuntimeError` when the search budget
+    - ``max_nodes`` candidates tried inside the windows - is exhausted
+    (practically unreachable for realistic structures; exists to bound
+    adversarial inputs).
     """
     structure = complex_event_type.structure
     root = structure.root
@@ -48,18 +67,31 @@ def find_occurrence(
     used = {root_index}
     nodes = [0]
 
-    def candidates(variable: str) -> List[int]:
-        etype = complex_event_type.event_type(variable)
-        earliest = max(
-            sequence[binding[p]].time
-            for p in structure.predecessors(variable)
-            if p in binding
+    def candidates(variable: str) -> Iterator[int]:
+        positions, times = sequence.postings(
+            complex_event_type.event_type(variable)
         )
-        return [
-            i
-            for i in sequence.occurrence_indices(etype)
-            if sequence[i].time >= earliest
-        ]
+        earliest = 0
+        limits = []
+        for pred in structure.predecessors(variable):
+            if pred in binding:
+                t_pred = sequence[binding[pred]].time
+                earliest = max(earliest, t_pred)
+                for tcg in structure.tcgs(pred, variable):
+                    tick = tcg.granularity.tick_of(t_pred)
+                    if tick is None:
+                        return  # no instant satisfies a TCG from t_pred
+                    limits.append((tcg.granularity.tick_of, tick + tcg.n))
+        for k in range(bisect_left(times, earliest), len(times)):
+            t = times[k]
+            for tick_of, last in limits:
+                tick = tick_of(t)
+                if tick is None:
+                    break  # in a gap: skip it, a later event may fit
+                if tick > last:
+                    return  # past the window, as is every later event
+            else:
+                yield positions[k]
 
     def consistent(variable: str, index: int) -> bool:
         t = sequence[index].time

@@ -12,6 +12,13 @@ from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Set, Tuple
 
 
+#: ``(positions, times)`` of one event type - see
+#: :meth:`EventSequence.postings`.
+Postings = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+_NO_POSTINGS: Postings = ((), ())
+
+
 class Event(NamedTuple):
     """A typed, timestamped occurrence."""
 
@@ -38,13 +45,15 @@ class EventSequence:
                 raise ValueError("negative timestamp in %s" % (event,))
         self._events: List[Event] = sorted(events, key=lambda e: e.time)
         self._times: List[int] = [e.time for e in self._events]
-        self._by_type: Dict[str, List[int]] = {}
-        self._times_by_type: Dict[str, List[int]] = {}
+        by_type: Dict[str, Tuple[List[int], List[int]]] = {}
         for index, event in enumerate(self._events):
-            self._by_type.setdefault(event.etype, []).append(index)
-            self._times_by_type.setdefault(event.etype, []).append(
-                event.time
-            )
+            positions, times = by_type.setdefault(event.etype, ([], []))
+            positions.append(index)
+            times.append(event.time)
+        self._postings: Dict[str, Postings] = {
+            etype: (tuple(positions), tuple(times))
+            for etype, (positions, times) in by_type.items()
+        }
         self._columnar = None
 
     # ------------------------------------------------------------------
@@ -78,15 +87,25 @@ class EventSequence:
     # ------------------------------------------------------------------
     def types(self) -> Set[str]:
         """The set of event types occurring in the sequence."""
-        return set(self._by_type)
+        return set(self._postings)
+
+    def postings(self, etype: str) -> Postings:
+        """``(positions, times)`` of all events of a type, in time order.
+
+        ``times[k]`` is the timestamp of the event at ``positions[k]``;
+        both tuples are built once with the sequence, so a bisect on
+        ``times`` finds the first occurrence at or after an instant
+        without copying anything.
+        """
+        return self._postings.get(etype, _NO_POSTINGS)
 
     def occurrence_indices(self, etype: str) -> Tuple[int, ...]:
         """Positions of all events of a type, in time order."""
-        return tuple(self._by_type.get(etype, ()))
+        return self.postings(etype)[0]
 
     def count(self, etype: str) -> int:
         """Number of occurrences of a type."""
-        return len(self._by_type.get(etype, ()))
+        return len(self.postings(etype)[0])
 
     def first_index_at_or_after(self, time: int) -> int:
         """Position of the first event with timestamp >= ``time``."""
@@ -109,16 +128,14 @@ class EventSequence:
         the hot primitive behind root filtering, candidate screening
         and anchor viability.
         """
-        times = self._times_by_type.get(etype)
-        if not times:
-            return False
+        times = self._postings.get(etype, _NO_POSTINGS)[1]
         pos = bisect_left(times, start)
         return pos < len(times) and times[pos] <= stop
 
     def count_type_in_window(self, etype: str, start: int, stop: int) -> int:
         """Number of ``etype`` events with timestamp in [start, stop]."""
-        times = self._times_by_type.get(etype)
-        if not times or stop < start:
+        times = self._postings.get(etype, _NO_POSTINGS)[1]
+        if stop < start:
             return 0
         return bisect_right(times, stop) - bisect_left(times, start)
 

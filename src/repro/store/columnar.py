@@ -5,8 +5,8 @@ Python object per event, which caps matching throughput around 10^5
 events.  This module stores the same data as four parallel int64
 columns - times, type ids, attribute codes, record ids - plus the
 anchor-screening structures as *column offsets*: per-type posting
-lists (positions into the time-sorted columns) and a time-bucketed skip
-index.  The TAG runtime (:mod:`repro.automata.dense`) sweeps these
+lists (positions into the time-sorted columns) and their times.  The
+TAG runtime (:mod:`repro.automata.dense`) sweeps these
 columns with batched select/gather operations instead of per-event
 Python dispatch; it is the only runtime that matches over a stored
 sequence, with the object NDFA simulation in
@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import (
     Dict,
     Iterable,
@@ -52,10 +52,6 @@ except ImportError:  # pragma: no cover - numpy is present in dev envs
 #: One anchor requirement: an event of ``etype`` must exist with a
 #: timestamp in ``[anchor_time + lo, anchor_time + hi]``.
 Requirement = Tuple[str, int, int]
-
-#: Beyond this many buckets per window the skip check costs more than
-#: the binary search it would save; fall straight through to bisect.
-_MAX_BUCKET_PROBES = 8
 
 #: Sentinel for "no attributes" in the attribute-code column.
 NO_ATTRS = 0
@@ -87,20 +83,6 @@ class ColumnarFormatError(ValueError):
     undecodable header, or size mismatch)."""
 
 
-def _pick_shift(span_seconds: int, n_events: int) -> int:
-    """Bucket width as a power of two: aim for ~1 event per bucket.
-
-    Wider buckets on sparse data, narrower on dense data; floors at
-    64 s so minute-aligned feeds don't degenerate to one bucket per
-    event timestamp.
-    """
-    width = max(64, span_seconds // max(n_events, 1))
-    shift = 6
-    while (1 << shift) < width and shift < 40:
-        shift += 1
-    return shift
-
-
 def columnar_kernel() -> str:
     """The kernel the columns use: ``numpy`` or ``fallback``."""
     return "numpy" if _np is not None else "fallback"
@@ -113,14 +95,6 @@ def _column(values: Sequence[int]):
     from array import array
 
     return array("q", values)
-
-
-def _searchsorted(column, value: int, side: str = "left") -> int:
-    if _np is not None and isinstance(column, _np.ndarray):
-        return int(_np.searchsorted(column, value, side=side))
-    if side == "left":
-        return bisect_left(column, value)
-    return bisect_right(column, value)
 
 
 class ColumnarEventStore:
@@ -142,8 +116,6 @@ class ColumnarEventStore:
         "_attr_vocab",
         "_postings",
         "_posting_times",
-        "_buckets",
-        "_shift",
         "_tick_cache",
         "_plan_cache",
         "_shared",
@@ -196,11 +168,8 @@ class ColumnarEventStore:
         # Posting lists as column offsets (per-type positions into the
         # time-sorted columns): one vectorized group-by under numpy,
         # one pass under the fallback kernel.
-        span_seconds = int(self._times[-1] - self._times[0]) if n else 0
-        self._shift = _pick_shift(span_seconds, n)
         self._postings: Dict[int, object] = {}
         self._posting_times: Dict[int, object] = {}
-        self._buckets: Dict[int, object] = {}
         if _np is not None and isinstance(self._type_ids, _np.ndarray):
             for tid in _np.unique(self._type_ids):
                 tid = int(tid)
@@ -216,7 +185,6 @@ class ColumnarEventStore:
                 )
                 self._postings[tid] = positions
                 self._posting_times[tid] = ptimes
-                self._buckets[tid] = _np.unique(ptimes >> self._shift)
         else:
             positions: Dict[int, List[int]] = {}
             ptimes: Dict[int, List[int]] = {}
@@ -229,9 +197,6 @@ class ColumnarEventStore:
             for tid, values in positions.items():
                 self._postings[tid] = _column(values)
                 self._posting_times[tid] = _column(ptimes[tid])
-                self._buckets[tid] = _column(
-                    sorted({t >> self._shift for t in ptimes[tid]})
-                )
         self._tick_cache: Dict[int, Tuple[object, object]] = {}
         self._plan_cache: Dict[object, object] = {}
         # Keeps an attached SharedMemory mapping alive for stores built
@@ -359,72 +324,6 @@ class ColumnarEventStore:
             tuple(int(p) for p in self._postings[tid]),
             tuple(int(t) for t in self._posting_times[tid]),
         )
-
-    # ------------------------------------------------------------------
-    # Window queries (inclusive ``[start, stop]``, column-offset form)
-    # ------------------------------------------------------------------
-    @property
-    def bucket_seconds(self) -> int:
-        return 1 << self._shift
-
-    def may_contain(self, etype: str, start: int, stop: int) -> bool:
-        """Skip-index probe: False means *definitely* no occurrence.
-
-        True means "possibly" - a bucket hit still needs the exact
-        bisect.  Windows spanning many buckets skip the probe (the
-        bisect is cheaper than a long membership scan).
-        """
-        tid = self._type_index.get(etype)
-        if tid is None:
-            return False
-        buckets = self._buckets[tid]
-        if not len(buckets):
-            return False
-        b0 = max(start, 0) >> self._shift
-        b1 = stop >> self._shift
-        if b1 - b0 > _MAX_BUCKET_PROBES:
-            return True
-        lo = _searchsorted(buckets, b0, "left")
-        return lo < len(buckets) and buckets[lo] <= b1
-
-    def has_in_window(self, etype: str, start: int, stop: int) -> bool:
-        """Exact: is there an ``etype`` event with time in [start, stop]?"""
-        if stop < start:
-            return False
-        if not self.may_contain(etype, start, stop):
-            return False
-        tid = self._type_index.get(etype)
-        if tid is None:
-            return False
-        times = self._posting_times[tid]
-        i = _searchsorted(times, start, "left")
-        return i < len(times) and times[i] <= stop
-
-    def count_in_window(self, etype: str, start: int, stop: int) -> int:
-        """Exact count of ``etype`` events with time in [start, stop]."""
-        if stop < start:
-            return 0
-        tid = self._type_index.get(etype)
-        if tid is None or not self.may_contain(etype, start, stop):
-            return 0
-        times = self._posting_times[tid]
-        return _searchsorted(times, stop, "right") - _searchsorted(
-            times, start, "left"
-        )
-
-    def positions_in_window(
-        self, etype: str, start: int, stop: int
-    ) -> Tuple[int, ...]:
-        """Positions of ``etype`` events with time in [start, stop]."""
-        if stop < start:
-            return ()
-        tid = self._type_index.get(etype)
-        if tid is None:
-            return ()
-        times = self._posting_times[tid]
-        lo = _searchsorted(times, start, "left")
-        hi = _searchsorted(times, stop, "right")
-        return tuple(int(p) for p in self._postings[tid][lo:hi])
 
     # ------------------------------------------------------------------
     # Batched anchor screening (whole columns at once)

@@ -199,19 +199,15 @@ class TestAnchorScreen:
             positions, times = view.postings(etype)
             assert positions == sequence.occurrence_indices(etype)
             assert times == tuple(sequence[p].time for p in positions)
+            assert (positions, times) == sequence.postings(etype)
         for etype, start, stop in windows:
             expected = _brute_positions(sequence, etype, start, stop)
-            assert view.positions_in_window(etype, start, stop) == expected
-            assert view.count_in_window(etype, start, stop) == len(
-                expected
-            )
-            assert view.has_in_window(etype, start, stop) == bool(expected)
-            assert view.has_in_window(
+            assert sequence.count_type_in_window(
                 etype, start, stop
-            ) == sequence.has_type_in_window(etype, start, stop)
-            if not view.may_contain(etype, start, stop):
-                # may_contain must stay a sound over-approximation.
-                assert not expected
+            ) == len(expected)
+            assert sequence.has_type_in_window(
+                etype, start, stop
+            ) == bool(expected)
 
     @given(case=stores_and_windows())
     @RELAXED

@@ -2,8 +2,7 @@
 
 :class:`~repro.store.columnar.ColumnarEventStore` answers the anchor
 screen's question - *is there an event of type E with a timestamp in
-[lo, hi]?* - from per-type posting lists and a time-bucketed skip
-index.  These checks hold the window queries and
+[lo, hi]?* - from per-type posting lists.  These checks hold
 :meth:`~repro.store.columnar.ColumnarEventStore.screen_anchors` against
 brute force, the screened matcher against the unscreened one, and
 :meth:`~repro.store.eventstore.EventStore.columnar` against a rebuilt
@@ -21,50 +20,7 @@ from repro.obs import global_metrics
 from repro.store import ColumnarEventStore, EventStore
 
 
-def _random_events(rng, n=200, types=("a", "b", "c"), span=10_000):
-    times = sorted(rng.randrange(0, span) for _ in range(n))
-    return [(rng.choice(types), t) for t in times]
-
-
 class TestColumnarWindowQueries:
-    def test_has_in_window_agrees_with_brute_force(self):
-        rng = random.Random(7)
-        events = _random_events(rng)
-        view = ColumnarEventStore.from_events(events)
-        for _ in range(300):
-            etype = rng.choice(["a", "b", "c", "zzz"])
-            start = rng.randrange(-100, 10_100)
-            stop = start + rng.randrange(-10, 500)
-            expected = any(
-                e == etype and start <= t <= stop for e, t in events
-            )
-            assert view.has_in_window(etype, start, stop) == expected
-
-    def test_count_and_positions_agree_with_brute_force(self):
-        rng = random.Random(8)
-        events = _random_events(rng)
-        view = ColumnarEventStore.from_events(events)
-        for _ in range(200):
-            etype = rng.choice(["a", "b", "c"])
-            start = rng.randrange(0, 10_000)
-            stop = start + rng.randrange(0, 800)
-            expected = [
-                position
-                for position, (e, t) in enumerate(events)
-                if e == etype and start <= t <= stop
-            ]
-            assert list(
-                view.positions_in_window(etype, start, stop)
-            ) == expected
-            assert view.count_in_window(etype, start, stop) == len(expected)
-
-    def test_empty_and_inverted_windows(self):
-        view = ColumnarEventStore.from_events([("a", 10)])
-        assert not view.has_in_window("a", 20, 5)
-        assert view.count_in_window("a", 20, 5) == 0
-        assert view.positions_in_window("a", 20, 5) == ()
-        assert not view.has_in_window("missing", 0, 100)
-
     def test_screen_without_requirements_is_passthrough(self):
         view = ColumnarEventStore.from_events([("a", 10)])
         assert view.screen_anchors([10, 400], ()) == [True, True]
@@ -159,13 +115,13 @@ class TestStoreIndexMaintenance:
         for etype, time in [("a", 100), ("b", 50), ("a", 75), ("b", 200)]:
             store.append(etype, time)
         view = _assert_view_matches_rebuild(store)
-        assert view.has_in_window("b", 40, 60)
-        assert view.count_in_window("a", 0, 100) == 2
+        assert view.postings("b") == ((0, 3), (50, 200))
+        assert view.postings("a") == ((1, 2), (75, 100))
 
     def test_snapshot_index_sees_extended_events(self):
         store = EventStore()
         store.extend([("a", 10), ("a", 20)])
-        assert store.columnar().count_in_window("a", 0, 100) == 2
+        assert store.columnar().count("a") == 2
         store.extend([("a", 30)])
-        assert store.columnar().count_in_window("a", 0, 100) == 3
+        assert store.columnar().count("a") == 3
         _assert_view_matches_rebuild(store)

@@ -105,7 +105,6 @@ class TestConstruction:
         assert view.types() == []
         assert view.count("a") == 0
         assert view.postings("a") == ((), ())
-        assert not view.has_in_window("a", 0, 100)
         assert view.screen_anchors([], [("a", 0, 1)]) == []
         with pytest.raises(ValueError):
             view.span()
@@ -142,37 +141,28 @@ class TestPersistence:
         assert len(loaded) == 0
 
     def test_store_larger_than_one_bucket(self, kernel, tmp_path):
-        # A multi-year span forces many skip-index buckets; window
-        # queries must keep agreeing with brute force after a reload.
-        events = [("tick", t * 40000) for t in range(200)]
+        # A multi-year span of two interleaved types: the posting lists
+        # must come back position for position after a reload.
+        events = [
+            ("tick" if t % 3 else "tock", t * 400000) for t in range(200)
+        ]
         view = ColumnarEventStore.from_events(events)
-        span = view.span()[1] - view.span()[0]
-        assert span > view.bucket_seconds  # really > one bucket
         path = str(tmp_path / "big.col")
         view.save(path)
         loaded = load_columnar(path)
         assert loaded is not None
-        for start, stop in [
-            (0, 40000),
-            (39999, 40001),
-            (1, 0),
-            (0, 200 * 40000),
-            (123456, 654321),
-        ]:
-            expected = [
+        assert loaded.span() == (0, 199 * 400000)
+        for etype in ("tick", "tock"):
+            expected = tuple(
                 position
-                for position, (_, t) in enumerate(events)
-                if start <= t <= stop
-            ]
-            assert list(
-                loaded.positions_in_window("tick", start, stop)
-            ) == expected
-            assert loaded.count_in_window(
-                "tick", start, stop
-            ) == len(expected)
-            assert loaded.has_in_window("tick", start, stop) == bool(
-                expected
+                for position, (name, _) in enumerate(events)
+                if name == etype
             )
+            assert loaded.postings(etype) == (
+                expected,
+                tuple(events[position][1] for position in expected),
+            )
+            assert loaded.count(etype) == len(expected)
 
     def test_mid_iteration_reopen(self, kernel, tmp_path):
         """The recover() idiom: a reader holding a loaded view keeps
