@@ -562,32 +562,34 @@ def _x14(system, engine, scale) -> _Workload:
 
     Every event of a strict-mode run pays one coverage check and one
     distance per clock; with a second-resolution periodic clock the
-    sweep backend routes those through the type's own ``tick_of``
-    while the compiled backend answers by bisection over one period
-    of boundary offsets.  Both passes must agree on every match.
+    reference pass (the window wrapped in
+    :class:`~repro.bench.reference.Unlowered`, so it takes the
+    fallback route: the sweep size table and the type's own
+    ``tick_of``) walks the pattern per event, while the production
+    pass answers by bisection over one period of boundary offsets.
+    Both passes must agree on every match.
     """
-    import os
-
     from ..automata.builder import build_tag
     from ..automata.matching import TagMatcher
     from ..granularity.convcache import ConversionCache
     from ..granularity.periodic import PeriodicPatternType
     from ..mining.events import EventSequence
+    from .reference import Unlowered
 
     window = PeriodicPatternType(
         "obs-window", 3600, [(i * 90, 40) for i in range(40)]
     )
 
-    def build(backend):
-        bench_system = standard_system(
-            cache=ConversionCache(), sizetable_backend=backend
+    def build(reference):
+        bench_system = standard_system(cache=ConversionCache())
+        clock = bench_system.register(
+            Unlowered(window) if reference else window
         )
-        bench_system.register(window)
         structure = EventStructure(
             ["X0", "X1", "X2"],
             {
-                ("X0", "X1"): [TCG(0, 6, window)],
-                ("X1", "X2"): [TCG(0, 12, window)],
+                ("X0", "X1"): [TCG(0, 6, clock)],
+                ("X1", "X2"): [TCG(0, 12, clock)],
             },
         )
         cet = ComplexEventType(
@@ -606,23 +608,15 @@ def _x14(system, engine, scale) -> _Workload:
         events.append(("ack", t + 270 + rng.randrange(0, 120)))
     sequence = EventSequence(sorted(events, key=lambda event: event[1]))
 
-    def timed_pass(backend):
-        previous = os.environ.get("REPRO_SIZETABLE")
-        os.environ["REPRO_SIZETABLE"] = backend
-        try:
-            matcher = build(backend)
-            start = time.perf_counter()
-            matches = matcher.count_occurrences(sequence)
-            return matches, time.perf_counter() - start
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_SIZETABLE", None)
-            else:
-                os.environ["REPRO_SIZETABLE"] = previous
+    def timed_pass(reference):
+        matcher = build(reference)
+        start = time.perf_counter()
+        matches = matcher.count_occurrences(sequence)
+        return matches, time.perf_counter() - start
 
     def run():
-        sweep_matches, sweep_seconds = timed_pass("sweep")
-        compiled_matches, compiled_seconds = timed_pass("compiled")
+        sweep_matches, sweep_seconds = timed_pass(True)
+        compiled_matches, compiled_seconds = timed_pass(False)
         return {
             "events": len(sequence),
             "matches": compiled_matches,
@@ -910,21 +904,25 @@ def _x18(system, engine, scale) -> _Workload:
     experiment exercises them on both production paths:
 
     * **TCG propagation** over month / quarter / business-month
-      constraint granularities, compiled backend vs the sweep
-      reference, derived interval groups asserted equal;
+      constraint granularities, compiled tables vs the sweep reference
+      system (:func:`~repro.bench.reference.sweep_system`), derived
+      interval groups asserted equal;
     * **batched clock matching**: one month-tick column over a pinned
       40-year event spread, the vectorized
       ``PeriodicNormalForm.ticks_of_instants`` kernel (the columnar
-      ``tick_columns`` path) vs the per-event ``tick_of`` loop the
-      sweep backend uses, outputs asserted bit-identical.
+      ``tick_columns`` path) vs the per-event ``tick_of`` loop a type
+      that does not lower takes (month wrapped in
+      :class:`~repro.bench.reference.Unlowered`), outputs asserted
+      bit-identical.
 
-    Forms are pre-compiled outside the timed region (production
-    pre-warms them through the conversion cache / parallel engine);
-    the timed compiled pass is the steady-state per-batch cost.
+    The month form is compiled outside the timed region (it is cached
+    on the type instance, so production pays it once per process); the
+    timed compiled pass is the steady-state per-batch cost.
     """
     from ..granularity.combinators import GroupedType
     from ..granularity.convcache import ConversionCache
     from ..granularity.normalform import cached_normal_form, clock_ticks_of
+    from .reference import Unlowered, sweep_system
 
     def build_structure(bench_system):
         month = bench_system.get("month")
@@ -942,10 +940,9 @@ def _x18(system, engine, scale) -> _Workload:
             },
         )
 
-    def propagation_pass(backend):
-        bench_system = standard_system(
-            cache=ConversionCache(), sizetable_backend=backend
-        )
+    def propagation_pass(reference):
+        make_system = sweep_system if reference else standard_system
+        bench_system = make_system(cache=ConversionCache())
         structure = build_structure(bench_system)
         start = time.perf_counter()
         result = propagate(structure, bench_system, engine=engine)
@@ -957,35 +954,26 @@ def _x18(system, engine, scale) -> _Workload:
         rng.randrange(0, horizon_seconds) for _ in range(20_000 * scale)
     )
 
-    def clock_pass(backend):
-        previous = os.environ.get("REPRO_SIZETABLE")
-        os.environ["REPRO_SIZETABLE"] = backend
-        try:
-            bench_system = standard_system(
-                cache=ConversionCache(), sizetable_backend=backend
-            )
-            month = bench_system.get("month")
-            if backend != "sweep":
-                cached_normal_form(month)
-            start = time.perf_counter()
-            ticks, defined = clock_ticks_of(month, times)
-            elapsed = time.perf_counter() - start
-            return [int(v) for v in ticks], [int(v) for v in defined], elapsed
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_SIZETABLE", None)
-            else:
-                os.environ["REPRO_SIZETABLE"] = previous
+    def clock_pass(reference):
+        month = standard_system(cache=ConversionCache()).get("month")
+        if reference:
+            month = Unlowered(month)
+        else:
+            cached_normal_form(month)
+        start = time.perf_counter()
+        ticks, defined = clock_ticks_of(month, times)
+        elapsed = time.perf_counter() - start
+        return [int(v) for v in ticks], [int(v) for v in defined], elapsed
 
     def run():
-        sweep_result, sweep_prop_seconds = propagation_pass("sweep")
-        fast_result, fast_prop_seconds = propagation_pass("compiled")
+        sweep_result, sweep_prop_seconds = propagation_pass(True)
+        fast_result, fast_prop_seconds = propagation_pass(False)
         propagation_identical = (
             sweep_result.consistent == fast_result.consistent
             and sweep_result.groups == fast_result.groups
         )
-        sweep_ticks, sweep_defined, sweep_clock_seconds = clock_pass("sweep")
-        fast_ticks, fast_defined, fast_clock_seconds = clock_pass("compiled")
+        sweep_ticks, sweep_defined, sweep_clock_seconds = clock_pass(True)
+        fast_ticks, fast_defined, fast_clock_seconds = clock_pass(False)
         return {
             "events": len(times),
             "iterations": fast_result.iterations,

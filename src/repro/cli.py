@@ -463,10 +463,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_gran_info(args) -> int:
-    from .granularity.normalform import (
-        explain_normal_form,
-        resolve_backend,
-    )
+    from .granularity.normalform import explain_normal_form
 
     system = standard_system()
     try:
@@ -474,18 +471,12 @@ def _cmd_gran_info(args) -> int:
     except GranularityParseError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    try:
-        backend = resolve_backend()
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     print("granularity: %s" % ttype.label)
     info = explain_normal_form(ttype)
     if not info["compiles"]:
         print("normal form: none")
         print("  reason: %s (%s)" % (info["reason"], info["detail"]))
-        print("backend: sweep (type does not lower; window-sweep "
-              "reference table)")
+        print("backend: sweep (type does not lower; window-sweep table)")
         return 0
     print("normal form: %s" % info["source"])
     print("  compiled by: %s" % info["rule"])
@@ -507,10 +498,7 @@ def _cmd_gran_info(args) -> int:
         "" if info["exact_cover"]
         else " (size queries only; tick_of stays on the type)",
     ))
-    print("backend: %s (REPRO_SIZETABLE=%s)" % (
-        "compiled" if backend != "sweep" else "sweep",
-        os.environ.get("REPRO_SIZETABLE", "") or "auto",
-    ))
+    print("backend: compiled")
     return 0
 
 

@@ -44,9 +44,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..granularity.base import TemporalType
-from ..granularity.normalform import (
-    resolve_backend as resolve_sizetable_backend,
-)
 from ..granularity.registry import GranularitySystem
 from ..obs import counter, histogram, span
 from .stp import (
@@ -151,9 +148,6 @@ class PropagationResult:
     conversion_cache_misses: int = 0
     closures_full: int = 0
     closures_incremental: int = 0
-    #: The size-table backend the system's tables resolved to for this
-    #: call ("auto" never appears: it resolves to compiled or sweep).
-    sizetable_backend: str = "sweep"
 
     def interval(self, x: str, y: str, label: str) -> Optional[Interval]:
         """Derived ``[lo, hi]`` for ``tick(y) - tick(x)`` in a granularity."""
@@ -514,9 +508,6 @@ def propagate(
             after = cache.snapshot()
             result.conversion_cache_hits = after.hits - before.hits
             result.conversion_cache_misses = after.misses - before.misses
-            result.sizetable_backend = resolve_sizetable_backend(
-                system.sizetable_backend
-            )
             propagate_span.set(
                 iterations=result.iterations,
                 consistent=result.consistent,

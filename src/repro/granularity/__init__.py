@@ -62,12 +62,9 @@ from .normalform import (
     CompiledSizeTable,
     NormalFormError,
     PeriodicNormalForm,
-    build_size_table,
     clock_ticks_of,
     compile_normal_form,
     explain_normal_form,
-    nf_max_period,
-    resolve_backend,
 )
 from .parser import GranularityParseError, parse_type
 from .periodic import PeriodicPatternType, shifts, weekly_slots
@@ -100,14 +97,11 @@ __all__ = [
     "eventually_periodic_form",
     "clock_ticks_of",
     "explain_normal_form",
-    "nf_max_period",
     "SizeTable",
     "CompiledSizeTable",
     "PeriodicNormalForm",
     "NormalFormError",
     "compile_normal_form",
-    "build_size_table",
-    "resolve_backend",
     "ConversionOutcome",
     "ConversionCache",
     "global_conversion_cache",

@@ -25,11 +25,12 @@ same authors as the source paper) on top of
   recurrence rotate into the period), so compiled forms are canonical
   and memo/cache keys stay small.
 
-Every lowering is budgeted by ``REPRO_NF_MAX_PERIOD``
-(:func:`~repro.granularity.normalform.nf_max_period`): an over-budget
+Every lowering is budgeted by
+:data:`~repro.granularity.normalform.MAX_PERIOD_TICKS`: an over-budget
 expression raises :class:`~repro.granularity.normalform.NormalFormError`
-with ``reason="over-budget"`` and the type falls back to the sweep
-backend (counted by ``repro_sizetable_fallback_total{reason}``).
+with ``reason="over-budget"`` and the type keeps the sweep size table
+and its own ``tick_of`` (counted by
+``repro_sizetable_fallback_total{reason}``).
 Lowerings run under a ``sizetable.algebra`` span; minimizations that
 shrink a form count into ``repro_sizetable_minimized_total``.
 """
@@ -42,6 +43,7 @@ from typing import Callable, List, Optional, Tuple
 
 from ..obs import counter, span
 from . import gregorian as greg
+from . import normalform
 from .base import TemporalType
 from .business import BusinessDayType, BusinessMonthType, BusinessWeekType
 from .calendar import MonthType, YearType
@@ -59,7 +61,6 @@ from .normalform import (
     PeriodicNormalForm,
     _covers_whole_bounds,
     cached_normal_form,
-    nf_max_period,
 )
 
 try:  # pragma: no cover - exercised via the no-numpy CI job
@@ -223,7 +224,7 @@ def eventually_periodic_form(
             "operator result %r has no ticks per period" % (label,),
             reason="empty",
         )
-    if P > nf_max_period():
+    if P > normalform.MAX_PERIOD_TICKS:
         raise NormalFormError(
             "period of %r exceeds the compile budget (%d ticks)"
             % (label, P),
@@ -247,7 +248,7 @@ def eventually_periodic_form(
             "window (prefix %d of %d ticks)" % (label, prefix_len, W),
             reason="aperiodic",
         )
-    if prefix_len + P > nf_max_period():
+    if prefix_len + P > normalform.MAX_PERIOD_TICKS:
         raise NormalFormError(
             "form of %r exceeds the compile budget (%d prefix + %d "
             "period ticks)" % (label, prefix_len, P),
@@ -346,7 +347,7 @@ def _lower_cycle(
     reference: Callable[[int], Bounds],
 ) -> PeriodicNormalForm:
     """Shared month/year lowering: one generated cycle, spot-checked."""
-    if period_ticks > nf_max_period():
+    if period_ticks > normalform.MAX_PERIOD_TICKS:
         raise NormalFormError(
             "period of %r exceeds the compile budget (%d ticks)"
             % (ttype.label, period_ticks),
@@ -417,7 +418,7 @@ def _lower_custom(ttype) -> Optional[PeriodicNormalForm]:
         P = years * calendar.months_per_year()
     else:
         P = years
-    if 2 * P + 1 > nf_max_period():
+    if 2 * P + 1 > normalform.MAX_PERIOD_TICKS:
         raise NormalFormError(
             "inferred period of %r exceeds the compile budget (%d "
             "ticks)" % (ttype.label, P),
@@ -454,7 +455,7 @@ def _lower_business_day(ttype: BusinessDayType) -> PeriodicNormalForm:
     day = greg.SECONDS_PER_DAY
     cutoff = ttype.holidays[-1]
     estimate = (cutoff // 7 + 1) * per_week + 3 * per_week
-    if estimate > nf_max_period():
+    if estimate > normalform.MAX_PERIOD_TICKS:
         raise NormalFormError(
             "holiday prefix of %r exceeds the compile budget (~%d "
             "ticks)" % (ttype.label, estimate),
@@ -533,7 +534,7 @@ def _lower_business_month(ttype: BusinessMonthType) -> PeriodicNormalForm:
     """
     bform = _operand_form(ttype.bday)
     P = greg.MONTHS_PER_400_YEARS
-    if 2 * P + 1 > nf_max_period():
+    if 2 * P + 1 > normalform.MAX_PERIOD_TICKS:
         raise NormalFormError(
             "period of %r exceeds the compile budget (%d ticks)"
             % (ttype.label, P),
@@ -607,7 +608,7 @@ def nf_group(
     S = window // P0 * S0
     prefix_groups = (form.prefix_ticks + offset) // n + 1
     count = prefix_groups + 2 * P + 1
-    if count > 4 * nf_max_period():
+    if count > 4 * normalform.MAX_PERIOD_TICKS:
         raise NormalFormError(
             "grouped form would enumerate %d ticks, over the compile "
             "budget" % (count,),
@@ -651,7 +652,7 @@ def nf_select(
     P0, S0 = form.period_ticks, form.period_seconds
     B0 = form.prefix_ticks
     window = _lcm(P0, predicate_period)
-    if window > 2 * nf_max_period():
+    if window > 2 * normalform.MAX_PERIOD_TICKS:
         raise NormalFormError(
             "selection window of %d operand ticks exceeds the compile "
             "budget" % (window,),
@@ -762,7 +763,7 @@ def _check_refinement_budget(
     estimate = fa.period_ticks * (
         window // fa.period_seconds
     ) + fb.period_ticks * (window // fb.period_seconds)
-    if estimate > nf_max_period():
+    if estimate > normalform.MAX_PERIOD_TICKS:
         raise NormalFormError(
             "common refinement of %r needs ~%d ticks per window, over "
             "the compile budget" % (label, estimate),

@@ -71,11 +71,6 @@ class ConversionCache:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1 (or None)")
         self._data: Dict[CacheKey, ConversionOutcome] = {}
-        # Compiled periodic normal forms keyed ``(namespace, label)``.
-        # A small side table (one entry per type, not per query) that
-        # rides the same export/preload protocol so fork-pool workers
-        # receive the compiled form instead of re-lowering per worker.
-        self._forms: Dict[Tuple[int, str], object] = {}
         self._lock = threading.Lock()
         self.max_entries = max_entries
         self._hits = 0
@@ -129,7 +124,6 @@ class ConversionCache:
             "hits": snap.hits,
             "misses": snap.misses,
             "evictions": snap.evictions,
-            "normal_forms": len(self._forms),
         }
 
     # ------------------------------------------------------------------
@@ -163,75 +157,8 @@ class ConversionCache:
         return len(self._data)
 
     # ------------------------------------------------------------------
-    # Compiled normal forms (one per type, shared with workers)
+    # Merging worker traffic (the parallel engine protocol)
     # ------------------------------------------------------------------
-    def get_normal_form(self, namespace: int, label: str):
-        """The compiled normal form cached for ``label``, or None.
-
-        Counts neither hits nor misses: forms are per-type artefacts
-        fetched once per size-table construction, not per-query
-        traffic, so folding them into the conversion counters would
-        distort hit rates.
-        """
-        return self._forms.get((namespace, label))
-
-    def put_normal_form(self, namespace: int, label: str, form) -> None:
-        """Cache one compiled normal form (overwrites are idempotent)."""
-        self._forms[(namespace, label)] = form
-
-    def export_normal_forms(self, namespace: Optional[int] = None) -> list:
-        """Compiled forms as a picklable ``[(label, form), ...]`` list.
-
-        Namespace-stripped like :meth:`export_entries`; the importing
-        process rebinds them to its own namespace for the same system.
-        """
-        return [
-            (key[1], form)
-            for key, form in list(self._forms.items())
-            if namespace is None or key[0] == namespace
-        ]
-
-    def preload_normal_forms(self, namespace: int, items) -> int:
-        """Install exported forms under ``namespace``; returns count."""
-        count = 0
-        for label, form in items:
-            self._forms[(namespace, label)] = form
-            count += 1
-        return count
-
-    # ------------------------------------------------------------------
-    # Cross-process warming and merging (the parallel engine protocol)
-    # ------------------------------------------------------------------
-    def export_entries(
-        self, namespace: Optional[int] = None
-    ) -> list:
-        """Entries as a picklable list (optionally one namespace only).
-
-        Each item is ``((m, n, source, target, mode), outcome)`` with
-        the namespace stripped - namespaces are process-local tokens,
-        so the importing side rebinds entries to *its* namespace for
-        the same system.  The parallel engine serialises a system's
-        namespace once and pre-warms every worker with it.
-        """
-        return [
-            (key[1:], outcome)
-            for key, outcome in list(self._data.items())
-            if namespace is None or key[0] == namespace
-        ]
-
-    def preload(self, namespace: int, entries) -> int:
-        """Install exported entries under ``namespace``; returns count.
-
-        Pre-warming counts neither hits nor misses - the entries were
-        paid for in the exporting process - so merged statistics stay
-        exact.
-        """
-        count = 0
-        for suffix, outcome in entries:
-            self._data[(namespace,) + tuple(suffix)] = outcome
-            count += 1
-        return count
-
     def merge_counts(
         self, hits: int = 0, misses: int = 0, evictions: int = 0
     ) -> None:
@@ -252,7 +179,6 @@ class ConversionCache:
         """Drop every entry and reset the counters."""
         with self._lock:
             self._data.clear()
-            self._forms.clear()
             self._hits = 0
             self._misses = 0
             self._evictions = 0

@@ -70,9 +70,8 @@ def convert_interval(
 def direct_convert_interval(
     m: int,
     n: int,
-    source: TemporalType,
-    target: TemporalType,
     source_table: SizeTable,
+    target_table: SizeTable,
 ) -> ConversionOutcome:
     """Tight sound conversion by direct boundary scanning.
 
@@ -90,15 +89,32 @@ def direct_convert_interval(
     periodic calendar types this is exact, and it is what the follow-up
     literature on direct multi-granularity conversions computes.  The
     caller must have established feasibility (target covers source).
+
+    Raises ValueError (the caller falls back to Figure 3) when the
+    horizon holds too few windows: fewer than ``n + 2`` source ticks,
+    or window starts spanning less than
+    ``maxsize(target, 2) - minsize(target, 1)`` seconds - a bound on
+    the gap between consecutive target tick starts, so a shorter scan
+    may see no window straddle a target boundary (``[0, 359]second``
+    would imply ``[0, 0]hour`` from the first 512 seconds alone).
     """
     if m < 0 or n < m:
         raise ValueError("invalid interval [%r, %r]" % (m, n))
+    source = source_table.ttype
+    target = target_table.ttype
     scanned = source_table.scanned_ticks()
     if scanned <= n + 1:
-        # Not enough exact boundary data: fall back to the table method.
         raise ValueError(
             "horizon %d too small for direct conversion of [%d, %d]"
             % (scanned, m, n)
+        )
+    starts_span = (
+        source_table.bounds(scanned - n - 1)[0] - source_table.bounds(0)[0]
+    )
+    if starts_span < target_table.maxsize(2) - target_table.minsize(1):
+        raise ValueError(
+            "window starts span %d s, less than one %s step"
+            % (starts_span, target.label)
         )
     lower = None
     upper = None

@@ -21,20 +21,19 @@ PAPERS.md).  This module implements that lowering:
   (:mod:`repro.granularity.algebra`): direct cycle rules plus closed
   operators on compiled operand forms, every result minimized to the
   smallest period divisor and shortest aperiodic prefix.  A type can
-  still refuse (period over the ``REPRO_NF_MAX_PERIOD`` budget, or
-  genuinely aperiodic): the window-sweep
-  :class:`~repro.granularity.sizes.SizeTable` remains the fallback
-  backend - counted by ``repro_sizetable_fallback_total{reason}`` -
-  and the differential reference for everything else.
+  still refuse (period over the :data:`MAX_PERIOD_TICKS` budget, or
+  genuinely aperiodic): it then keeps the window-sweep
+  :class:`~repro.granularity.sizes.SizeTable`, counted by
+  ``repro_sizetable_fallback_total{reason}``.
 
 * :class:`CompiledSizeTable` answers ``minsize``/``maxsize``/``mingap``
   from per-phase extrema over the doubled boundary arrays:
   ``k = q * P + r`` decomposes every query into ``q * S`` plus a
   per-residue extremum, so values are *exact for every k* (the sweep
-  backend extrapolates beyond its horizon) at O(P) for the first
-  probe of a residue and O(1) from the bounded memo afterwards.  The
-  ``min_k_*`` searches stay the exponential-then-binary probes of the
-  sweep backend, O(log cap) probes each.
+  extrapolates beyond its horizon) at O(P) for the first probe of a
+  residue and O(1) from the bounded memo afterwards.  The ``min_k_*``
+  searches are the sweep table's, shared through
+  :class:`~repro.granularity.sizes.TableSearches`.
 
 * :meth:`PeriodicNormalForm.tick_of_instant` /
   :meth:`~PeriodicNormalForm.instant_of_tick` convert between instants
@@ -50,10 +49,10 @@ PAPERS.md).  This module implements that lowering:
   under numpy, memoized per-element otherwise) for the columnar
   matcher.
 
-Backend selection follows the repository's environment-knob idiom:
-``REPRO_SIZETABLE=auto|compiled|sweep`` (``auto``, the default, uses
-the compiled backend for every type that lowers and the sweep
-otherwise; ``sweep`` forces the reference backend everywhere).
+The type alone chooses: a type that lowers gets the compiled table and
+the bisection clock, one that does not gets the sweep table and its own
+``tick_of``.  There is no switch; the sweep reference the compiled
+paths are held against lives in :mod:`repro.bench.reference`.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from typing import Optional, Tuple
 from ..obs import counter, span
 from .base import TemporalType, UniformType
 from .periodic import PeriodicPatternType
-from .sizes import DEFAULT_MEMO_ENTRIES, BoundedMemo, SizeTable
+from .sizes import DEFAULT_MEMO_ENTRIES, BoundedMemo, TableSearches
 
 try:  # pragma: no cover - exercised via the no-numpy CI job
     if os.environ.get("REPRO_NO_NUMPY"):
@@ -76,42 +75,11 @@ try:  # pragma: no cover - exercised via the no-numpy CI job
 except ImportError:  # pragma: no cover - numpy is present in dev envs
     _np = None
 
-#: Backend names accepted by :func:`resolve_backend` (and the env knob).
-BACKENDS = ("auto", "compiled", "sweep")
-
-#: Environment variable selecting the size-table backend.
-ENV_VAR = "REPRO_SIZETABLE"
-
-#: Refuse to compile periods larger than this (a scan that long is as
-#: bad as the sweep it replaces; nothing in the repertoire comes close).
+#: Refuse to compile forms larger than this many ticks (a scan that
+#: long is as bad as the sweep it replaces; nothing in the repertoire
+#: comes close).  Over-budget types keep the sweep table, counted by
+#: ``repro_sizetable_fallback_total{reason="over-budget"}``.
 MAX_PERIOD_TICKS = 1 << 20
-
-#: Environment variable bounding the compile-time budget: normal forms
-#: whose period (plus aperiodic prefix) would exceed this many ticks
-#: fall back to the sweep backend with a reason-labelled counter.
-ENV_MAX_PERIOD = "REPRO_NF_MAX_PERIOD"
-
-
-def nf_max_period() -> int:
-    """The compile budget in ticks (``REPRO_NF_MAX_PERIOD``).
-
-    Defaults to :data:`MAX_PERIOD_TICKS`; a malformed or non-positive
-    value is surfaced early rather than silently ignored.
-    """
-    raw = os.environ.get(ENV_MAX_PERIOD)
-    if raw is None or raw == "":
-        return MAX_PERIOD_TICKS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            "%s must be a positive integer, got %r" % (ENV_MAX_PERIOD, raw)
-        )
-    if value < 1:
-        raise ValueError(
-            "%s must be a positive integer, got %r" % (ENV_MAX_PERIOD, raw)
-        )
-    return value
 
 _PROBES_COMPILED = counter(
     "repro_sizetable_probes_total",
@@ -140,7 +108,7 @@ class NormalFormError(ValueError):
         a declared or derived recurrence is malformed or fails the
         boundary-scan check.
     ``over-budget``
-        the form would exceed the ``REPRO_NF_MAX_PERIOD`` budget.
+        the form would exceed the :data:`MAX_PERIOD_TICKS` budget.
     ``operand``
         an algebraic operand does not itself lower.
     ``empty``
@@ -152,24 +120,6 @@ class NormalFormError(ValueError):
     def __init__(self, message: str, reason: str = "no-period"):
         super().__init__(message)
         self.reason = reason
-
-
-def resolve_backend(override: Optional[str] = None) -> str:
-    """Normalise a backend name; None reads ``REPRO_SIZETABLE``.
-
-    Raises ValueError on names outside :data:`BACKENDS` (including a
-    malformed environment variable, surfaced early rather than being
-    silently treated as a default).
-    """
-    value = override if override is not None else os.environ.get(ENV_VAR)
-    if value is None or value == "":
-        return "auto"
-    if value not in BACKENDS:
-        raise ValueError(
-            "unknown size-table backend %r (expected one of %r)"
-            % (value, BACKENDS)
-        )
-    return value
 
 
 @dataclass(frozen=True)
@@ -523,7 +473,7 @@ def compile_normal_form(ttype: TemporalType) -> PeriodicNormalForm:
 
     Raises :class:`NormalFormError` (with a machine-readable
     ``reason``) when no stage applies, a recurrence fails verification,
-    or the form would exceed the ``REPRO_NF_MAX_PERIOD`` budget.  The
+    or the form would exceed the :data:`MAX_PERIOD_TICKS` budget.  The
     compilation is recorded under a ``sizetable.compile`` span and
     counts into ``repro_sizetable_compiles_total``.
     """
@@ -566,7 +516,7 @@ def _scanned_form(ttype: TemporalType) -> Optional[PeriodicNormalForm]:
             "type %r declares a degenerate period" % (ttype.label,),
             reason="degenerate",
         )
-    if P > nf_max_period():
+    if P > MAX_PERIOD_TICKS:
         raise NormalFormError(
             "period of %r too large to compile (%d ticks)" % (ttype.label, P),
             reason="over-budget",
@@ -667,7 +617,7 @@ def cached_normal_form(ttype: TemporalType) -> Optional[PeriodicNormalForm]:
 # ----------------------------------------------------------------------
 # The compiled size-table backend
 # ----------------------------------------------------------------------
-class CompiledSizeTable:
+class CompiledSizeTable(TableSearches):
     """Closed-form size table over a periodic normal form.
 
     Drop-in compatible with :class:`~repro.granularity.sizes.SizeTable`
@@ -895,93 +845,17 @@ class CompiledSizeTable:
                 value = min(value, first - last)
         return value
 
-    # ------------------------------------------------------------------
-    # Searches used by the conversion algorithm
-    # ------------------------------------------------------------------
-    def min_k_with_minsize_at_least(
-        self, target: int, cap: int = 1 << 24
-    ) -> Optional[int]:
-        """Smallest ``k`` with ``minsize(k) >= target``, or None past cap."""
-        if target <= 0:
-            return 0
-        hi = 1
-        while self.minsize(hi) < target:
-            hi *= 2
-            if hi > cap:
-                return None
-        lo = hi // 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.minsize(mid) >= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    def min_k_with_maxsize_greater(
-        self, target: int, cap: int = 1 << 24
-    ) -> Optional[int]:
-        """Smallest ``k`` with ``maxsize(k) > target``, or None past cap."""
-        if self.maxsize(0) > target:
-            return 0
-        hi = 1
-        while self.maxsize(hi) <= target:
-            hi *= 2
-            if hi > cap:
-                return None
-        lo = hi // 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.maxsize(mid) > target:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
 
 # ----------------------------------------------------------------------
-# Backend-aware construction and the fast clock path
+# The fast clock path
 # ----------------------------------------------------------------------
-def build_size_table(
-    ttype: TemporalType,
-    horizon: int = 512,
-    backend: Optional[str] = None,
-    form: Optional[PeriodicNormalForm] = None,
-):
-    """Construct the size table the selected backend dictates.
-
-    ``auto`` compiles when the type lowers and sweeps otherwise;
-    ``compiled`` raises :class:`NormalFormError` for types that do not
-    lower (an explicit request must not silently degrade); ``sweep``
-    always builds the reference table.  ``form`` short-circuits
-    compilation with a pre-compiled normal form (the conversion cache
-    ships forms to fork-pool workers this way).
-    """
-    resolved = resolve_backend(backend)
-    if resolved == "sweep":
-        return SizeTable(ttype, horizon=horizon)
-    if form is None:
-        form = cached_normal_form(ttype)
-    if form is None:
-        if resolved == "compiled":
-            raise NormalFormError(
-                "REPRO_SIZETABLE=compiled but type %r does not lower to "
-                "a periodic normal form" % (ttype.label,)
-            )
-        return SizeTable(ttype, horizon=horizon)
-    return CompiledSizeTable(ttype, form=form, horizon=horizon)
-
-
 def clock_form(ttype: TemporalType) -> Optional[PeriodicNormalForm]:
     """The normal form backing fast clock evaluation, or None.
 
-    None whenever the backend is ``sweep`` (the reference path must
-    exercise the types' own ``tick_of``), the type does not lower, or
-    the form cannot certify exact instant coverage (a boundary-only
-    form must not decide coverage questions).
+    None when the type does not lower or the form cannot certify exact
+    instant coverage (a boundary-only form must not decide coverage
+    questions); the type's own ``tick_of`` answers then.
     """
-    if resolve_backend() == "sweep":
-        return None
     form = cached_normal_form(ttype)
     if form is None or not form.exact_cover:
         return None
@@ -1010,10 +884,10 @@ def clock_ticks_of(ttype: TemporalType, seconds):
     Returns ``(ticks, defined)`` parallel lists (tick 0 where
     undefined).  With a compiled exact-cover form the whole column
     reduces to one vectorized divmod + ``searchsorted`` pass
-    (:meth:`PeriodicNormalForm.ticks_of_instants`); under the sweep
-    backend, or for types that do not lower, each element goes through
-    the type's own ``tick_of`` with a per-value memo - the reference
-    path the vectorized kernel is differentially tested against.
+    (:meth:`PeriodicNormalForm.ticks_of_instants`); for types that do
+    not lower each element goes through the type's own ``tick_of`` with
+    a per-value memo - the path the vectorized kernel is differentially
+    tested against (through :class:`repro.bench.reference.Unlowered`).
     """
     form = clock_form(ttype)
     if form is not None:

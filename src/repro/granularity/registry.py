@@ -5,6 +5,11 @@ A :class:`GranularitySystem` is the run-time context every higher layer
 types, their size tables, and the cached pairwise conversion-feasibility
 relation.  The paper calls this "the considered granularity system" and
 assumes a primitive type (seconds here) covering all of absolute time.
+
+Each type chooses its own size table: the compiled closed form when it
+lowers to a periodic normal form (:mod:`repro.granularity.normalform`),
+the window sweep otherwise.  The all-sweep system the compiled tables
+are held against is :class:`repro.bench.reference.SweepSystem`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .conversion import (
     direct_convert_interval,
 )
 from .convcache import ConversionCache, global_conversion_cache, new_namespace
-from .normalform import build_size_table, cached_normal_form, resolve_backend
+from .normalform import CompiledSizeTable, cached_normal_form
 from .sizes import SizeTable
 
 #: Conversion strategies: "direct" scans actual boundary positions
@@ -39,7 +44,6 @@ class GranularitySystem:
         horizon: int = 512,
         conversion_mode: str = "direct",
         cache: Optional[ConversionCache] = None,
-        sizetable_backend: Optional[str] = None,
     ):
         if conversion_mode not in CONVERSION_MODES:
             raise ValueError(
@@ -47,9 +51,6 @@ class GranularitySystem:
             )
         self.horizon = horizon
         self.conversion_mode = conversion_mode
-        # None defers to REPRO_SIZETABLE (resolved when each table is
-        # built, so env changes between table constructions are seen).
-        self.sizetable_backend = sizetable_backend
         self._types: Dict[str, TemporalType] = {}
         self._tables: Dict[str, SizeTable] = {}
         self._covers: Dict[Tuple[str, str], bool] = {}
@@ -66,15 +67,6 @@ class GranularitySystem:
     def conversion_cache(self) -> ConversionCache:
         """The cache this system stores conversion outcomes in."""
         return self._cache
-
-    @property
-    def cache_namespace(self) -> int:
-        """This system's key namespace in the conversion cache.
-
-        A process-local token: the parallel engine exports entries for
-        this namespace to warm workers and rebinds them on import.
-        """
-        return self._cache_namespace
 
     # ------------------------------------------------------------------
     # Registration and lookup
@@ -124,30 +116,21 @@ class GranularitySystem:
     def table(self, ttype_or_label) -> SizeTable:
         """The (cached) size table of a registered type.
 
-        The backend follows ``sizetable_backend`` (or the
-        ``REPRO_SIZETABLE`` environment knob when unset): ``compiled``
-        tables are built from the type's periodic normal form, fetched
-        from the conversion cache when a warmed worker already holds it
-        and cached there otherwise so the parallel engine can export it.
+        A :class:`~repro.granularity.normalform.CompiledSizeTable` when
+        the type lowers to a periodic normal form (compiled once per
+        type instance by ``cached_normal_form``), the window-sweep
+        :class:`SizeTable` otherwise.
         """
         ttype = self.resolve(ttype_or_label)
         tab = self._tables.get(ttype.label)
         if tab is None:
-            backend = resolve_backend(self.sizetable_backend)
-            form = None
-            if backend != "sweep":
-                form = self._cache.get_normal_form(
-                    self._cache_namespace, ttype.label
+            form = cached_normal_form(ttype)
+            if form is None:
+                tab = SizeTable(ttype, horizon=self.horizon)
+            else:
+                tab = CompiledSizeTable(
+                    ttype, form=form, horizon=self.horizon
                 )
-                if form is None:
-                    form = cached_normal_form(ttype)
-                    if form is not None:
-                        self._cache.put_normal_form(
-                            self._cache_namespace, ttype.label, form
-                        )
-            tab = build_size_table(
-                ttype, horizon=self.horizon, backend=backend, form=form
-            )
             self._tables[ttype.label] = tab
         return tab
 
@@ -191,11 +174,11 @@ class GranularitySystem:
         else:
             try:
                 outcome = direct_convert_interval(
-                    m, n, src, tgt, self.table(src)
+                    m, n, self.table(src), self.table(tgt)
                 )
             except ValueError:
-                # Horizon too small for a direct scan of this range:
-                # fall back to the sound table-based method.
+                # The direct scan cannot see every target phase of this
+                # range: fall back to the sound table-based method.
                 outcome = convert_interval(
                     m, n, self.table(src), self.table(tgt)
                 )
@@ -234,7 +217,6 @@ def standard_system(
     horizon: int = 512,
     conversion_mode: str = "direct",
     cache: Optional[ConversionCache] = None,
-    sizetable_backend: Optional[str] = None,
 ) -> GranularitySystem:
     """The paper's working granularity system.
 
@@ -260,6 +242,5 @@ def standard_system(
         horizon=horizon,
         conversion_mode=conversion_mode,
         cache=cache,
-        sizetable_backend=sizetable_backend,
     )
     return system

@@ -93,7 +93,60 @@ class BoundedMemo:
         return len(self._data)
 
 
-class SizeTable:
+class TableSearches:
+    """The two searches of the Figure 3 conversion over a size table.
+
+    Both tables (the window sweep below and the compiled
+    :class:`~repro.granularity.normalform.CompiledSizeTable`) inherit
+    them, so a conversion probes either table in the same order.
+    """
+
+    def min_k_with_minsize_at_least(
+        self, target: int, cap: int = 1 << 24
+    ) -> Optional[int]:
+        """Smallest ``k`` with ``minsize(k) >= target``, or None past cap.
+
+        ``minsize`` is non-decreasing in ``k``, so an exponential-then-
+        binary search applies.
+        """
+        if target <= 0:
+            return 0
+        hi = 1
+        while self.minsize(hi) < target:
+            hi *= 2
+            if hi > cap:
+                return None
+        lo = hi // 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.minsize(mid) >= target:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def min_k_with_maxsize_greater(
+        self, target: int, cap: int = 1 << 24
+    ) -> Optional[int]:
+        """Smallest ``k`` with ``maxsize(k) > target``, or None past cap."""
+        if self.maxsize(0) > target:
+            return 0
+        hi = 1
+        while self.maxsize(hi) <= target:
+            hi *= 2
+            if hi > cap:
+                return None
+        lo = hi // 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.maxsize(mid) > target:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+
+class SizeTable(TableSearches):
     """Lazy, memoised min/max-span and min-gap table for one type.
 
     Parameters
@@ -354,50 +407,3 @@ class SizeTable:
         value = max(self._last[i + 1] - self._last[i] for i in range(n - 1))
         self._max_step_cache = value
         return value
-
-    # ------------------------------------------------------------------
-    # Searches used by the conversion algorithm
-    # ------------------------------------------------------------------
-    def min_k_with_minsize_at_least(
-        self, target: int, cap: int = 1 << 24
-    ) -> Optional[int]:
-        """Smallest ``k`` with ``minsize(k) >= target``, or None past cap.
-
-        ``minsize`` is non-decreasing in ``k``, so an exponential-then-
-        binary search applies.
-        """
-        if target <= 0:
-            return 0
-        hi = 1
-        while self.minsize(hi) < target:
-            hi *= 2
-            if hi > cap:
-                return None
-        lo = hi // 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.minsize(mid) >= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    def min_k_with_maxsize_greater(
-        self, target: int, cap: int = 1 << 24
-    ) -> Optional[int]:
-        """Smallest ``k`` with ``maxsize(k) > target``, or None past cap."""
-        if self.maxsize(0) > target:
-            return 0
-        hi = 1
-        while self.maxsize(hi) <= target:
-            hi *= 2
-            if hi > cap:
-                return None
-        lo = hi // 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.maxsize(mid) > target:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo

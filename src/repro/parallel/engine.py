@@ -291,39 +291,30 @@ def _execute_task(
     ]
 
 
-def _warm_worker(namespace: int, entries, forms=(), shm_handle=None) -> None:
-    """Pool initializer: install the exported conversion-cache entries.
+def _warm_worker(shm_handle=None) -> None:
+    """Pool initializer: attach the parent's shared event columns.
 
-    Redundant under fork (the entries arrived with the address space)
-    but load-bearing for any start method that builds workers fresh -
-    either way no worker recomputes a conversion the parent already
-    paid for.  Preloading counts neither hits nor misses.  Compiled
-    periodic normal forms ride along so a fresh worker builds
-    its compiled size tables without re-lowering (no boundary scans).
-
-    ``shm_handle`` is the parent's :class:`~repro.store.columnar.
-    SharedColumns` handle: when present the worker attaches to the
-    parent's int64 columns zero-copy and adopts the attached store into
-    the inherited sequence, replacing the copy-on-write fork pages with
-    a genuinely shared mapping.  Attach failure is non-fatal - the
-    worker falls back to the fork-inherited (or rebuilt) view, which is
-    bit-identical by construction.
+    Workers are forked, so the scan context, the granularity system and
+    its warmed conversion cache and compiled forms arrive with the
+    address space.  ``shm_handle`` is the parent's
+    :class:`~repro.store.columnar.SharedColumns` handle: when present
+    the worker attaches to the parent's int64 columns zero-copy and
+    adopts the attached store into the inherited sequence, replacing
+    the copy-on-write fork pages with a genuinely shared mapping.
+    Attach failure is non-fatal - the worker falls back to the
+    fork-inherited (or rebuilt) view, which is bit-identical by
+    construction.
     """
     ctx = _CTX
-    if ctx is not None:
-        cache = ctx.system.conversion_cache
-        cache.preload(namespace, entries)
-        if forms:
-            cache.preload_normal_forms(namespace, forms)
-        if shm_handle is not None:
-            from ..store.columnar import attach_shared
+    if ctx is not None and shm_handle is not None:
+        from ..store.columnar import attach_shared
 
-            store = attach_shared(shm_handle)
-            if store is not None:
-                try:
-                    ctx.sequence.adopt_columnar(store)
-                except ValueError:
-                    pass  # count mismatch: keep the inherited view
+        store = attach_shared(shm_handle)
+        if store is not None:
+            try:
+                ctx.sequence.adopt_columnar(store)
+            except ValueError:
+                pass  # count mismatch: keep the inherited view
 
 
 def _pool_batch(batch: Sequence[Tuple[int, int]]) -> Dict[str, object]:
@@ -520,9 +511,6 @@ def parallel_scan(
     _RUNTIMES = {}
     try:
         if mode == "pool":
-            namespace = system.cache_namespace
-            entries = system.conversion_cache.export_entries(namespace)
-            forms = system.conversion_cache.export_normal_forms(namespace)
             handle = shm_owner.handle() if shm_owner is not None else None
             # Work stealing: one in-flight unit per lane; an idle lane
             # steals the tail half of the richest deque.  Each result
@@ -534,7 +522,7 @@ def parallel_scan(
                 max_workers=workers_used,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_warm_worker,
-                initargs=(namespace, entries, forms, handle),
+                initargs=(handle,),
             ) as pool:
                 inflight = {}
                 for lane in range(workers_used):

@@ -78,6 +78,17 @@ class TestRunSuite:
         assert counters["rehydrations"] > counters["tenants"]
         assert counters["events_per_second"] > 0
 
+    def test_granularity_experiments_match_the_reference(self):
+        """X13, X14 and X18 hold the compiled tables and clocks against
+        :mod:`repro.bench.reference` (sweep tables, ``Unlowered``
+        clocks) on live runs, not just in the checked-in payloads."""
+        payload = run_suite(experiments=["X13", "X14", "X18"])
+        runs = payload["experiments"]
+        for name in ("X13", "X14", "X18"):
+            assert runs[name]["counters"]["identical_to_sweep"], name
+        assert runs["X14"]["counters"]["matches"] == 78
+        assert runs["X18"]["counters"]["propagation_identical_to_sweep"]
+
 
 class TestTraceDir:
     def test_trace_dir_writes_one_trace_per_experiment(self, tmp_path):

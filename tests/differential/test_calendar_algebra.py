@@ -9,8 +9,6 @@ random ``k`` and random operator expressions through both paths; a
 second pass pins the pure-python batch kernel against the numpy one.
 """
 
-import os
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,11 +39,6 @@ from repro.granularity.normalform import clock_ticks_of
 
 DAY = SECONDS_PER_DAY
 CYCLE_SECONDS = DAYS_PER_400_YEARS * DAY
-
-pytestmark = pytest.mark.skipif(
-    os.environ.get("REPRO_SIZETABLE") == "sweep",
-    reason="suite compiles forms; sweep mode disables the compiler",
-)
 
 
 # ----------------------------------------------------------------------

@@ -1,32 +1,40 @@
-"""Differential oracle: compiled size tables vs the window sweep.
+"""Differential oracle: production size tables vs the window sweep.
 
-The compiled backend (periodic normal forms, closed-form
-minsize/maxsize/mingap, bisection tick conversion) is only allowed to
-exist because it is *exactly* equal to the sweep reference wherever
-the sweep is exact - same table values, same search answers, same
-conversion outcomes.  The sweep reference here is built with a horizon
-of at least ``4 * period + 8`` so its exact region covers every probed
-``k`` (up to three periods); the compiled backend is exact for every
-``k`` by construction.
+A type that lowers gets the compiled table (periodic normal form,
+closed-form minsize/maxsize/mingap, bisection tick conversion), which
+is only allowed to exist because it is *exactly* equal to the sweep
+reference wherever the sweep is exact - same table values, same search
+answers, same conversion outcomes.  The sweep reference here is built
+with a horizon of at least ``4 * period + 8`` so its exact region
+covers every probed ``k`` (up to three periods); the compiled table is
+exact for every ``k`` by construction.  System-level comparisons hold
+``standard_system`` against :func:`repro.bench.reference.sweep_system`.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.automata.builder import build_tag
+from repro.automata.matching import TagMatcher
+from repro.bench.reference import Unlowered, sweep_system
+from repro.constraints import TCG, ComplexEventType, EventStructure
 from repro.granularity import (
+    BusinessDayType,
     CompiledSizeTable,
     ConversionCache,
+    GranularitySystem,
     SizeTable,
     compile_normal_form,
     convert_interval,
     standard_system,
 )
 from repro.granularity.base import UniformType
-from repro.granularity.normalform import build_size_table, cached_normal_form
+from repro.granularity.normalform import cached_normal_form
 from repro.granularity.periodic import PeriodicPatternType
-
-BACKENDS = ["compiled", "auto"]
+from repro.mining.events import EventSequence
 
 
 # ----------------------------------------------------------------------
@@ -75,17 +83,28 @@ def sweep_reference(ttype):
     )
 
 
+def production_table(ttype):
+    """The table a granularity system picks for ``ttype``."""
+    return GranularitySystem([ttype], cache=ConversionCache()).table(ttype)
+
+
+# The two ways to reach a fast table: "compiled" builds the
+# CompiledSizeTable directly from a freshly compiled normal form,
+# "auto" is the system's pick (the type's cached form when it lowers).
+FAST_TABLES = {"compiled": CompiledSizeTable, "auto": production_table}
+
+
 # ----------------------------------------------------------------------
 # Table-value identity
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", list(FAST_TABLES))
 class TestTablesExactlyEqual:
     @given(ttype=periodic_types(), data=st.data())
     @settings(max_examples=120, deadline=None)
     def test_periodic_values_identical(self, backend, ttype, data):
         period_ticks, _ = ttype.period_info()
         reference = sweep_reference(ttype)
-        compiled = build_size_table(ttype, backend=backend)
+        compiled = FAST_TABLES[backend](ttype)
         assert compiled.backend == "compiled"
         k = data.draw(
             st.integers(min_value=1, max_value=3 * period_ticks),
@@ -99,7 +118,7 @@ class TestTablesExactlyEqual:
     @settings(max_examples=60, deadline=None)
     def test_uniform_values_identical(self, backend, ttype, data):
         reference = sweep_reference(ttype)
-        compiled = build_size_table(ttype, backend=backend)
+        compiled = FAST_TABLES[backend](ttype)
         k = data.draw(st.integers(min_value=1, max_value=12), label="k")
         assert compiled.minsize(k) == reference.minsize(k)
         assert compiled.maxsize(k) == reference.maxsize(k)
@@ -110,7 +129,7 @@ class TestTablesExactlyEqual:
     def test_searches_identical(self, backend, ttype, data):
         period_ticks, period_seconds = ttype.period_info()
         reference = sweep_reference(ttype)
-        compiled = build_size_table(ttype, backend=backend)
+        compiled = FAST_TABLES[backend](ttype)
         # Targets small enough that both searches resolve inside the
         # sweep's exact region (answers stay below ~3 periods of ticks).
         target = data.draw(
@@ -128,8 +147,8 @@ class TestTablesExactlyEqual:
 # ----------------------------------------------------------------------
 # Conversion identity (Figure 3 and the direct boundary scan)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestConversionsExactlyEqual:
+    @pytest.mark.parametrize("backend", list(FAST_TABLES))
     @given(
         ttype=periodic_types(),
         m=st.integers(min_value=0, max_value=12),
@@ -137,12 +156,14 @@ class TestConversionsExactlyEqual:
         target_seconds=st.integers(min_value=1, max_value=60),
     )
     @settings(max_examples=100, deadline=None)
-    def test_figure3_identical(self, backend, ttype, m, span, target_seconds):
+    def test_figure3_identical(
+        self, backend, ttype, m, span, target_seconds
+    ):
         target = UniformType("tgt", target_seconds)
         src_sweep = sweep_reference(ttype)
         tgt_sweep = sweep_reference(target)
-        src_fast = build_size_table(ttype, backend=backend)
-        tgt_fast = build_size_table(target, backend=backend)
+        src_fast = FAST_TABLES[backend](ttype)
+        tgt_fast = FAST_TABLES[backend](target)
         expected = convert_interval(m, m + span, src_sweep, tgt_sweep)
         actual = convert_interval(m, m + span, src_fast, tgt_fast)
         assert actual == expected
@@ -154,13 +175,9 @@ class TestConversionsExactlyEqual:
         mode=st.sampled_from(["direct", "figure3"]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_system_convert_identical(self, backend, ttype, m, span, mode):
-        sweep_sys = standard_system(
-            cache=ConversionCache(), sizetable_backend="sweep"
-        )
-        fast_sys = standard_system(
-            cache=ConversionCache(), sizetable_backend=backend
-        )
+    def test_system_convert_identical(self, ttype, m, span, mode):
+        sweep_sys = sweep_system(cache=ConversionCache())
+        fast_sys = standard_system(cache=ConversionCache())
         for system in (sweep_sys, fast_sys):
             system.register(ttype)
         for source, target in (
@@ -258,12 +275,8 @@ def test_standard_system_conversions_identical_across_backends():
     beyond it the sweep *extrapolates* and the exact compiled values
     may legitimately produce tighter (still sound) intervals.
     """
-    sweep_sys = standard_system(
-        cache=ConversionCache(), sizetable_backend="sweep", horizon=2600
-    )
-    fast_sys = standard_system(
-        cache=ConversionCache(), sizetable_backend="auto", horizon=2600
-    )
+    sweep_sys = sweep_system(cache=ConversionCache(), horizon=2600)
+    fast_sys = standard_system(cache=ConversionCache(), horizon=2600)
     labels = sweep_sys.labels()
     for source in labels:
         for target in labels:
@@ -274,3 +287,52 @@ def test_standard_system_conversions_identical_across_backends():
                     expected = sweep_sys.convert(m, n, source, target, mode)
                     actual = fast_sys.convert(m, n, source, target, mode)
                     assert actual == expected, (source, target, m, n, mode)
+
+
+# ----------------------------------------------------------------------
+# Matcher-level identity: bisection clocks vs the types' own tick_of
+# ----------------------------------------------------------------------
+def _clock_cases():
+    """(granularity, event spread in seconds) per clock shape."""
+    day = 86_400
+    bday = BusinessDayType(holidays=[3, 10, 11, 40, 61])
+    window = PeriodicPatternType(
+        "obs-window", 3600, [(i * 90, 40) for i in range(40)]
+    )
+    month = standard_system(cache=ConversionCache()).get("month")
+    return {
+        "month": (month, 3 * 366 * day),
+        "b-day-holidays": (bday, 90 * day),
+        "second-pattern": (window, 6 * 3600),
+    }
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lazy", "strict"])
+@pytest.mark.parametrize("case", ["month", "b-day-holidays", "second-pattern"])
+def test_matcher_results_identical_over_unlowered(case, strict):
+    """Strict and lazy matches over ``Unlowered(t)`` - the sweep table
+    and the type's own ``tick_of`` - equal those over ``t`` itself."""
+    granularity, spread = _clock_cases()[case]
+    rng = random.Random(case)
+    events = sorted(
+        ((rng.choice("abc"), rng.randrange(0, spread)) for _ in range(400)),
+        key=lambda event: event[1],
+    )
+    sequence = EventSequence(events)
+    results = []
+    for clock in (granularity, Unlowered(granularity)):
+        system = GranularitySystem([clock], cache=ConversionCache())
+        structure = EventStructure(
+            ["X0", "X1", "X2"],
+            {
+                ("X0", "X1"): [TCG(0, 1, clock)],
+                ("X1", "X2"): [TCG(1, 2, clock)],
+            },
+        )
+        cet = ComplexEventType(structure, {"X0": "a", "X1": "b", "X2": "c"})
+        matcher = TagMatcher(build_tag(cet, system=system), strict=strict)
+        roots = list(matcher.matching_roots(sequence))
+        bindings = [matcher.bindings_at(sequence, root) for root in roots]
+        results.append((roots, bindings))
+    assert results[0][0], "workload must match somewhere"
+    assert results[0] == results[1]

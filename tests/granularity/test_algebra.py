@@ -9,6 +9,7 @@ kernel.
 
 import pytest
 
+from repro.bench.reference import Unlowered, sweep_system
 from repro.granularity import (
     BusinessDayType,
     BusinessMonthType,
@@ -25,7 +26,6 @@ from repro.granularity import (
     minimize_form,
     nf_group,
     nf_intersect,
-    nf_max_period,
     nf_nth_within,
     nf_select,
     nf_shift,
@@ -46,6 +46,7 @@ from repro.granularity.gregorian import (
     MONTHS_PER_400_YEARS,
     SECONDS_PER_DAY,
 )
+from repro.granularity import normalform
 from repro.granularity.normalform import cached_normal_form
 
 DAY = SECONDS_PER_DAY
@@ -293,29 +294,17 @@ class TestCustomCalendarInference:
 
 
 class TestBudgetAndFallback:
-    def test_env_knob_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NF_MAX_PERIOD", raising=False)
-        assert nf_max_period() == 1 << 20
-
-    def test_env_knob_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NF_MAX_PERIOD", "many")
-        with pytest.raises(ValueError):
-            nf_max_period()
-        monkeypatch.setenv("REPRO_NF_MAX_PERIOD", "0")
-        with pytest.raises(ValueError):
-            nf_max_period()
-
     def test_over_budget_reason(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NF_MAX_PERIOD", "16")
+        monkeypatch.setattr(normalform, "MAX_PERIOD_TICKS", 16)
         system = standard_system(cache=ConversionCache())
         with pytest.raises(NormalFormError) as excinfo:
             compile_normal_form(system.get("month"))
         assert excinfo.value.reason == "over-budget"
 
     def test_smallest_budget_keeps_uniform_types(self, monkeypatch):
-        # The REPRO_NF_MAX_PERIOD=1 smoke: single-phase types still
-        # compile, everything larger falls back cleanly.
-        monkeypatch.setenv("REPRO_NF_MAX_PERIOD", "1")
+        # A one-tick budget: single-phase types still compile,
+        # everything larger falls back cleanly.
+        monkeypatch.setattr(normalform, "MAX_PERIOD_TICKS", 1)
         assert compile_normal_form(UniformType("u", 10)).period_ticks == 1
         system = standard_system(cache=ConversionCache())
         assert cached_normal_form(system.get("month")) is None
@@ -324,7 +313,7 @@ class TestBudgetAndFallback:
     def test_fallback_counter_labels(self, monkeypatch, obs_on):
         from repro.obs import counter_deltas, metrics_snapshot
 
-        monkeypatch.setenv("REPRO_NF_MAX_PERIOD", "16")
+        monkeypatch.setattr(normalform, "MAX_PERIOD_TICKS", 16)
         before = metrics_snapshot()
         system = standard_system(cache=ConversionCache())
         assert cached_normal_form(system.get("month")) is None
@@ -333,6 +322,26 @@ class TestBudgetAndFallback:
             deltas['repro_sizetable_fallback_total{reason="over-budget"}']
             >= 1
         )
+
+    def test_one_tick_budget_converts_like_the_sweep(self, monkeypatch):
+        """Every calendar falls back under a one-tick budget, and the
+        system then converts exactly like the sweep reference."""
+        monkeypatch.setattr(normalform, "MAX_PERIOD_TICKS", 1)
+        budget_sys = standard_system(cache=ConversionCache())
+        reference = sweep_system(cache=ConversionCache())
+        assert compile_normal_form(budget_sys.get("hour")).period_ticks == 1
+        for label in ("month", "year", "b-day", "business-month"):
+            # Composites report the budgeted operand as their reason.
+            with pytest.raises(NormalFormError) as excinfo:
+                compile_normal_form(budget_sys.get(label))
+            assert excinfo.value.reason in ("over-budget", "operand"), label
+            assert cached_normal_form(budget_sys.get(label)) is None
+            assert budget_sys.table(label).backend == "sweep", label
+        for pair in (("month", "day"), ("year", "month"), ("week", "b-day")):
+            for interval in ((0, 0), (0, 2), (1, 5)):
+                assert budget_sys.convert(*interval, *pair) == (
+                    reference.convert(*interval, *pair)
+                ), (pair, interval)
 
 
 class TestProvenance:
@@ -423,10 +432,9 @@ class TestBatchedConversion:
         assert list(defined) == [1, 0, 0, 1, 0]
         assert list(ticks) == [0, 0, 0, 1, 0]
 
-    def test_sweep_mode_uses_reference_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIZETABLE", "sweep")
+    def test_sweep_mode_uses_reference_path(self):
         system = standard_system(cache=ConversionCache())
-        month = system.get("month")
+        month = Unlowered(system.get("month"))
         seconds = [0, 40 * DAY]
         ticks, defined = clock_ticks_of(month, seconds)
         assert list(ticks) == [0, 1]
@@ -457,31 +465,3 @@ class TestParserConstructors:
         system = standard_system(cache=ConversionCache())
         with pytest.raises(GranularityParseError):
             parse_type("select(day, 7)", system)
-
-
-class TestPrewarmShipsForms:
-    # The backend is pinned so the tests also hold under the CI jobs
-    # that set an ambient REPRO_SIZETABLE=sweep.
-    def test_month_form_exports(self):
-        cache = ConversionCache()
-        system = standard_system(cache=cache, sizetable_backend="auto")
-        system.table("month")
-        labels = [label for label, _ in cache.export_normal_forms()]
-        assert "month" in labels
-
-    def test_preloaded_form_is_used(self):
-        cache = ConversionCache()
-        source = standard_system(cache=cache, sizetable_backend="auto")
-        source.table("month")
-        exported = cache.export_normal_forms()
-
-        target_cache = ConversionCache()
-        target = standard_system(
-            cache=target_cache, sizetable_backend="auto"
-        )
-        count = target_cache.preload_normal_forms(
-            target.cache_namespace, exported
-        )
-        assert count >= 1
-        table = target.table("month")
-        assert table.backend == "compiled"

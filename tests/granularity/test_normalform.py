@@ -1,20 +1,23 @@
-"""Unit tests for the periodic normal-form compiler and its backend."""
+"""Unit tests for the periodic normal-form compiler and the table and
+clock each type chooses by it."""
 
+import os
 import pickle
 
 import pytest
 
+from repro.bench.reference import SweepSystem, Unlowered
 from repro.granularity import (
     CompiledSizeTable,
     ConversionCache,
+    GranularitySystem,
     NormalFormError,
     PeriodicNormalForm,
     SizeTable,
-    build_size_table,
     compile_normal_form,
-    resolve_backend,
     standard_system,
 )
+from repro.granularity import normalform
 from repro.granularity.base import UniformType
 from repro.granularity.combinators import FilteredType, GroupedType
 from repro.granularity.normalform import (
@@ -27,27 +30,9 @@ from repro.granularity.periodic import PeriodicPatternType
 from repro.granularity.sizes import BoundedMemo
 
 
-class TestResolveBackend:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIZETABLE", raising=False)
-        assert resolve_backend() == "auto"
-
-    def test_empty_env_is_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIZETABLE", "")
-        assert resolve_backend() == "auto"
-
-    def test_env_selects(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIZETABLE", "sweep")
-        assert resolve_backend() == "sweep"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIZETABLE", "sweep")
-        assert resolve_backend("compiled") == "compiled"
-
-    def test_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIZETABLE", "turbo")
-        with pytest.raises(ValueError):
-            resolve_backend()
+def table_of(ttype):
+    """The size table a fresh granularity system picks for ``ttype``."""
+    return GranularitySystem([ttype], cache=ConversionCache()).table(ttype)
 
 
 class TestCompiler:
@@ -122,7 +107,7 @@ class TestCompiler:
         assert cached_normal_form(filtered) is None
 
     def test_over_budget_type_does_not_compile(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NF_MAX_PERIOD", "16")
+        monkeypatch.setattr(normalform, "MAX_PERIOD_TICKS", 16)
         system = standard_system(cache=ConversionCache())
         with pytest.raises(NormalFormError) as excinfo:
             compile_normal_form(system.get("month"))
@@ -236,35 +221,43 @@ class TestPrefixForms:
 
 
 class TestBuildSizeTable:
+    """The type chooses: compiled when it lowers, the sweep otherwise."""
+
     def test_sweep_backend(self):
-        table = build_size_table(UniformType("u", 10), backend="sweep")
+        table = SweepSystem([UniformType("u", 10)]).table("u")
         assert isinstance(table, SizeTable)
         assert table.backend == "sweep"
 
     def test_auto_compiles_when_possible(self):
-        table = build_size_table(UniformType("u", 10), backend="auto")
+        table = table_of(UniformType("u", 10))
         assert isinstance(table, CompiledSizeTable)
         assert table.backend == "compiled"
 
     def test_auto_falls_back_to_sweep(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NF_MAX_PERIOD", "16")
+        monkeypatch.setattr(normalform, "MAX_PERIOD_TICKS", 16)
         system = standard_system(cache=ConversionCache())
-        table = build_size_table(system.get("month"), backend="auto")
+        table = system.table("month")
         assert isinstance(table, SizeTable)
+        assert table.backend == "sweep"
 
-    def test_compiled_refuses_non_lowering(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NF_MAX_PERIOD", "16")
+    def test_backend_is_compiled_exactly_when_the_type_lowers(self):
         system = standard_system(cache=ConversionCache())
-        with pytest.raises(NormalFormError):
-            build_size_table(system.get("month"), backend="compiled")
-
-    def test_env_is_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIZETABLE", "sweep")
-        table = build_size_table(UniformType("u", 10))
-        assert isinstance(table, SizeTable)
+        system.register(
+            FilteredType(UniformType("u", 10), lambda i: i % 2, "odd")
+        )
+        system.register(GroupedType(system.get("month"), 3, label="quarter"))
+        system.register(Unlowered(UniformType("bare", 60)))
+        backends = {}
+        for label in system.labels():
+            ttype = system.get(label)
+            lowers = cached_normal_form(ttype) is not None
+            backends[label] = system.table(ttype).backend
+            assert backends[label] == ("compiled" if lowers else "sweep")
+        assert backends["quarter"] == "compiled"
+        assert backends["odd"] == backends["bare"] == "sweep"
 
     def test_probe_stats_shape(self):
-        table = build_size_table(UniformType("u", 10), backend="auto")
+        table = table_of(UniformType("u", 10))
         table.minsize(3)
         table.minsize(3)
         stats = table.probe_stats()
@@ -307,57 +300,38 @@ class TestMemoBounds:
 
 
 class TestClockRouting:
-    def test_clock_form_none_under_sweep(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIZETABLE", "sweep")
-        assert clock_form(UniformType("u", 10)) is None
+    def test_clock_form_none_under_sweep(self):
+        # The sweep reference's clock route: a type that does not lower
+        # has no clock form, so its own tick_of answers.
+        assert clock_form(Unlowered(UniformType("u", 10))) is None
+        assert clock_form(UniformType("u", 10)) is not None
 
-    def test_clock_form_none_without_exact_cover(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIZETABLE", raising=False)
+    def test_clock_form_none_without_exact_cover(self):
         base = PeriodicPatternType("b", 50, [(0, 10), (25, 10)])
         grouped = GroupedType(base, 2, label="g2")
         assert clock_form(grouped) is None
 
-    def test_clock_helpers_match_type_methods(self, monkeypatch):
+    def test_clock_helpers_match_type_methods(self):
         ttype = PeriodicPatternType("p", 60, [(0, 20), (30, 10)])
-        for backend in ("sweep", "auto", "compiled"):
-            monkeypatch.setenv("REPRO_SIZETABLE", backend)
-            # reset the per-instance cache so gating is re-evaluated
+        for clock in (ttype, Unlowered(ttype)):
             for second in range(0, 200, 7):
-                assert clock_tick_of(ttype, second) == ttype.tick_of(
+                assert clock_tick_of(clock, second) == ttype.tick_of(
                     second
-                ), (backend, second)
-            assert clock_distance(ttype, 5, 95) == ttype.distance(5, 95)
+                ), (clock, second)
+            assert clock_distance(clock, 5, 95) == ttype.distance(5, 95)
 
+    def test_clock_form_reads_no_environment(self, monkeypatch):
+        reads = []
 
-class TestConvcacheForms:
-    def test_export_and_preload_roundtrip(self):
-        cache = ConversionCache()
-        form = compile_normal_form(UniformType("u", 10))
-        cache.put_normal_form(7, "u", form)
-        assert cache.get_normal_form(7, "u") is form
-        assert cache.get_normal_form(8, "u") is None
-        exported = cache.export_normal_forms(7)
-        assert exported == [("u", form)]
-        other = ConversionCache()
-        assert other.preload_normal_forms(3, exported) == 1
-        assert other.get_normal_form(3, "u") == form
-        assert cache.stats()["normal_forms"] == 1
+        class _Environ(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
 
-    def test_clear_drops_forms(self):
-        cache = ConversionCache()
-        cache.put_normal_form(1, "u", object())
-        cache.clear()
-        assert cache.get_normal_form(1, "u") is None
-
-    def test_system_table_populates_form_cache(self):
-        cache = ConversionCache()
-        system = standard_system(cache=cache, sizetable_backend="auto")
-        system.table("b-day")
-        namespace = system.cache_namespace
-        assert cache.get_normal_form(namespace, "b-day") is not None
-
-    def test_sweep_system_does_not_touch_form_cache(self):
-        cache = ConversionCache()
-        system = standard_system(cache=cache, sizetable_backend="sweep")
-        system.table("b-day")
-        assert cache.stats()["normal_forms"] == 0
+        ttype = UniformType("u", 10)
+        clock_form(ttype)  # compile outside the watched region
+        monkeypatch.setattr(os, "environ", _Environ(os.environ))
+        for second in range(0, 100, 3):
+            clock_tick_of(ttype, second)
+        clock_distance(ttype, 0, 95)
+        assert reads == []

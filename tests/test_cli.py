@@ -8,7 +8,7 @@ import pytest
 from repro.automata import TagMatcher, build_tag
 from repro.cli import main
 from repro.constraints import TCG, ComplexEventType, EventStructure
-from repro.granularity import standard_system
+from repro.granularity import normalform, standard_system
 from repro.granularity.gregorian import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.io import (
     complex_event_type_to_dict,
@@ -319,25 +319,21 @@ class TestGranInfo:
         assert "exact instant cover: yes" in out
 
     def test_non_lowering_type_reports_sweep(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_NF_MAX_PERIOD", "16")
+        monkeypatch.setattr(normalform, "MAX_PERIOD_TICKS", 4799)
         assert main(["gran", "info", "month"]) == 0
         out = capsys.readouterr().out
         assert "normal form: none" in out
         assert "reason: over-budget" in out
         assert "backend: sweep" in out
 
-    def test_backend_env_is_reported(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SIZETABLE", "compiled")
-        assert main(["gran", "info", "second"]) == 0
-        assert "REPRO_SIZETABLE=compiled" in capsys.readouterr().out
+    def test_backend_is_the_types_choice(self, capsys):
+        assert main(["gran", "info", "month"]) == 0
+        out = capsys.readouterr().out
+        assert "backend: compiled\n" in out
+        assert "REPRO_" not in out
 
     def test_parse_error_exits_2(self, capsys):
         assert main(["gran", "info", "lunar(3)"]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_invalid_backend_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SIZETABLE", "turbo")
-        assert main(["gran", "info", "second"]) == 2
         assert "error" in capsys.readouterr().err
 
     def test_missing_subcommand_exits(self):
