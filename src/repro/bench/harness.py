@@ -673,7 +673,7 @@ def _x15(system, engine, scale) -> _Workload:
         service = serve_events(
             build,
             records,
-            ServiceConfig(enabled=True, max_resident_sessions=32),
+            ServiceConfig(max_resident_sessions=32),
             store,
             system=system,
         )
@@ -909,8 +909,8 @@ def _x18(system, engine, scale) -> _Workload:
       interval groups asserted equal;
     * **batched clock matching**: one month-tick column over a pinned
       40-year event spread, the vectorized
-      ``PeriodicNormalForm.ticks_of_instants`` kernel (the columnar
-      ``tick_columns`` path) vs the per-event ``tick_of`` loop a type
+      ``PeriodicNormalForm.ticks_of_instants`` kernel (called through
+      ``clock_ticks_of``) vs the per-event ``tick_of`` loop a type
       that does not lower takes (month wrapped in
       :class:`~repro.bench.reference.Unlowered`), outputs asserted
       bit-identical.

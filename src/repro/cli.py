@@ -19,7 +19,8 @@ to pick the propagation engine (a pure performance knob; see
 docs/PERFORMANCE.md).  ``mine`` is also available as ``discover`` and
 accepts ``--parallel N|auto`` / ``--shard-size N|auto`` to run the
 final TAG scan on a worker pool (identical output to the serial
-engine; ``REPRO_PARALLEL=off`` is the environment kill switch).
+engine; without ``--parallel`` the scan is serial).  ``serve`` takes
+``--recorder-dir DIR`` for the flight dumps a breaker trip writes.
 
 Every command accepts ``--trace FILE`` (write the span tree of the run
 as JSON; inspect with ``repro obs``), ``--metrics`` (print the metrics
@@ -219,7 +220,7 @@ def _cmd_replay(args) -> int:
 def _cmd_serve(args) -> int:
     from .io.csvlog import read_tenant_events
     from .resilience import Quarantine
-    from .service import ServiceConfig, ServiceDisabledError, serve_events
+    from .service import ServiceConfig, serve_events
 
     system = standard_system()
     cet = complex_event_type_from_dict(load_json(args.pattern), system)
@@ -239,15 +240,11 @@ def _cmd_serve(args) -> int:
         horizon_seconds=args.horizon,
         max_live_anchors=args.max_live_anchors,
         overflow_policy=args.overflow_policy,
+        recorder_dir=args.recorder_dir,
     )
-    try:
-        service = serve_events(
-            build_tag(cet, system=system), records,
-            config=config, system=system,
-        )
-    except ServiceDisabledError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    service = serve_events(
+        build_tag(cet, system=system), records, config=config, system=system
+    )
     for found in service.detections:
         detection = found.detection
         print(
@@ -734,6 +731,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="events between periodic session checkpoints",
     )
     serve.add_argument(
+        "--recorder-dir",
+        metavar="DIR",
+        default=None,
+        help="write a flight-recorder dump here when a tenant's breaker "
+        "trips (default: note the trip, write nothing)",
+    )
+    serve.add_argument(
         "--max-lateness",
         type=int,
         default=None,
@@ -780,8 +784,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N|auto",
         help="run the TAG scan on N worker processes ('auto' = CPU "
-        "count; default: serial, or the REPRO_PARALLEL env default). "
-        "Output is identical to the serial engine.",
+        "count; default: serial). Output is identical to the serial "
+        "engine.",
     )
     mine.add_argument(
         "--shard-size",

@@ -25,14 +25,12 @@ network *incrementally* after a batch of arcs tightened - ``O(n^2)``
 per tightened arc instead of the ``O(n^3)`` re-closure - which is the
 work-saving primitive of the fast-path propagation engine.
 
-Set the environment variable ``REPRO_NO_NUMPY`` to any non-empty value
-to ignore an installed numpy (used by CI to prove the pure-Python
-fallback path).
+numpy is optional (:mod:`repro._numpy`; ``REPRO_NO_NUMPY`` ignores an
+installed one): without it the python kernel runs.
 """
 
 from __future__ import annotations
 
-import os
 from typing import (
     Dict,
     Hashable,
@@ -44,6 +42,7 @@ from typing import (
     Tuple,
 )
 
+from .._numpy import np as _np
 from ..obs import counter as _obs_counter
 
 Interval = Tuple[int, int]
@@ -71,14 +70,6 @@ def _count_closure(kind: str, kernel: str) -> None:
 #: Largest magnitude exactly representable as consecutive integers in a
 #: float64; beyond it the numpy kernel falls back to exact python.
 _FLOAT_EXACT_LIMIT = 2 ** 52
-
-try:  # pragma: no cover - exercised via the no-numpy CI job
-    if os.environ.get("REPRO_NO_NUMPY"):
-        _np = None
-    else:
-        import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in dev envs
-    _np = None
 
 #: Closure kernels selectable on :class:`STP`.
 KERNELS = ("python", "numpy")

@@ -37,10 +37,10 @@ shrink a form count into ``repro_sizetable_minimized_total``.
 
 from __future__ import annotations
 
-import os
 from math import gcd
 from typing import Callable, List, Optional, Tuple
 
+from .._numpy import np as _np
 from ..obs import counter, span
 from . import gregorian as greg
 from . import normalform
@@ -62,14 +62,6 @@ from .normalform import (
     _covers_whole_bounds,
     cached_normal_form,
 )
-
-try:  # pragma: no cover - exercised via the no-numpy CI job
-    if os.environ.get("REPRO_NO_NUMPY"):
-        _np = None
-    else:
-        import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in dev envs
-    _np = None
 
 _MINIMIZED = counter(
     "repro_sizetable_minimized_total",

@@ -57,23 +57,15 @@ paths are held against lives in :mod:`repro.bench.reference`.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from .._numpy import np as _np
 from ..obs import counter, span
 from .base import TemporalType, UniformType
 from .periodic import PeriodicPatternType
 from .sizes import DEFAULT_MEMO_ENTRIES, BoundedMemo, TableSearches
-
-try:  # pragma: no cover - exercised via the no-numpy CI job
-    if os.environ.get("REPRO_NO_NUMPY"):
-        _np = None
-    else:
-        import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in dev envs
-    _np = None
 
 #: Refuse to compile forms larger than this many ticks (a scan that
 #: long is as bad as the sweep it replaces; nothing in the repertoire

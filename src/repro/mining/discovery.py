@@ -377,8 +377,7 @@ def discover(
     gate (every engine derives identical windows).
 
     ``parallel`` requests the sharded scan engine: an int worker count,
-    ``"auto"`` (one per CPU), or None (serial unless ``REPRO_PARALLEL``
-    sets a default; ``REPRO_PARALLEL=off`` always forces serial).
+    ``"auto"`` (one per CPU), or None (serial).
     ``shard_size`` is roots per time shard (``"auto"`` load-balances).
     ``anchor_screen`` toggles the posting-list anchor viability filter;
     it runs in both the serial and parallel engines, so results are

@@ -171,16 +171,6 @@ class EventSequence:
             )
         self._columnar = store
 
-    def slice_positions(self, lo: int, hi: int) -> "EventSequence":
-        """A new sequence holding positions ``[lo, hi)`` of this one.
-
-        Position ``p`` of the parent maps to ``p - lo`` in the slice
-        (order is preserved: a slice of a time-sorted list is sorted,
-        and the constructor's sort is stable).  The parallel engine's
-        slice mode uses this to hand a worker only its shard's window.
-        """
-        return EventSequence(self._events[lo:hi])
-
     def filtered(self, keep) -> "EventSequence":
         """A new sequence with the events satisfying the predicate."""
         return EventSequence([e for e in self._events if keep(e)])

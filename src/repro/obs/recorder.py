@@ -3,17 +3,15 @@
 A production "black box": every span closed while a tracer is active
 is appended (flattened, without children) to a fixed-size ring, and
 spans matching a *trigger* - error status, or duration at or above
-``REPRO_OBS_SLOW_MS`` milliseconds - are copied into a second ring
-that survives being scrolled past.  :meth:`FlightRecorder.dump`
-persists both rings as schema-versioned JSON; the detection service
-calls it when a circuit breaker trips, and chaos tests call it on
-injected faults, so a post-mortem always has the last spans that led
-up to the incident.
+``slow_ms`` milliseconds - are copied into a second ring that survives
+being scrolled past.  :meth:`FlightRecorder.dump` persists both rings
+as schema-versioned JSON; the detection service calls it when a
+circuit breaker trips, and chaos tests call it on injected faults, so
+a post-mortem always has the last spans that led up to the incident.
 
 Default-on (the ring append is a dict build plus a deque append,
 covered by the overhead guard in ``tests/obs/test_overhead.py``);
-``REPRO_OBS_RECORDER=off`` (or ``0``) disables it, any other integer
-value resizes the ring.  The recorder holds no references to live
+``capacity=0`` disables it.  The recorder holds no references to live
 span trees - records are flat copies - so retaining the ring never
 pins a trace in memory.
 """
@@ -21,47 +19,21 @@ pins a trace in memory.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from collections import deque
 from typing import Any, Dict, List, Optional
 
 from . import runtime
-from .runtime import _OFF_VALUES
 
 #: Flight-dump payload format version (bump when the layout changes).
 RECORDER_SCHEMA_VERSION = 1
 
-#: Ring capacity when ``REPRO_OBS_RECORDER`` is unset.
+#: Default ring capacity (0 disables the recorder).
 DEFAULT_CAPACITY = 256
 
-#: Slow-span trigger threshold when ``REPRO_OBS_SLOW_MS`` is unset.
+#: Default slow-span trigger threshold, in milliseconds.
 DEFAULT_SLOW_MS = 250.0
-
-
-def recorder_capacity() -> int:
-    """Ring size from ``REPRO_OBS_RECORDER`` (0 disables)."""
-    value = os.environ.get("REPRO_OBS_RECORDER", "").strip().lower()
-    if not value:
-        return DEFAULT_CAPACITY
-    if value in _OFF_VALUES:
-        return 0
-    try:
-        return max(0, int(value))
-    except ValueError:
-        return DEFAULT_CAPACITY
-
-
-def slow_threshold_ms() -> float:
-    """Slow-span trigger from ``REPRO_OBS_SLOW_MS`` (milliseconds)."""
-    value = os.environ.get("REPRO_OBS_SLOW_MS", "").strip()
-    if not value:
-        return DEFAULT_SLOW_MS
-    try:
-        return max(0.0, float(value))
-    except ValueError:
-        return DEFAULT_SLOW_MS
 
 
 def _flatten(span_) -> Dict[str, Any]:
@@ -94,24 +66,22 @@ class FlightRecorder:
     capacity.
     """
 
-    def __init__(self, capacity: Optional[int] = None,
-                 slow_ms: Optional[float] = None) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY,
+                 slow_ms: float = DEFAULT_SLOW_MS) -> None:
         self.configure(capacity=capacity, slow_ms=slow_ms)
         self.recorded = 0
         self.triggered = 0
         self.dumps = 0
         self._lock = threading.Lock()
 
-    def configure(self, capacity: Optional[int] = None,
-                  slow_ms: Optional[float] = None) -> None:
+    def configure(self, capacity: int = DEFAULT_CAPACITY,
+                  slow_ms: float = DEFAULT_SLOW_MS) -> None:
         """(Re)size the rings / set the slow trigger.
 
-        ``None`` re-reads the environment; resizing clears both rings.
+        Resizing clears both rings.
         """
-        self.capacity = (recorder_capacity() if capacity is None
-                         else max(0, int(capacity)))
-        self.slow_ms = (slow_threshold_ms() if slow_ms is None
-                        else max(0.0, float(slow_ms)))
+        self.capacity = max(0, int(capacity))
+        self.slow_ms = max(0.0, float(slow_ms))
         self.active = self.capacity > 0
         size = max(1, self.capacity)
         self._recent: deque = deque(maxlen=size)

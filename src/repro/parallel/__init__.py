@@ -4,8 +4,9 @@ Splits the paper's step-5 TAG scan into candidate-group x time-shard
 tasks (:mod:`~repro.parallel.shards`), screens anchors through the
 columnar store's posting lists, and fans the tasks to a fork-based
 worker pool with deterministic merging (:mod:`~repro.parallel.engine`).  Serial and
-parallel runs return bit-identical outcomes; ``REPRO_PARALLEL=off`` is
-the kill switch.  See docs/PERFORMANCE.md.
+parallel runs return bit-identical outcomes; the ``parallel=`` argument
+of :func:`~repro.mining.discover` (``repro mine --parallel``) picks the
+worker count.  See docs/PERFORMANCE.md.
 """
 
 from .engine import (
@@ -13,7 +14,6 @@ from .engine import (
     ScanContext,
     candidate_requirements,
     fork_available,
-    parallel_disabled,
     parallel_scan,
     resolve_workers,
 )
@@ -33,7 +33,6 @@ __all__ = [
     "candidate_requirements",
     "check_shard_invariants",
     "fork_available",
-    "parallel_disabled",
     "parallel_scan",
     "plan_shards",
     "resolve_shard_size",

@@ -41,9 +41,8 @@ unit order, so a parallel run's solutions, frequencies and work
 counters equal the serial run's exactly, for any worker count, shard
 size or steal interleaving.
 
-``REPRO_PARALLEL=off`` (or a platform without fork) degrades to the
-inline executor: the same task grid runs in-process, still
-bit-identical, with no pool overhead.
+A platform without fork degrades to the inline executor: the same
+task grid runs in-process, still bit-identical, with no pool overhead.
 """
 
 from __future__ import annotations
@@ -94,43 +93,19 @@ _WORKERS_GAUGE = gauge(
     "Worker processes used by the most recent parallel scan",
 )
 
-#: Values of ``REPRO_PARALLEL`` that force the serial engine.
-_OFF_VALUES = ("off", "0", "false", "no")
-
-
-def parallel_disabled() -> bool:
-    """Is the ``REPRO_PARALLEL`` kill switch engaged?"""
-    return os.environ.get("REPRO_PARALLEL", "").strip().lower() in _OFF_VALUES
-
-
 def resolve_workers(parallel: Union[int, str, None] = None) -> int:
-    """Worker count from the request and the environment.
+    """Worker count of a ``parallel=`` request.
 
-    ``parallel`` is the CLI/API request: an int, ``"auto"`` (one worker
-    per CPU) or None (defer to ``REPRO_PARALLEL``, default serial).
-    ``REPRO_PARALLEL=off|0|false|no`` forces 1 regardless of the
-    request (the kill switch); ``REPRO_PARALLEL_MAX_WORKERS`` caps the
-    result (the CI uses it to bound pool width).
+    None means serial (1), ``"auto"`` one worker per CPU, and an int
+    (or its string form) is taken as given; it must be >= 1.
     """
-    env = os.environ.get("REPRO_PARALLEL", "").strip().lower()
-    if env in _OFF_VALUES:
+    if parallel is None:
         return 1
-    if parallel in (None, ""):
-        if env == "":
-            workers = 1
-        elif env == "auto":
-            workers = os.cpu_count() or 1
-        else:
-            workers = int(env)
-    elif parallel == "auto":
-        workers = os.cpu_count() or 1
-    else:
-        workers = int(parallel)
+    if parallel == "auto":
+        return os.cpu_count() or 1
+    workers = int(parallel)
     if workers < 1:
         raise ValueError("worker count must be >= 1 (got %r)" % (workers,))
-    cap = os.environ.get("REPRO_PARALLEL_MAX_WORKERS", "").strip()
-    if cap:
-        workers = min(workers, max(1, int(cap)))
     return workers
 
 

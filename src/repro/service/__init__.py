@@ -7,9 +7,9 @@ shedding reuses the anchor-overflow policies, and checkpoint-backed
 LRU eviction of idle sessions with crash recovery by WAL replay.
 
 The whole layer sits *on top of* the existing modules - nothing
-outside this package imports it - and is guarded by the
-``REPRO_SERVICE`` kill switch (see :mod:`repro.service.runtime`).
-See docs/RESILIENCE.md ("Service layer") for the operational guide.
+outside this package imports it - and is configured only through
+:class:`ServiceConfig`.  See docs/RESILIENCE.md ("Service layer") for
+the operational guide.
 """
 
 from .breaker import BREAKER_STATES, CircuitBreaker
@@ -23,12 +23,10 @@ from .checkpoints import (
 from .errors import (
     CheckpointCorruptError,
     ServiceClosedError,
-    ServiceDisabledError,
     ServiceError,
     TenantOverloadError,
 )
 from .registry import Session, SessionRegistry
-from .runtime import resolve_enabled, service_enabled
 from .service import (
     DetectionService,
     ServiceConfig,
@@ -51,10 +49,7 @@ __all__ = [
     "SESSION_CHECKPOINT_VERSION",
     "open_store",
     "ServiceError",
-    "ServiceDisabledError",
     "ServiceClosedError",
     "TenantOverloadError",
     "CheckpointCorruptError",
-    "service_enabled",
-    "resolve_enabled",
 ]

@@ -7,16 +7,6 @@ class ServiceError(RuntimeError):
     """Base class for service-layer failures."""
 
 
-class ServiceDisabledError(ServiceError):
-    """The service layer is switched off (``REPRO_SERVICE=off``)."""
-
-    def __init__(self) -> None:
-        super().__init__(
-            "the detection service is disabled (REPRO_SERVICE=off); "
-            "set REPRO_SERVICE=on or pass ServiceConfig(enabled=True)"
-        )
-
-
 class ServiceClosedError(ServiceError):
     """An event was submitted after :meth:`DetectionService.close`."""
 

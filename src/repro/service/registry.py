@@ -208,14 +208,6 @@ class SessionRegistry:
             self.checkpoint(session)
 
     # ------------------------------------------------------------------
-    def resident_sessions(self) -> List[Session]:
-        """Resident sessions, most recently used first."""
-        return sorted(
-            self._resident.values(),
-            key=lambda s: s.last_use,
-            reverse=True,
-        )
-
     def session_keys(self) -> List[Tuple[str, str]]:
         """Every session this registry has ever held, resident or
         spilled, as sorted ``(tenant, key)`` pairs."""

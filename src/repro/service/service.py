@@ -73,13 +73,8 @@ from ..resilience import Quarantine, apply_overflow, validate_event
 from ..resilience.policies import normalize_overflow_policy
 from .breaker import BREAKER_STATES, OPEN, CircuitBreaker
 from .checkpoints import CheckpointStoreBase, open_store
-from .errors import (
-    ServiceClosedError,
-    ServiceDisabledError,
-    TenantOverloadError,
-)
+from .errors import ServiceClosedError, TenantOverloadError
 from .registry import SessionRegistry
-from .runtime import resolve_enabled, tenant_label_limit
 
 _EVENTS = counter(
     "repro_service_events_total", "Events submitted to the service"
@@ -111,11 +106,7 @@ _BREAKER_GAUGES = {
 
 @dataclass
 class ServiceConfig:
-    """Knobs of a :class:`DetectionService`.
-
-    ``enabled=None`` defers to the ``REPRO_SERVICE`` environment
-    variable (the kill switch); an explicit boolean always wins.
-    """
+    """Knobs of a :class:`DetectionService`."""
 
     # Backpressure.
     queue_capacity: int = 256
@@ -137,14 +128,11 @@ class ServiceConfig:
     max_live_anchors: int = 10_000
     max_lateness: Optional[int] = None
     overflow_policy: str = "raise"
-    # Observability.  ``recorder_dir`` (or ``REPRO_OBS_RECORDER_DIR``)
-    # receives a flight-recorder dump whenever a breaker trips;
-    # ``tenant_labels`` overrides ``REPRO_OBS_TENANT_LABELS`` (top-N
-    # tenants by submitted volume get labelled counter children).
+    # Observability.  ``recorder_dir`` receives a flight-recorder dump
+    # whenever a breaker trips; the ``tenant_labels`` top tenants by
+    # submitted volume get labelled counter children (0: none).
     recorder_dir: Optional[str] = None
-    tenant_labels: Optional[int] = None
-    # Kill switch.
-    enabled: Optional[bool] = None
+    tenant_labels: int = 0
 
 
 @dataclass(frozen=True)
@@ -265,8 +253,6 @@ class _TenantState:
 class DetectionService:
     """Route multi-tenant event streams to per-session matchers.
 
-    Construction raises :class:`ServiceDisabledError` under
-    ``REPRO_SERVICE=off`` unless the config forces ``enabled=True``.
     Use :meth:`submit` / :meth:`drain` / :meth:`close` from a running
     event loop, or the synchronous :func:`serve_events` facade.
     """
@@ -279,8 +265,6 @@ class DetectionService:
         system=None,
     ):
         config = config if config is not None else ServiceConfig()
-        if not resolve_enabled(config.enabled):
-            raise ServiceDisabledError()
         if config.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
         self.build = build
@@ -299,10 +283,7 @@ class DetectionService:
         self.quarantine = Quarantine(source="service")
         self.detections: List[ServiceDetection] = []
         self._tenants: Dict[str, _TenantState] = {}
-        self._tenant_counters = _TenantCounters(
-            tenant_label_limit() if config.tenant_labels is None
-            else config.tenant_labels
-        )
+        self._tenant_counters = _TenantCounters(config.tenant_labels)
         self._closed = False
 
     def _tenant_context(self, tenant: str) -> Optional[TraceContext]:
@@ -503,13 +484,10 @@ class DetectionService:
     def _on_breaker_trip(self, tenant: str, state: _TenantState) -> None:
         """Persist a flight-recorder dump when a breaker opens.
 
-        The dump lands in ``config.recorder_dir`` (falling back to
-        ``REPRO_OBS_RECORDER_DIR``); with neither set the trip is still
-        noted in the ring but nothing is written.
+        The dump lands in ``config.recorder_dir``; without one the trip
+        is still noted in the ring but nothing is written.
         """
-        directory = self.config.recorder_dir or os.environ.get(
-            "REPRO_OBS_RECORDER_DIR", ""
-        ).strip()
+        directory = self.config.recorder_dir
         recorder = global_recorder()
         recorder.note(
             "service.breaker_trip", status="error",

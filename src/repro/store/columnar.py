@@ -39,15 +39,8 @@ from typing import (
     Tuple,
 )
 
+from .._numpy import np as _np
 from ..obs import counter, span
-
-try:  # pragma: no cover - exercised via the no-numpy CI job
-    if os.environ.get("REPRO_NO_NUMPY"):
-        _np = None
-    else:
-        import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in dev envs
-    _np = None
 
 #: One anchor requirement: an event of ``etype`` must exist with a
 #: timestamp in ``[anchor_time + lo, anchor_time + hi]``.
@@ -116,7 +109,6 @@ class ColumnarEventStore:
         "_attr_vocab",
         "_postings",
         "_posting_times",
-        "_tick_cache",
         "_plan_cache",
         "_shared",
         "kernel",
@@ -197,7 +189,6 @@ class ColumnarEventStore:
             for tid, values in positions.items():
                 self._postings[tid] = _column(values)
                 self._posting_times[tid] = _column(ptimes[tid])
-        self._tick_cache: Dict[int, Tuple[object, object]] = {}
         self._plan_cache: Dict[object, object] = {}
         # Keeps an attached SharedMemory mapping alive for stores built
         # by :meth:`from_shared` (the columns are views into its buffer).
@@ -294,9 +285,6 @@ class ColumnarEventStore:
         """Event types present, sorted."""
         return sorted(self._type_index)
 
-    def type_id(self, etype: str) -> Optional[int]:
-        return self._type_index.get(etype)
-
     def count(self, etype: Optional[str] = None) -> int:
         if etype is None:
             return len(self._times)
@@ -309,10 +297,6 @@ class ColumnarEventStore:
         if not len(self._times):
             raise ValueError("empty store has no span")
         return int(self._times[0]), int(self._times[-1])
-
-    def times_column(self):
-        """The raw time column (read-only by convention)."""
-        return self._times
 
     def postings(self, etype: str) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """(positions, times) of one type - the posting list as column
@@ -393,34 +377,6 @@ class ColumnarEventStore:
             return list(positions)
         mask = self.screen_anchors(times, requirements)
         return [position for position, keep in zip(positions, mask) if keep]
-
-    # ------------------------------------------------------------------
-    # Per-granularity tick columns (the PR-5 bisection, whole columns)
-    # ------------------------------------------------------------------
-    def tick_columns(self, granularity) -> Tuple[object, object]:
-        """``(ticks, defined)`` columns for one temporal type.
-
-        ``ticks[i]`` is ``tick_of(times[i])`` (0 where undefined) and
-        ``defined[i]`` records coverage; computed once per granularity
-        through the compiled normal form's batched conversion kernel
-        (:func:`repro.granularity.normalform.clock_ticks_of` - one
-        vectorized divmod + ``searchsorted`` pass over the whole
-        column) and cached on the store, so clock guards over whole
-        event batches reduce to integer subtraction.
-        """
-        key = id(granularity)
-        cached = self._tick_cache.get(key)
-        if cached is not None:
-            return cached[1], cached[2]
-        from ..granularity.normalform import clock_ticks_of
-
-        ticks, defined = clock_ticks_of(granularity, self._times)
-        tick_col = _column(ticks)
-        defined_col = _column(defined)
-        # Keep a strong reference to the granularity so the id key
-        # cannot be reused by a different object.
-        self._tick_cache[key] = (granularity, tick_col, defined_col)
-        return tick_col, defined_col
 
     def plan_cache(self) -> Dict[object, object]:
         """Per-store memo used by the TAG runtime (keyed per plan)."""

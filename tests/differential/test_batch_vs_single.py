@@ -401,7 +401,6 @@ class TestWorkerCrashChaos:
     def test_engine_failure_mid_scan_still_unlinks(self, monkeypatch):
         """An orchestration failure after the shard export must still
         reach the owner's close() - no segment survives the wreck."""
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
         from repro.parallel import stealing
 
         hour = SYSTEM.get("hour")
@@ -432,8 +431,7 @@ class TestWorkerCrashChaos:
             )
         assert _shm_segments() == before
 
-    def test_pool_scan_leaves_no_segments(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+    def test_pool_scan_leaves_no_segments(self):
         hour = SYSTEM.get("hour")
         structure = EventStructure(
             ["R", "A"], {("R", "A"): [TCG(0, 1, hour)]}

@@ -24,14 +24,6 @@ SYSTEM = standard_system()
 LABELS = ["hour", "day"]
 
 
-@pytest.fixture(autouse=True)
-def _unkill_parallel(monkeypatch):
-    """These tests exercise the parallel engine itself, so the ambient
-    kill switch (e.g. the CI job running tier-1 under
-    ``REPRO_PARALLEL=off``) must not force them serial."""
-    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-
-
 def _assignment_keys(outcome):
     return sorted(
         str(sorted(assignment.items()))
@@ -165,13 +157,3 @@ class TestRealWorkerPool:
         assert parallel.parallelism["executor"] == "pool"
         assert parallel.parallelism["workers"] == 2
         _assert_equivalent(serial, parallel)
-
-    def test_kill_switch_forces_serial_even_when_requested(
-        self, monkeypatch
-    ):
-        problem, sequence = self._case()
-        monkeypatch.setenv("REPRO_PARALLEL", "off")
-        outcome = discover(problem, sequence, SYSTEM, parallel=4)
-        assert outcome.parallelism is None
-        monkeypatch.delenv("REPRO_PARALLEL")
-        _assert_equivalent(discover(problem, sequence, SYSTEM), outcome)

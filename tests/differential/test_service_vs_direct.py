@@ -121,7 +121,6 @@ class TestServiceVsDirect:
         sessions, interleaved = scenario
         clock = _ManualClock()
         config = ServiceConfig(
-            enabled=True,
             max_resident_sessions=1,       # constant eviction churn
             breaker_failure_threshold=2,   # invalid events trip easily
             breaker_reset_seconds=30.0,

@@ -1,4 +1,4 @@
-"""Flight recorder: ring behaviour, triggers, dumps, env knobs."""
+"""Flight recorder: ring behaviour, triggers, dumps, settings."""
 
 import pytest
 
@@ -14,8 +14,6 @@ from repro.obs.recorder import (
     DEFAULT_CAPACITY,
     DEFAULT_SLOW_MS,
     RECORDER_SCHEMA_VERSION,
-    recorder_capacity,
-    slow_threshold_ms,
 )
 from repro.obs import trace as trace_module
 
@@ -161,31 +159,15 @@ class TestDumps:
 
 
 class TestKnobs:
-    def test_capacity_env_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS_RECORDER", raising=False)
-        assert recorder_capacity() == DEFAULT_CAPACITY
-        for value, expected in [
-            ("64", 64), ("off", 0), ("0", 0), ("false", 0),
-            ("-3", 0), ("garbage", DEFAULT_CAPACITY),
-        ]:
-            monkeypatch.setenv("REPRO_OBS_RECORDER", value)
-            assert recorder_capacity() == expected
-
-    def test_slow_ms_env_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS_SLOW_MS", raising=False)
-        assert slow_threshold_ms() == DEFAULT_SLOW_MS
-        monkeypatch.setenv("REPRO_OBS_SLOW_MS", "12.5")
-        assert slow_threshold_ms() == 12.5
-        monkeypatch.setenv("REPRO_OBS_SLOW_MS", "garbage")
-        assert slow_threshold_ms() == DEFAULT_SLOW_MS
-
-    def test_configure_rereads_environment(self, monkeypatch, obs_on):
-        recorder = FlightRecorder(capacity=4)
-        monkeypatch.setenv("REPRO_OBS_RECORDER", "off")
-        monkeypatch.setenv("REPRO_OBS_SLOW_MS", "5")
-        recorder.configure()
+    def test_configure_defaults_are_the_module_constants(self):
+        recorder = FlightRecorder(capacity=0, slow_ms=5.0)
         assert not recorder.active
-        assert recorder.slow_ms == 5.0
+        recorder.configure()
+        assert recorder.active
+        assert recorder.capacity == DEFAULT_CAPACITY
+        assert recorder.slow_ms == DEFAULT_SLOW_MS
+        recorder.configure(capacity=-3, slow_ms=-1.0)
+        assert (recorder.capacity, recorder.slow_ms) == (0, 0.0)
 
     def test_global_recorder_is_the_close_span_hook(self):
         # The import-time wiring: whatever recorder.py installed is the

@@ -22,11 +22,6 @@ from repro.obs import load_trace
 from repro.parallel import fork_available
 
 
-@pytest.fixture(autouse=True)
-def _unkill_parallel(monkeypatch):
-    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-
-
 def _flatten(payload):
     flat = []
 
@@ -118,9 +113,8 @@ def mine_inputs(tmp_path, system):
 
 class TestServeCorrelation:
     def test_serve_session_spans_share_the_root_identity(
-        self, obs_on, serve_inputs, tmp_path, capsys, monkeypatch
+        self, obs_on, serve_inputs, tmp_path, capsys
     ):
-        monkeypatch.setenv("REPRO_SERVICE", "on")
         pattern_path, events_path = serve_inputs
         trace_path = str(tmp_path / "serve-trace.json")
         assert main([

@@ -12,53 +12,28 @@ from repro.obs import counter_deltas, metrics_snapshot
 from repro.parallel import (
     candidate_requirements,
     fork_available,
-    parallel_disabled,
     parallel_scan,
     resolve_workers,
 )
 
 
 class TestEnvironmentKnobs:
-    @pytest.mark.parametrize("value", ["off", "0", "false", "no", " OFF "])
-    def test_kill_switch_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_PARALLEL", value)
-        assert parallel_disabled()
-        assert resolve_workers(4) == 1
-        assert resolve_workers("auto") == 1
+    """How a ``parallel=`` request resolves to a worker count."""
 
-    @pytest.mark.parametrize("value", ["", "2", "auto"])
-    def test_non_off_values_do_not_disable(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_PARALLEL", value)
-        assert not parallel_disabled()
-
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+    def test_default_is_serial(self):
+        assert resolve_workers() == 1
         assert resolve_workers(None) == 1
 
-    def test_env_integer_is_the_default_worker_count(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "3")
-        monkeypatch.delenv("REPRO_PARALLEL_MAX_WORKERS", raising=False)
-        assert resolve_workers(None) == 3
-        # An explicit request wins over the env default.
-        assert resolve_workers(2) == 2
-
-    def test_auto_uses_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        monkeypatch.delenv("REPRO_PARALLEL_MAX_WORKERS", raising=False)
+    def test_auto_uses_cpu_count(self):
         with mock.patch("os.cpu_count", return_value=6):
             assert resolve_workers("auto") == 6
-            monkeypatch.setenv("REPRO_PARALLEL", "auto")
-            assert resolve_workers(None) == 6
-
-    def test_max_workers_cap(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        monkeypatch.setenv("REPRO_PARALLEL_MAX_WORKERS", "2")
-        assert resolve_workers(8) == 2
-        assert resolve_workers(1) == 1
+        # A request is taken as given, whatever the CPU count.
+        with mock.patch("os.cpu_count", return_value=1):
+            assert resolve_workers(3) == 3
+            assert resolve_workers("3") == 3
 
     @pytest.mark.parametrize("bad", [0, -2, "0"])
-    def test_non_positive_requests_rejected(self, monkeypatch, bad):
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+    def test_non_positive_requests_rejected(self, bad):
         with pytest.raises(ValueError):
             resolve_workers(bad)
 

@@ -1,9 +1,4 @@
-"""Shared fixtures for the detection-service tests.
-
-Every service constructed here forces ``ServiceConfig(enabled=True)``
-so the suite also passes under ``REPRO_SERVICE=off`` (the CI service
-job runs exactly that combination to prove the kill switch).
-"""
+"""Shared fixtures for the detection-service tests."""
 
 import asyncio
 

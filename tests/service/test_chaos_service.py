@@ -51,7 +51,6 @@ def as_json(detections):
 
 
 def service_config(**overrides):
-    overrides.setdefault("enabled", True)
     # High threshold: corruption should quarantine, not trip, in the
     # bit-identity scenarios (breaker trips are exercised separately).
     overrides.setdefault("breaker_failure_threshold", 10_000)

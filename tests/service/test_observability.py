@@ -50,7 +50,7 @@ class TestTenantLabels:
         )
         service = serve_events(
             chain_build, events,
-            config=ServiceConfig(enabled=True, tenant_labels=2),
+            config=ServiceConfig(tenant_labels=2),
         )
         assert service.stats()["labelled_tenants"] == sorted([big, mid])
         registry = global_metrics()
@@ -62,24 +62,10 @@ class TestTenantLabels:
             "repro_service_events_total", labels={"tenant": mid}
         ).value() == 4
 
-    def test_labels_default_off(self, chain_build, obs_on, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS_TENANT_LABELS", raising=False)
-        service = serve_events(
-            chain_build, _events(_tenant("quiet"), 3),
-            config=ServiceConfig(enabled=True),
-        )
+    def test_labels_default_off(self, chain_build, obs_on):
+        assert ServiceConfig().tenant_labels == 0
+        service = serve_events(chain_build, _events(_tenant("quiet"), 3))
         assert service.stats()["labelled_tenants"] == []
-
-    def test_env_knob_enables_labels(
-        self, chain_build, obs_on, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_OBS_TENANT_LABELS", "1")
-        tenant = _tenant("env")
-        service = serve_events(
-            chain_build, _events(tenant, 2),
-            config=ServiceConfig(enabled=True),
-        )
-        assert service.stats()["labelled_tenants"] == [tenant]
 
     def test_aggregate_family_counts_unlabelled_tenants_too(
         self, chain_build, obs_on
@@ -89,7 +75,7 @@ class TestTenantLabels:
         before = aggregate.value()
         serve_events(
             chain_build, _events(_tenant("agg"), 5),
-            config=ServiceConfig(enabled=True, tenant_labels=0),
+            config=ServiceConfig(tenant_labels=0),
         )
         assert aggregate.value() == before + 5
 
@@ -131,7 +117,6 @@ class TestBreakerTripDumps:
                 (tenant, "k", "a", -1),  # rejected: negative time
             ],
             config=ServiceConfig(
-                enabled=True,
                 breaker_failure_threshold=2,
                 recorder_dir=recorder_dir,
             ),
@@ -164,18 +149,9 @@ class TestBreakerTripDumps:
         )
         assert trip["trigger"] == "error"
 
-    def test_env_dir_is_the_fallback(
-        self, chain_build, obs_on, tmp_path, monkeypatch
-    ):
-        directory = str(tmp_path / "env-dumps")
-        monkeypatch.setenv("REPRO_OBS_RECORDER_DIR", directory)
-        self._trip(chain_build, _tenant("envtrip"))
-        assert len(os.listdir(directory)) == 1
-
     def test_no_dir_means_no_file_but_still_noted(
         self, chain_build, obs_on, monkeypatch, tmp_path
     ):
-        monkeypatch.delenv("REPRO_OBS_RECORDER_DIR", raising=False)
         monkeypatch.chdir(tmp_path)  # a stray write would land here
         tenant = _tenant("quiet-trip")
         self._trip(chain_build, tenant)
@@ -206,9 +182,7 @@ class TestTraceRouting:
         tracer = Tracer()
 
         async def scenario():
-            service = DetectionService(
-                chain_build, config=ServiceConfig(enabled=True)
-            )
+            service = DetectionService(chain_build)
             with span("request"):
                 for event in _events(tenant, 3):
                     await service.submit(*event)
@@ -240,7 +214,7 @@ class TestTraceRouting:
             service = DetectionService(
                 chain_build,
                 config=ServiceConfig(
-                    enabled=True, max_resident_sessions=1,
+                    max_resident_sessions=1,
                     checkpoint_dir=str(tmp_path / "ckpt"),
                 ),
             )

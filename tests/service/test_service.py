@@ -9,19 +9,12 @@ from repro.service import (
     DetectionService,
     ServiceClosedError,
     ServiceConfig,
-    ServiceDisabledError,
     TenantOverloadError,
     serve_events,
-    service_enabled,
 )
 
 H = 3600
 CHAIN = [("a", 0), ("b", H), ("c", 2 * H)]
-
-
-def config(**overrides):
-    overrides.setdefault("enabled", True)
-    return ServiceConfig(**overrides)
 
 
 def direct_detections(build, events):
@@ -39,37 +32,6 @@ def as_json(detections):
     )
 
 
-class TestKillSwitch:
-    def test_env_off_values(self, monkeypatch):
-        for value in ("off", "0", "false", "no", "disabled", " OFF "):
-            monkeypatch.setenv("REPRO_SERVICE", value)
-            assert not service_enabled()
-        for value in ("on", "1", "yes", ""):
-            monkeypatch.setenv("REPRO_SERVICE", value)
-            assert service_enabled()
-        monkeypatch.delenv("REPRO_SERVICE")
-        assert service_enabled()
-
-    def test_disabled_env_blocks_construction(
-        self, monkeypatch, chain_build
-    ):
-        monkeypatch.setenv("REPRO_SERVICE", "off")
-        with pytest.raises(ServiceDisabledError):
-            DetectionService(chain_build)
-
-    def test_explicit_enabled_overrides_env(self, monkeypatch, chain_build):
-        monkeypatch.setenv("REPRO_SERVICE", "off")
-        service = DetectionService(chain_build, config())
-        assert service.stats()["closed"] is False
-
-    def test_explicit_disabled_overrides_env(
-        self, monkeypatch, chain_build
-    ):
-        monkeypatch.setenv("REPRO_SERVICE", "on")
-        with pytest.raises(ServiceDisabledError):
-            DetectionService(chain_build, ServiceConfig(enabled=False))
-
-
 class TestRouting:
     def test_detections_match_direct_run_per_session(
         self, chain_build, system, run
@@ -78,9 +40,7 @@ class TestRouting:
         expected = direct_detections(chain_build, events)
 
         async def go():
-            service = DetectionService(
-                chain_build, config(), system=system
-            )
+            service = DetectionService(chain_build, system=system)
             for tenant in ("t1", "t2"):
                 for key in ("k1", "k2"):
                     for etype, time in events:
@@ -102,9 +62,7 @@ class TestRouting:
         self, chain_build, system, run
     ):
         async def go():
-            service = DetectionService(
-                chain_build, config(), system=system
-            )
+            service = DetectionService(chain_build, system=system)
             for etype, time in CHAIN:
                 await service.submit("t", "k1", etype, time)
                 await service.submit("t", "k2", etype, time)
@@ -117,7 +75,7 @@ class TestRouting:
 
     def test_submit_after_close_raises(self, chain_build, run):
         async def go():
-            service = DetectionService(chain_build, config())
+            service = DetectionService(chain_build)
             await service.close()
             with pytest.raises(ServiceClosedError):
                 await service.submit("t", "k", "a", 0)
@@ -132,7 +90,7 @@ class TestFaultIsolation:
         async def go():
             service = DetectionService(
                 chain_build,
-                config(breaker_failure_threshold=100),
+                ServiceConfig(breaker_failure_threshold=100),
                 system=system,
             )
             for etype, time in CHAIN:
@@ -157,7 +115,7 @@ class TestFaultIsolation:
         async def go():
             service = DetectionService(
                 chain_build,
-                config(
+                ServiceConfig(
                     breaker_failure_threshold=2,
                     breaker_reset_seconds=30.0,
                     breaker_clock=clock,
@@ -196,7 +154,7 @@ class TestFaultIsolation:
         async def go():
             service = DetectionService(
                 chain_build,
-                config(
+                ServiceConfig(
                     breaker_failure_threshold=1, breaker_clock=clock
                 ),
                 system=system,
@@ -225,7 +183,7 @@ class TestBackpressure:
         async def go():
             service = DetectionService(
                 chain_build,
-                config(
+                ServiceConfig(
                     queue_capacity=2,
                     breaker_failure_threshold=1,
                     breaker_clock=clock,
@@ -251,7 +209,7 @@ class TestBackpressure:
         async def go():
             service = DetectionService(
                 chain_build,
-                config(
+                ServiceConfig(
                     queue_capacity=2,
                     shed_policy=policy,
                     breaker_failure_threshold=1,
@@ -274,7 +232,7 @@ class TestBackpressure:
         async def go():
             service = DetectionService(
                 chain_build,
-                config(
+                ServiceConfig(
                     queue_capacity=8,
                     max_live_anchors=5,
                     overflow_policy="shed-oldest",
@@ -297,9 +255,7 @@ class TestLifecycle:
         self, chain_build, system, run
     ):
         async def go():
-            service = DetectionService(
-                chain_build, config(), system=system
-            )
+            service = DetectionService(chain_build, system=system)
             await service.submit("t", "k", "a", 0)
             await service.drain()
             await service.close()
@@ -311,7 +267,7 @@ class TestLifecycle:
 
     def test_close_is_idempotent(self, chain_build, run):
         async def go():
-            service = DetectionService(chain_build, config())
+            service = DetectionService(chain_build)
             await service.close()
             await service.close()
 
@@ -325,16 +281,14 @@ class TestLifecycle:
         ]
         service = serve_events(
             chain_build, events,
-            config=config(max_lateness=2 * H), system=system,
+            config=ServiceConfig(max_lateness=2 * H), system=system,
         )
         assert len(service.detections) == 1
         assert service.detections[0].detection.anchor_time == 0
 
     def test_serve_events_facade_reports_stats(self, chain_build, system):
         events = [("t", "k", e, t) for e, t in CHAIN]
-        service = serve_events(
-            chain_build, events, config=config(), system=system
-        )
+        service = serve_events(chain_build, events, system=system)
         stats = service.stats()
         assert stats["closed"] is True
         assert stats["tenants"]["t"]["submitted"] == 3
@@ -343,9 +297,9 @@ class TestLifecycle:
     def test_invalid_config_rejected(self, chain_build):
         with pytest.raises(ValueError):
             DetectionService(
-                chain_build, config(queue_capacity=0)
+                chain_build, ServiceConfig(queue_capacity=0)
             )
         with pytest.raises(ValueError):
             DetectionService(
-                chain_build, config(shed_policy="bogus")
+                chain_build, ServiceConfig(shed_policy="bogus")
             )

@@ -357,12 +357,6 @@ def tenant_events_file(tmp_path):
 
 
 class TestServe:
-    @pytest.fixture(autouse=True)
-    def _service_on(self, monkeypatch):
-        # The CLI honours the kill switch, so pin the layer on; the
-        # kill-switch test below overrides this per-test.
-        monkeypatch.setenv("REPRO_SERVICE", "on")
-
     def test_routes_per_tenant(
         self, pattern_file, tenant_events_file, capsys
     ):
@@ -399,12 +393,22 @@ class TestServe:
         assert "acme/default#2: detected" in captured.out
         assert "quarantined 1 record(s)" in captured.err
 
-    def test_kill_switch_exits_2(
-        self, pattern_file, tenant_events_file, capsys, monkeypatch
+    def test_recorder_dir_receives_the_breaker_trip_dump(
+        self, pattern_file, tmp_path, capsys
     ):
-        monkeypatch.setenv("REPRO_SERVICE", "off")
-        assert main(["serve", pattern_file, tenant_events_file]) == 2
-        assert "REPRO_SERVICE" in capsys.readouterr().err
+        # Each event older than its predecessor is rejected; the fifth
+        # rejection trips the default breaker (threshold 5).
+        path = str(tmp_path / "tenants.csv")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("acme,a,1000\n")
+            for stamp in range(900, 894, -1):
+                handle.write("acme,a,%d\n" % stamp)
+        dumps = str(tmp_path / "dumps")
+        assert main(
+            ["serve", pattern_file, path, "--recorder-dir", dumps]
+        ) == 0
+        assert "quarantined 5" in capsys.readouterr().err
+        assert os.listdir(dumps) == ["flightrec-acme-001.json"]
 
     def test_checkpoint_dir_persists_sessions(
         self, pattern_file, tenant_events_file, tmp_path, capsys
