@@ -449,9 +449,16 @@ def _cmd_convert(args) -> int:
         return 2
     outcome = system.convert(args.m, args.n, source, target, mode=args.mode)
     if outcome.interval is None:
-        print(
-            "no implied constraint (conversion infeasible or unbounded)"
-        )
+        if not system.conversion_feasible(source, target):
+            reason = (
+                "%s does not cover every instant of %s (A.1 feasibility)"
+                % (target.label, source.label)
+            )
+        elif outcome.empty:
+            reason = "the implied interval is empty"
+        else:
+            reason = "no finite bound within the search cap"
+        print("no implied constraint: %s" % reason)
         return 1
     lo, hi = outcome.interval
     print("[%d,%d]%s  implies  [%d,%d]%s" % (

@@ -49,7 +49,7 @@ from .convcache import (
     global_conversion_cache,
     reset_global_conversion_cache,
 )
-from .conversion import ConversionOutcome, convert_interval, covers_prefix
+from .conversion import ConversionOutcome, convert_interval, type_covers
 from .customcal import (
     CustomCalendar,
     CustomMonthType,
@@ -107,7 +107,7 @@ __all__ = [
     "global_conversion_cache",
     "reset_global_conversion_cache",
     "convert_interval",
-    "covers_prefix",
+    "type_covers",
     "GranularitySystem",
     "standard_system",
     "PeriodicPatternType",

@@ -764,6 +764,35 @@ def _check_refinement_budget(
     return window, estimate
 
 
+def _merge_scan_limit(
+    label: str,
+    fa: PeriodicNormalForm,
+    fb: PeriodicNormalForm,
+    anchor: int,
+    estimate: int,
+) -> int:
+    """Steps a two-operand merge scan may take, budget-checked.
+
+    Every tick of either operand that starts before the periodic
+    ``anchor`` - one operand's long aperiodic prefix (a holiday years
+    out) spans many periodic ticks of the other - plus eight windows'
+    worth past it.
+    """
+    limit = (
+        fa.tick_starting_at_or_after(anchor)
+        + fb.tick_starting_at_or_after(anchor)
+        + 8 * estimate
+        + 64
+    )
+    if limit > 4 * normalform.MAX_PERIOD_TICKS:
+        raise NormalFormError(
+            "merge scan of %r would visit %d ticks, over the compile "
+            "budget" % (label, limit),
+            reason="over-budget",
+        )
+    return limit
+
+
 def nf_intersect(
     fa: PeriodicNormalForm,
     fb: PeriodicNormalForm,
@@ -781,7 +810,7 @@ def nf_intersect(
     window, estimate = _check_refinement_budget(new_label, fa, fb)
     anchor = max(fa.firsts[0], fb.firsts[0])
     stop = anchor + 3 * window
-    limit = 8 * estimate + fa.prefix_ticks + fb.prefix_ticks + 64
+    limit = _merge_scan_limit(new_label, fa, fb, anchor, estimate)
     overlaps: List[Bounds] = []
     index_a = index_b = 0
     for _ in range(limit):
@@ -828,7 +857,7 @@ def nf_union(
     window, estimate = _check_refinement_budget(new_label, fa, fb)
     anchor = max(fa.firsts[0], fb.firsts[0])
     stop = anchor + 3 * window
-    limit = 8 * estimate + fa.prefix_ticks + fb.prefix_ticks + 64
+    limit = _merge_scan_limit(new_label, fa, fb, anchor, estimate)
     runs: List[Bounds] = []
     index_a = index_b = 0
     consumed = 0

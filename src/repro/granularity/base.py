@@ -43,8 +43,8 @@ class TemporalType(ABC):
 
     #: The coarsest step (in seconds) at which this type's tick boundaries
     #: can move: 1 for second-based types, 86400 for day-based types, etc.
-    #: Used by coverage checks to scan instants without visiting every
-    #: second.
+    #: Used by the relation checks of :mod:`repro.granularity.relations`
+    #: to scan instants without visiting every second.
     alignment_seconds: int = 1
 
     #: True when the type covers every non-negative instant (no gaps and

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .base import TemporalType
+from .normalform import covered_set_form, form_covers
 from .sizes import SizeTable
 
 
@@ -51,7 +52,7 @@ def convert_interval(
     """Convert ``[m, n]`` from the source type to the target type.
 
     The caller is responsible for having checked feasibility (see
-    :func:`covers_prefix`); this function is pure table arithmetic.
+    :func:`type_covers`); this function is pure table arithmetic.
     """
     if m < 0 or n < m:
         raise ValueError("invalid interval [%r, %r]" % (m, n))
@@ -142,50 +143,26 @@ def direct_convert_interval(
     return ConversionOutcome(interval=(lower, upper))
 
 
-def covers_prefix(
-    target: TemporalType,
-    source: TemporalType,
-    min_span_seconds: int = 40_000_000,
-    max_checks: int = 200_000,
-) -> bool:
-    """Empirically check the A.1 feasibility condition on a prefix.
+def type_covers(target: TemporalType, source: TemporalType) -> bool:
+    """The A.1 feasibility condition: does ``target`` cover ``source``?
 
-    The condition is: every instant belonging to a tick of ``source``
-    belongs to some tick of ``target``.  This cannot be decided for
-    arbitrary types, so we scan a prefix of the timeline:
+    That is, does every instant belonging to a tick of ``source`` belong
+    to some tick of ``target``?  Decided exactly over the whole timeline:
 
     * a ``target`` declared :attr:`~repro.granularity.base.TemporalType.
-      total` covers everything by construction - certified immediately;
-    * otherwise instants are probed at the target's boundary alignment
-      (target coverage is constant inside an alignment block, so one
-      probe per block intersecting a source tick is exact) across at
-      least ``min_span_seconds`` of timeline - the ~463-day default sees
-      every weekday-pattern gap and any holiday within the first year.
-
-    A check that would exceed ``max_checks`` probes refuses to certify
-    (returns False), which merely drops a conversion - always sound.
+      total` covers everything by construction - certified at once;
+    * otherwise the two types' covered-set forms
+      (:func:`~repro.granularity.normalform.covered_set_form`) are
+      compared by :func:`~repro.granularity.normalform.form_covers`;
+    * a type without a covered-set form refuses to certify (returns
+      False), which merely drops a conversion - always sound.
     """
     if target.total:
         return True
-    stride = max(1, target.alignment_seconds)
-    checks = 0
-    index = 0
-    while True:
-        try:
-            first, last = source.tick_bounds(index)
-        except ValueError:
-            return True  # source ran out of ticks; prefix fully verified
-        if first > min_span_seconds and index > 0:
-            return True
-        instant = first
-        while instant <= last:
-            checks += 1
-            if checks > max_checks:
-                return False  # refuse to certify: treat as not covering
-            if source.tick_of(instant) == index and not target.covers(instant):
-                return False
-            instant += stride
-        # Always test the very last instant of the tick as well.
-        if source.tick_of(last) == index and not target.covers(last):
-            return False
-        index += 1
+    target_form = covered_set_form(target)
+    if target_form is None:
+        return False
+    source_form = covered_set_form(source)
+    if source_form is None:
+        return False
+    return form_covers(target_form, source_form)

@@ -49,6 +49,10 @@ PAPERS.md).  This module implements that lowering:
   under numpy, memoized per-element otherwise) for the columnar
   matcher.
 
+* :func:`form_covers` decides the appendix A.1 coverage relation
+  between two :func:`covered_set_form` results exactly, per residue
+  class of the two periods rather than per instant.
+
 The type alone chooses: a type that lowers gets the compiled table and
 the bisection clock, one that does not gets the sweep table and its own
 ``tick_of``.  There is no switch; the sweep reference the compiled
@@ -59,6 +63,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Optional, Tuple
 
 from .._numpy import np as _np
@@ -416,6 +421,7 @@ def _covers_whole_bounds(ttype: TemporalType) -> bool:
     from .business import BusinessDayType
     from .combinators import (
         FilteredType,
+        GroupedType,
         NthSubgranuleType,
         ShiftedType,
         UnionType,
@@ -446,6 +452,10 @@ def _covers_whole_bounds(ttype: TemporalType) -> bool:
     if isinstance(ttype, NthSubgranuleType):
         # Each tick is exactly one fine tick's instant set.
         return _covers_whole_bounds(ttype.fine)
+    if isinstance(ttype, GroupedType):
+        # Consecutive ticks of a gapless base form one contiguous run,
+        # whatever the offset (``n``-month groups, fiscal years).
+        return ttype.base.total
     return False
 
 
@@ -868,6 +878,118 @@ def clock_distance(ttype: TemporalType, t1: int, t2: int) -> Optional[int]:
     if form is not None:
         return form.distance(t1, t2)
     return ttype.distance(t1, t2)
+
+
+def covered_set_form(ttype: TemporalType) -> Optional[PeriodicNormalForm]:
+    """A form whose ticks cover exactly the instants ``ttype`` covers.
+
+    The type's own normal form when it certifies ``exact_cover``.  A
+    business week or month skips weekends and holidays inside its
+    bounds, but covers exactly the instants of its business day, so its
+    business day's form stands in.  None otherwise: coverage questions
+    about the type are then refused.
+    """
+    from .business import BusinessMonthType, BusinessWeekType
+
+    if isinstance(ttype, (BusinessWeekType, BusinessMonthType)):
+        ttype = ttype.bday
+    return clock_form(ttype)
+
+
+def form_covers(
+    target: PeriodicNormalForm, source: PeriodicNormalForm
+) -> bool:
+    """Does every instant of a ``source`` tick lie in a ``target`` tick?
+
+    Exact over the whole timeline; an instant question only when both
+    forms certify ``exact_cover`` (see :func:`covered_set_form`).  Both
+    coverage patterns repeat from ``start``, the later of the two
+    periodic starts:
+
+    * below ``start``, target gap runs are probed with the source's
+      ``first_covered_at_or_after``, leaping from each probe's answer
+      to the next target gap, so every target gap inside a source gap
+      is skipped unvisited;
+    * from ``start`` on, a target gap run at ``g`` repeats every
+      ``S_t`` and a source covered run at ``c`` every ``S_s``, so their
+      instances can meet exactly when some multiple of
+      ``gcd(S_t, S_s)`` lands in the window of offsets ``c - g`` at
+      which the two runs overlap.
+
+    The cost is the fewer of the target gap runs and the source covered
+    runs below ``start``, plus target gap runs times source covered
+    runs per period: never a per-second or per-tick walk.
+    """
+    start = max(target.firsts[0], source.firsts[0])
+    early_gaps = _prefix_gaps(target)
+    instant = 0
+    while True:
+        gap = _gap_ending_at_or_after(target, early_gaps, instant)
+        if gap is None or gap[0] >= start:
+            break
+        instant = source.first_covered_at_or_after(gap[0])
+        if instant <= gap[1]:
+            return False
+    step = gcd(target.period_seconds, source.period_seconds)
+    runs = _covered_runs(source)
+    for gap_offset, gap_length in target.gap_runs:
+        gap = target.firsts[0] + gap_offset
+        for run_offset, run_length in runs:
+            shift = gap - (source.firsts[0] + run_offset)
+            # Is some multiple of ``step`` in
+            # [shift - run_length + 1, shift + gap_length - 1]?
+            if (shift + gap_length - 1) // step * step > shift - run_length:
+                return False
+    return True
+
+
+def _prefix_gaps(form: PeriodicNormalForm):
+    """``(firsts, lasts)`` of the uncovered runs before ``firsts[0]``."""
+    firsts, lasts = [], []
+    covered_to = -1
+    for first, last in zip(form.prefix_firsts, form.prefix_lasts):
+        if first > covered_to + 1:
+            firsts.append(covered_to + 1)
+            lasts.append(first - 1)
+        covered_to = last
+    if form.firsts[0] > covered_to + 1:
+        firsts.append(covered_to + 1)
+        lasts.append(form.firsts[0] - 1)
+    return firsts, lasts
+
+
+def _gap_ending_at_or_after(form: PeriodicNormalForm, early_gaps, second):
+    """The first uncovered ``(first, last)`` run with ``last >= second``,
+    or None when the form has no gap from there on."""
+    early_firsts, early_lasts = early_gaps
+    slot = bisect_left(early_lasts, second)
+    if slot < len(early_lasts):
+        return early_firsts[slot], early_lasts[slot]
+    if not form.gap_runs:
+        return None
+    f0 = form.firsts[0]
+    q, w = divmod(max(second, f0) - f0, form.period_seconds)
+    for offset, length in form.gap_runs:
+        if offset + length - 1 >= w:
+            break
+    else:
+        q += 1
+        offset, length = form.gap_runs[0]
+    first = f0 + q * form.period_seconds + offset
+    return first, first + length - 1
+
+
+def _covered_runs(form: PeriodicNormalForm):
+    """``(offset, length)`` of the covered runs in one period, the
+    complement of ``gap_runs`` (offsets from ``firsts[0]``)."""
+    runs = []
+    cursor = 0
+    for offset, length in form.gap_runs:
+        runs.append((cursor, offset - cursor))
+        cursor = offset + length
+    if cursor < form.period_seconds:
+        runs.append((cursor, form.period_seconds - cursor))
+    return runs
 
 
 def clock_ticks_of(ttype: TemporalType, seconds):

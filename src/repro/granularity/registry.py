@@ -17,16 +17,22 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import calendar as cal
-from .base import TemporalType
+from .base import TemporalType, UniformType
 from .business import BusinessDayType, BusinessMonthType, BusinessWeekType
 from .conversion import (
     ConversionOutcome,
     convert_interval,
-    covers_prefix,
     direct_convert_interval,
+    type_covers,
 )
 from .convcache import ConversionCache, global_conversion_cache, new_namespace
-from .normalform import CompiledSizeTable, cached_normal_form
+from .normalform import (
+    CompiledSizeTable,
+    PeriodicNormalForm,
+    cached_normal_form,
+    covered_set_form,
+)
+from .periodic import PeriodicPatternType
 from .sizes import SizeTable
 
 #: Conversion strategies: "direct" scans actual boundary positions
@@ -74,13 +80,13 @@ class GranularitySystem:
     def register(self, ttype: TemporalType) -> TemporalType:
         """Add a type; re-registering an equivalent type is a no-op.
 
-        Two types with the same label must agree behaviourally (checked
-        on a sample of leading ticks); otherwise registration is
-        rejected to keep labels unambiguous.
+        Two types with the same label must agree behaviourally (see
+        :func:`_same_type`); otherwise registration is rejected to keep
+        labels unambiguous.
         """
         existing = self._types.get(ttype.label)
         if existing is not None:
-            if existing is ttype or _same_prefix(existing, ttype):
+            if existing is ttype or _same_type(existing, ttype):
                 return existing
             raise ValueError(
                 "label %r already registered with a different type"
@@ -143,7 +149,7 @@ class GranularitySystem:
         key = (src.label, tgt.label)
         result = self._covers.get(key)
         if result is None:
-            result = covers_prefix(tgt, src)
+            result = type_covers(tgt, src)
             self._covers[key] = result
         return result
 
@@ -193,10 +199,60 @@ class GranularitySystem:
         }
 
 
-def _same_prefix(a: TemporalType, b: TemporalType, ticks: int = 8) -> bool:
-    """Heuristic behavioural equality: identical class and leading ticks."""
+def _same_type(a: TemporalType, b: TemporalType) -> bool:
+    """Behavioural equality of two types of the same label.
+
+    Exact when both types lower: compiled forms are minimal, hence
+    canonical, so equal types have equal tick bounds, and the
+    covered-set forms settle the instants inside the bounds (a holiday
+    inside a business month moves none of its bounds).  Uniform and
+    periodic-pattern types with equal parameters are equal without
+    compiling (propagation and checkpoint rehydration re-register
+    fresh copies of them).  Types that do not lower fall back to
+    comparing leading ticks.
+    """
     if type(a) is not type(b):
         return False
+    parameters = _defining_parameters(a)
+    if parameters is not None and parameters == _defining_parameters(b):
+        return True
+    form_a = cached_normal_form(a)
+    form_b = cached_normal_form(b)
+    if form_a is None or form_b is None:
+        return _same_prefix(a, b)
+    return _tick_key(form_a) == _tick_key(form_b) and _tick_key(
+        covered_set_form(a)
+    ) == _tick_key(covered_set_form(b))
+
+
+def _defining_parameters(ttype: TemporalType):
+    """The parameters of a uniform or periodic-pattern type, else None.
+
+    Exact classes only: a subclass may depend on more than these.
+    """
+    if type(ttype) is UniformType:
+        return ttype.seconds_per_tick, ttype.phase
+    if type(ttype) is PeriodicPatternType:
+        return ttype.cycle_seconds, ttype.segments, ttype.phase
+    return None
+
+
+def _tick_key(form: Optional[PeriodicNormalForm]):
+    """A form's ticks as a comparable value; None without a form."""
+    if form is None:
+        return None
+    return (
+        form.period_ticks,
+        form.period_seconds,
+        form.firsts,
+        form.lasts,
+        form.prefix_firsts,
+        form.prefix_lasts,
+    )
+
+
+def _same_prefix(a: TemporalType, b: TemporalType, ticks: int = 8) -> bool:
+    """Heuristic behavioural equality: identical leading ticks."""
     for index in range(ticks):
         try:
             bounds_a = a.tick_bounds(index)

@@ -51,10 +51,14 @@ def fresh(label):
 
 @st.composite
 def holiday_bdays(draw):
-    """Business days with a random (possibly empty) holiday set."""
+    """Business days with a random (possibly empty) holiday set.
+
+    Holidays fall anywhere in days 0-3000, so the holiday-prefix
+    lowerings run over aperiodic stretches of up to eight years.
+    """
     days = draw(
         st.lists(
-            st.integers(min_value=0, max_value=120),
+            st.integers(min_value=0, max_value=3000),
             max_size=8,
             unique=True,
         )
@@ -198,10 +202,10 @@ def test_business_days_with_random_holidays(bday, data):
     form = compile_normal_form(bday)
     assert form.exact_cover
     second = data.draw(
-        st.integers(min_value=0, max_value=300 * DAY), label="second"
+        st.integers(min_value=0, max_value=3100 * DAY), label="second"
     )
     assert form.tick_of_instant(second) == bday.tick_of(second)
-    index = data.draw(st.integers(min_value=0, max_value=200), label="index")
+    index = data.draw(st.integers(min_value=0, max_value=2300), label="index")
     assert form.instant_of_tick(index) == bday.tick_bounds(index)
     assert form.distance(second, second // 2) == bday.distance(
         second, second // 2
@@ -211,7 +215,14 @@ def test_business_days_with_random_holidays(bday, data):
 @given(bday=holiday_bdays(), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_business_day_tables_match_sweep(bday, data):
-    sweep = SizeTable(bday)
+    # The sweep is exact only for windows inside its horizon: give it
+    # the whole aperiodic stretch plus some periods, twice over.
+    stretch = (
+        bday.first_tick_at_or_after((bday.holidays[-1] + 1) * DAY)
+        if bday.holidays
+        else 0
+    )
+    sweep = SizeTable(bday, horizon=max(512, 2 * (stretch + 16)))
     compiled = CompiledSizeTable(bday)
     limit = sweep._exact_limit(sweep.horizon)
     k = data.draw(st.integers(min_value=1, max_value=limit), label="k")

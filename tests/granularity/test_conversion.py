@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.constraints import TCG
 from repro.granularity import standard_system
-from repro.granularity.conversion import covers_prefix
+from repro.granularity.conversion import type_covers
 from repro.granularity.gregorian import SECONDS_PER_DAY
 
 SYSTEM = standard_system()
@@ -55,9 +55,9 @@ class TestFeasibility:
         # Every business day lies in a business week.
         assert SYSTEM.conversion_feasible("b-day", "b-week")
 
-    def test_covers_prefix_detects_weekend_gap(self):
-        assert not covers_prefix(SYSTEM.get("b-day"), SYSTEM.get("hour"))
-        assert covers_prefix(SYSTEM.get("week"), SYSTEM.get("b-day"))
+    def test_type_covers_detects_weekend_gap(self):
+        assert not type_covers(SYSTEM.get("b-day"), SYSTEM.get("hour"))
+        assert type_covers(SYSTEM.get("week"), SYSTEM.get("b-day"))
 
     @pytest.mark.parametrize("src,tgt", FEASIBLE_PAIRS)
     def test_declared_pairs_feasible(self, src, tgt):
@@ -171,9 +171,9 @@ class TestKnownConversions:
 
 class TestGuardsAndFallbacks:
     def test_refusal_when_target_scan_too_costly(self):
-        """A non-total 1-second-aligned target would need tens of
-        millions of probes: the coverage check refuses to certify
-        (sound: the conversion is simply not performed)."""
+        """A non-total 1-second-aligned target with a 97 s period: its
+        phase leaves instant 0, which ``day`` covers, uncovered, so
+        coverage read off the normal forms refuses the conversion."""
         from repro.granularity import UniformType
 
         system = standard_system()

@@ -3,13 +3,17 @@
 import pytest
 
 from repro.granularity import (
+    BusinessDayType,
+    BusinessMonthType,
     GranularitySystem,
     GroupedType,
     UniformType,
+    compile_normal_form,
     day,
     month,
     standard_system,
 )
+from repro.io.serialize import granularity_from_dict
 
 
 class TestRegistration:
@@ -30,6 +34,47 @@ class TestRegistration:
         impostor = UniformType("day", 3600)
         with pytest.raises(ValueError):
             system.register(impostor)
+
+    @pytest.mark.parametrize("holiday", [15, 800])
+    def test_holiday_bday_conflicts_with_stock_bday(self, holiday):
+        # Day 15 lies past the leading ticks a prefix comparison sees,
+        # and day 800 past any probe window; neither may be dropped.
+        with pytest.raises(ValueError):
+            granularity_from_dict(
+                {"kind": "businessday", "holidays": [holiday]},
+                standard_system(),
+            )
+
+    def test_same_holidays_reregister_as_noop(self):
+        system = standard_system(holidays=[15, 800])
+        again = granularity_from_dict(
+            {"kind": "businessday", "holidays": [800, 15]}, system
+        )
+        assert again is system.get("b-day")
+
+    def test_business_month_with_interior_holiday_conflicts(self):
+        # A mid-month holiday moves no business-month bound; only the
+        # covered-set forms tell the two types apart.
+        system = standard_system()
+        holiday_month = BusinessMonthType(
+            bday=BusinessDayType(label="hb-day", holidays=[15])
+        )
+        ours = compile_normal_form(holiday_month)
+        stock = compile_normal_form(system.get("business-month"))
+        assert (ours.prefix_firsts, ours.firsts, ours.lasts) == (
+            stock.prefix_firsts,
+            stock.firsts,
+            stock.lasts,
+        )
+        with pytest.raises(ValueError):
+            system.register(holiday_month)
+
+    def test_structural_reregistration_compiles_nothing(self):
+        # Propagation resolves a fresh ``second()`` on every call.
+        system = GranularitySystem([day()])
+        fresh = day()
+        assert system.register(fresh) is system.get("day")
+        assert "_normal_form_cache" not in vars(fresh)
 
     def test_resolve_accepts_type_or_label(self):
         system = GranularitySystem([month()])

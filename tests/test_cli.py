@@ -159,6 +159,35 @@ class TestConvert:
         assert main(["convert", "0", "1", "day", "b-day"]) == 1
         assert "no implied constraint" in capsys.readouterr().out
 
+    def test_uncovered_source_names_feasibility(self, capsys):
+        assert main(["convert", "0", "1", "second", "business-month"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("no implied constraint: ")
+        assert "business-month does not cover every instant of second" in out
+        assert "A.1 feasibility" in out
+
+    def test_unbounded_conversion_names_search_cap(self, capsys):
+        # 601 years exceed the 2**24-tick search cap of the second table.
+        assert main(["convert", "0", "600", "year", "second"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("no implied constraint: ")
+        assert "no finite bound within the search cap" in out
+
+    def test_empty_conversion_names_empty_interval(self, capsys, monkeypatch):
+        # Figure 3 never yields an empty interval from well-formed
+        # tables, so the outcome is injected.
+        from repro.granularity import ConversionOutcome, GranularitySystem
+
+        monkeypatch.setattr(
+            GranularitySystem,
+            "convert",
+            lambda *args, **kwargs: ConversionOutcome(None, empty=True),
+        )
+        assert main(["convert", "0", "1", "day", "week"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("no implied constraint: ")
+        assert "the implied interval is empty" in out
+
     def test_parse_error(self, capsys):
         assert main(["convert", "0", "1", "lunar(3)", "day"]) == 2
 
