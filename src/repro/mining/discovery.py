@@ -159,9 +159,12 @@ class EventDiscoveryProblem:
 class DiscoveryOutcome:
     """Solutions plus the per-step work statistics of the pipeline.
 
-    ``parallelism`` describes how the TAG scan was executed (workers,
-    shards, tasks, executor mode) when the parallel engine ran; it is
-    None for plain serial scans and excluded from serial-vs-parallel
+    ``parallelism`` describes how the TAG scan was executed when the
+    parallel engine ran: ``workers`` (processes used), ``shards``,
+    ``tasks`` (candidate groups x shards), ``batch_groups`` and
+    ``executor`` - ``"pool"`` for forked workers, ``"inline"`` when
+    the grid ran in-process (one task, or no fork).  It is None for
+    plain serial scans and excluded from serial-vs-parallel
     equivalence comparisons - everything else is bit-identical.
     """
 

@@ -4,6 +4,11 @@ An event is a pair ``(event type, timestamp)`` with the timestamp a
 non-negative integer (seconds of the absolute timeline).  An event
 sequence is a time-ordered finite list of events; ties are kept in
 insertion order.
+
+A sequence is immutable, so it builds its columnar view
+(:meth:`EventSequence.columnar`, the layout the TAG runtime scans)
+once and caches it.  The parallel engine builds the view before it
+forks, and its workers read the inherited copy.
 """
 
 from __future__ import annotations
@@ -152,24 +157,6 @@ class EventSequence:
 
             self._columnar = ColumnarEventStore.from_sequence(self)
         return self._columnar
-
-    def adopt_columnar(self, store: "ColumnarEventStore") -> None:
-        """Install an externally built columnar view for this sequence.
-
-        The parallel engine's workers attach to the parent's columns
-        over shared memory (:meth:`~repro.store.columnar.
-        ColumnarEventStore.to_shared`) and adopt the attached store
-        here instead of rebuilding it.  The store must hold exactly
-        this sequence's events in order - positions are the contract
-        every consumer relies on - so only the event count is cheap
-        enough to verify eagerly.
-        """
-        if len(store) != len(self._events):
-            raise ValueError(
-                "columnar view holds %d events, sequence holds %d"
-                % (len(store), len(self._events))
-            )
-        self._columnar = store
 
     def filtered(self, keep) -> "EventSequence":
         """A new sequence with the events satisfying the predicate."""

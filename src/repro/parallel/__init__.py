@@ -2,11 +2,12 @@
 
 Splits the paper's step-5 TAG scan into candidate-group x time-shard
 tasks (:mod:`~repro.parallel.shards`), screens anchors through the
-columnar store's posting lists, and fans the tasks to a fork-based
-worker pool with deterministic merging (:mod:`~repro.parallel.engine`).  Serial and
-parallel runs return bit-identical outcomes; the ``parallel=`` argument
-of :func:`~repro.mining.discover` (``repro mine --parallel``) picks the
-worker count.  See docs/PERFORMANCE.md.
+columnar store's posting lists, and maps batches of the tasks over a
+fork-based worker pool that inherits the parent's columnar view
+(:mod:`~repro.parallel.engine`), merging results in plan order.  Serial
+and parallel runs return bit-identical outcomes; the ``parallel=``
+argument of :func:`~repro.mining.discover` (``repro mine --parallel``)
+picks the worker count.  See docs/PERFORMANCE.md.
 """
 
 from .engine import (
@@ -23,13 +24,11 @@ from .shards import (
     plan_shards,
     resolve_shard_size,
 )
-from .stealing import StealScheduler
 
 __all__ = [
     "CandidateResult",
     "ScanContext",
     "Shard",
-    "StealScheduler",
     "candidate_requirements",
     "check_shard_invariants",
     "fork_available",

@@ -16,40 +16,38 @@ past ``t0 + H``).  This module exploits both:
   only viable anchors pay for an automaton run (the same screen runs in
   the serial engine, which keeps serial and parallel results
   bit-identical);
-* tasks fan out over a fork-based ``ProcessPoolExecutor``.  Workers
-  inherit the reduced sequence, the compiled groups, the granularity
-  system and the warmed conversion cache through fork (nothing large
-  is pickled; tasks are two-integer tuples), and return per-member hit
-  counts plus their local observability state: metric counter deltas,
-  conversion-cache counter deltas, and serialized spans.  The parent merges all three back -
-  counters via :meth:`~repro.obs.metrics.MetricsRegistry.
-  merge_counter_deltas`, cache traffic via :meth:`~repro.granularity.
-  convcache.ConversionCache.merge_counts`, spans by grafting under the
-  open ``mine.scan`` span - so process-wide accounting stays exact;
-* the parent exports its int64 columns once over
-  :class:`~repro.store.columnar.SharedColumns` (POSIX shared memory,
-  mmap-file fallback) and each worker *attaches* zero-copy instead of
-  relying on copy-on-write fork pages - the pool initializer adopts the
-  attached view into the inherited sequence.
+* contiguous batches of the grid go to a fork-based
+  ``ProcessPoolExecutor`` through ``map``.  The parent builds the
+  sequence's columnar view before forking, so workers inherit it - the
+  int64 columns and posting lists, read copy-on-write and never
+  written - together with the compiled groups, the granularity system
+  and the warmed conversion cache.  Nothing large is pickled (tasks
+  are two-integer tuples).  Each batch returns per-member hit counts
+  plus its local observability state: metric counter deltas,
+  conversion-cache counter deltas, and serialized spans.  The parent
+  merges all three back - counters via :meth:`~repro.obs.metrics.
+  MetricsRegistry.merge_counter_deltas`, cache traffic via
+  :meth:`~repro.granularity.convcache.ConversionCache.merge_counts`,
+  spans by grafting under the open ``mine.scan`` span - so
+  process-wide accounting stays exact.
 
-Units (contiguous slices of the task grid) are dispatched through a
-:class:`~repro.parallel.stealing.StealScheduler`: one in-flight unit
-per lane, idle lanes steal the tail half of the richest deque.  Results
-merge deterministically regardless of which lane ran what: every unit
-result lands at its planned index and hits are summed per candidate in
-unit order, so a parallel run's solutions, frequencies and work
-counters equal the serial run's exactly, for any worker count, shard
-size or steal interleaving.
+``map`` yields batch results in plan order, whichever worker ran a
+batch, and hits are summed per candidate in that order, so a parallel
+run's solutions, frequencies and work counters equal the serial run's
+exactly, for any worker count or shard size.  A batch that fails
+raises in the parent - a worker exception with the worker's traceback
+as its ``__cause__``, a dead worker as ``BrokenProcessPool`` - and the
+batches not yet started are cancelled.
 
-A platform without fork degrades to the inline executor: the same
-task grid runs in-process, still bit-identical, with no pool overhead.
+Without fork, or with one task or one worker, the same task grid runs
+in-process, still bit-identical, with no pool overhead.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -73,8 +71,12 @@ from ..obs import (
     span,
 )
 from ..store.columnar import Requirement
-from .shards import Shard, check_shard_invariants, plan_shards
-from .stealing import StealScheduler
+from .shards import (
+    Shard,
+    check_shard_invariants,
+    plan_shards,
+    resolve_shard_size,
+)
 
 _SHARDS_TOTAL = counter(
     "repro_mine_shards_total",
@@ -266,32 +268,6 @@ def _execute_task(
     ]
 
 
-def _warm_worker(shm_handle=None) -> None:
-    """Pool initializer: attach the parent's shared event columns.
-
-    Workers are forked, so the scan context, the granularity system and
-    its warmed conversion cache and compiled forms arrive with the
-    address space.  ``shm_handle`` is the parent's
-    :class:`~repro.store.columnar.SharedColumns` handle: when present
-    the worker attaches to the parent's int64 columns zero-copy and
-    adopts the attached store into the inherited sequence, replacing
-    the copy-on-write fork pages with a genuinely shared mapping.
-    Attach failure is non-fatal - the worker falls back to the
-    fork-inherited (or rebuilt) view, which is bit-identical by
-    construction.
-    """
-    ctx = _CTX
-    if ctx is not None and shm_handle is not None:
-        from ..store.columnar import attach_shared
-
-        store = attach_shared(shm_handle)
-        if store is not None:
-            try:
-                ctx.sequence.adopt_columnar(store)
-            except ValueError:
-                pass  # count mismatch: keep the inherited view
-
-
 def _pool_batch(batch: Sequence[Tuple[int, int]]) -> Dict[str, object]:
     """Worker entry point: run a contiguous slice of the task grid.
 
@@ -343,7 +319,8 @@ def _pool_batch(batch: Sequence[Tuple[int, int]]) -> Dict[str, object]:
 
 
 def _inline_batch(batch: Sequence[Tuple[int, int]]) -> Dict[str, object]:
-    """The in-process twin of :func:`_pool_batch`.
+    """:func:`_pool_batch` run in the parent (one worker or task, or
+    no fork).
 
     Counters hit the parent registry directly and spans nest under the
     already-active tracer, so nothing is captured for merging.
@@ -376,9 +353,10 @@ def _plan_batches(
 ) -> List[List[Tuple[int, int]]]:
     """Contiguous batches of the task grid, ~4 per worker.
 
-    Contiguity keeps each worker on few distinct groups (the runtime
-    memo stays hot); ~4 batches per worker rebalances stragglers
-    without per-task IPC.
+    Contiguity keeps each batch on few distinct groups (the worker's
+    runtime memo stays hot within it); ~4 batches per worker rebalances
+    stragglers, since an idle worker takes the next batch, without
+    per-task IPC.
     """
     target = max(1, -(-len(tasks) // max(1, workers * 4)))
     return [
@@ -411,14 +389,13 @@ def parallel_scan(
     workers: int = 1,
     shard_size: Union[int, str, None] = "auto",
     anchor_screen: bool = True,
-    executor: str = "auto",
 ) -> Tuple[List[CandidateResult], Dict[str, object]]:
     """Scan every candidate over every shard; merge deterministically.
 
     Returns per-candidate results in candidate order plus a report dict
     (workers, shards, tasks, executor mode) the caller can surface.
-    ``executor`` is ``"auto"`` (pool when it would help and fork
-    exists), ``"pool"`` or ``"inline"`` (the test hook).
+    The grid runs on a fork pool when there are several workers and
+    several tasks, and in-process otherwise.
     """
     global _CTX, _RUNTIMES
     requirements = [
@@ -431,13 +408,13 @@ def parallel_scan(
     # workers inherit the compiled groups through fork and share one
     # traversal per (group, shard) task.
     groups = compile_groups(structure, candidates, system)
-    if shard_size in (None, "auto") and roots:
-        # Candidates already provide parallel grain, so plan only
-        # enough time shards to fill ~4 batches per worker overall.
-        desired = max(1, -(-workers * 4 // max(1, len(candidates))))
-        shard_size = max(1, -(-len(roots) // desired))
     shards = plan_shards(
-        sequence, list(roots), horizon, shard_size=shard_size, workers=workers
+        sequence,
+        list(roots),
+        horizon,
+        shard_size=resolve_shard_size(
+            shard_size, len(roots), workers, len(candidates)
+        ),
     )
     if obs_debug():
         check_shard_invariants(shards, sequence, list(roots), horizon)
@@ -446,9 +423,7 @@ def parallel_scan(
         for group_index in range(len(groups))
         for shard in shards
     ]
-    mode = executor
-    if mode == "auto":
-        mode = "pool" if workers > 1 and len(tasks) > 1 else "inline"
+    mode = "pool" if workers > 1 and len(tasks) > 1 else "inline"
     if mode == "pool" and not fork_available():
         mode = "inline"
         _FALLBACK_TOTAL.inc()
@@ -457,17 +432,10 @@ def parallel_scan(
     _TASKS_TOTAL.add(len(tasks))
     _WORKERS_GAUGE.set(workers_used)
 
-    # Build the columnar view (and its posting columns) once in the
-    # parent; pool workers then *attach* to the int64 columns over
-    # shared memory instead of faulting copy-on-write fork pages.
-    view = sequence.columnar()
-    shm_owner = None
-    if mode == "pool":
-        try:
-            shm_owner = view.to_shared()
-        except OSError:
-            shm_owner = None  # fork inheritance still works
-
+    # Build the columnar view (and its posting lists) once, before any
+    # fork: pool workers read the inherited view instead of each
+    # building their own.
+    sequence.columnar()
     ctx = ScanContext(
         sequence=sequence,
         system=system,
@@ -481,53 +449,26 @@ def parallel_scan(
         groups=groups,
     )
     batches = _plan_batches(tasks, workers_used)
-    scheduler: Optional[StealScheduler] = None
     _CTX = ctx
     _RUNTIMES = {}
     try:
         if mode == "pool":
-            handle = shm_owner.handle() if shm_owner is not None else None
-            # Work stealing: one in-flight unit per lane; an idle lane
-            # steals the tail half of the richest deque.  Each result
-            # lands at its planned unit index, so the merge below is
-            # independent of the steal interleaving.
-            raw = [None] * len(batches)
-            scheduler = StealScheduler(batches, workers_used)
-            with ProcessPoolExecutor(
+            pool = ProcessPoolExecutor(
                 max_workers=workers_used,
                 mp_context=multiprocessing.get_context("fork"),
-                initializer=_warm_worker,
-                initargs=(handle,),
-            ) as pool:
-                inflight = {}
-                for lane in range(workers_used):
-                    item = scheduler.next_for(lane)
-                    if item is None:
-                        break
-                    unit_index, unit = item
-                    future = pool.submit(_pool_batch, unit)
-                    inflight[future] = (lane, unit_index)
-                while inflight:
-                    done, _pending = wait(
-                        list(inflight), return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        lane, unit_index = inflight.pop(future)
-                        raw[unit_index] = future.result()
-                        item = scheduler.next_for(lane)
-                        if item is not None:
-                            unit_index, unit = item
-                            future = pool.submit(_pool_batch, unit)
-                            inflight[future] = (lane, unit_index)
+            )
+            try:
+                raw = list(pool.map(_pool_batch, batches))
+            finally:
+                # After a failed batch, drop the batches not yet
+                # started, so the error surfaces without the rest of
+                # the grid running first.
+                pool.shutdown(cancel_futures=True)
         else:
             raw = [_inline_batch(batch) for batch in batches]
     finally:
         _CTX = None
         _RUNTIMES = {}
-        if shm_owner is not None:
-            # Unlink even on worker crash: attached segments die with
-            # their processes, the owner's close releases the name.
-            shm_owner.close()
 
     results = [
         CandidateResult(assignment=assignment) for assignment in candidates
@@ -535,7 +476,7 @@ def parallel_scan(
     merged_counters: Dict[str, float] = {}
     cache_hits = cache_misses = cache_evictions = 0
     tracer = current_tracer()
-    for record in raw:  # planned unit order, whoever ran the unit
+    for record in raw:  # plan order, whichever worker ran the batch
         for candidate_index, _shard, hits, starts in record["results"]:
             result = results[candidate_index]
             result.hits += hits
@@ -561,7 +502,5 @@ def parallel_scan(
         "tasks": len(tasks),
         "executor": mode,
         "batch_groups": len(groups),
-        "steals": scheduler.steals if scheduler is not None else 0,
-        "shm": shm_owner.kind if shm_owner is not None else None,
     }
     return results, report

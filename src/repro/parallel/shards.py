@@ -14,13 +14,13 @@ sharding sound:
   a shard boundary is lost.
 
 Without a finite horizon no overlap bound exists and the planner
-returns a single shard (the scan still parallelises across candidate
-assignments, just not across time).
+returns a single shard.  The scan then parallelises only across
+candidate groups (banks of candidates sharing a clock signature), and a
+frontier that fits in one bank runs in-process.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -50,12 +50,26 @@ class Shard:
 
 
 def resolve_shard_size(
-    shard_size: Union[int, str, None], n_roots: int, workers: int
+    shard_size: Union[int, str, None],
+    n_roots: int,
+    workers: int,
+    candidates: int = 1,
 ) -> int:
-    """The roots-per-shard knob; ``auto``/None aims at ~4 shards per
-    worker so stragglers rebalance, floored at one root per shard."""
+    """The roots-per-shard knob, floored at one root per shard.
+
+    ``auto``/None plans ``ceil(4 x workers / candidates)`` shards, so
+    that candidates x shards make ~4 tasks per worker and stragglers
+    rebalance.  A task is a (group, shard) pair, though, and one group
+    banks every candidate that shares a clock signature: a frontier of
+    at least ``4 x workers`` candidates that fits in one bank plans one
+    shard, one task, and runs in-process.  Dividing by the group count
+    instead slowed X10's parallel arm on a 2-vCPU host (docs/
+    PERFORMANCE.md, "Shard sizing"), so the rule still divides by
+    candidates.
+    """
     if shard_size in (None, "auto"):
-        return max(1, math.ceil(n_roots / max(1, workers * 4)))
+        desired = max(1, -(-workers * 4 // max(1, candidates)))
+        return max(1, -(-n_roots // desired))
     size = int(shard_size)
     if size < 1:
         raise ValueError("shard_size must be >= 1 (or 'auto')")

@@ -1,22 +1,11 @@
 """An in-memory temporal event store (the paper's data substrate)."""
 
-from .columnar import (
-    ColumnarEventStore,
-    ColumnarFormatError,
-    SharedColumns,
-    attach_shared,
-    columnar_kernel,
-    load_columnar,
-)
+from .columnar import ColumnarEventStore, columnar_kernel
 from .eventstore import EventRecord, EventStore
 
 __all__ = [
     "EventStore",
     "EventRecord",
     "ColumnarEventStore",
-    "ColumnarFormatError",
-    "SharedColumns",
-    "attach_shared",
     "columnar_kernel",
-    "load_columnar",
 ]

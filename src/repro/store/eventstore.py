@@ -203,17 +203,20 @@ class EventStore:
     def columnar(self):
         """The cached columnar snapshot of current contents.
 
-        Positions in the snapshot are offsets into the time-sorted
-        records (identical to :meth:`snapshot`'s sequence positions);
-        record ids and attributes are carried along dictionary-encoded.
-        Any write - including a failed one mid-batch - invalidates the
-        cache, so a view is never stale relative to :meth:`get`.
+        The snapshot holds each record's ``(etype, time)``; positions in
+        it are offsets into the time-sorted records (identical to
+        :meth:`snapshot`'s sequence positions), so position ``i`` is
+        the record ``list(store)[i]``.  Any write - including a failed
+        one mid-batch - invalidates the cache, so a view is never stale
+        relative to :meth:`get`.
         """
         self._ensure_index()
         if self._columnar is None:
             from .columnar import ColumnarEventStore
 
-            self._columnar = ColumnarEventStore.from_store(self)
+            self._columnar = ColumnarEventStore.from_events(
+                (record.etype, record.time) for record in self._records
+            )
         return self._columnar
 
     # ------------------------------------------------------------------

@@ -13,21 +13,23 @@ one structure, mixed granularities, duplicate timestamps) and shrinks
 any disagreement; the ``kernel`` fixture replays every property under
 both the numpy and the pure-Python ``array`` columnar kernels.
 
-The chaos half of the suite covers the zero-copy shard transport:
-refcounted :class:`~repro.store.columnar.SharedColumns` unlink
-exactly once, a worker that dies without detaching leaks no
-``/dev/shm`` segment, the mmap-file fallback honours the same
-contract, and an orchestration failure mid-scan still reaches the
-owner's ``close()``.
+The chaos half of the suite covers worker failures on the pool path:
+a worker exception surfaces in the parent with the worker's traceback,
+a worker that dies breaks the pool instead of hanging the parent, and
+either way the parent's scan context is cleared.
 """
 
 import glob
 import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.parallel.engine as engine
 import repro.store.columnar as columnar_module
 from repro.automata.builder import build_tag
 from repro.automata.dense import (
@@ -44,8 +46,6 @@ from repro.mining.events import EventSequence
 from repro.mining.pruning import consistency_gate, seconds_windows
 from repro.obs import global_metrics
 from repro.parallel import fork_available, parallel_scan
-from repro.store import ColumnarEventStore
-from repro.store.columnar import attach_shared
 
 from .reference import (
     reference_outcomes,
@@ -74,10 +74,6 @@ def kernel(request, monkeypatch):
     else:
         monkeypatch.setattr(columnar_module, "_np", None)
     return request.param
-
-
-def _shm_segments():
-    return set(glob.glob("/dev/shm/psm_*"))
 
 
 # ----------------------------------------------------------------------
@@ -285,19 +281,23 @@ class TestMiningFingerprints:
         consistent, propagation = consistency_gate(structure, SYSTEM)
         windows = seconds_windows(propagation) if consistent else {}
         roots = list(sequence.occurrence_indices("r"))
-        results, report = parallel_scan(
-            sequence,
-            SYSTEM,
-            structure,
-            frontier,
-            windows,
-            roots,
-            horizon,
-            strict=strict,
-            workers=2,
-            shard_size=shard_size,
-            executor="inline",
-        )
+        # Without fork the grid runs in-process, which keeps the
+        # examples fast; TestWorkerCrashChaos crosses the fork.
+        with mock.patch(
+            "repro.parallel.engine.fork_available", return_value=False
+        ):
+            results, report = parallel_scan(
+                sequence,
+                SYSTEM,
+                structure,
+                frontier,
+                windows,
+                roots,
+                horizon,
+                strict=strict,
+                workers=2,
+                shard_size=shard_size,
+            )
         assert [result.hits for result in results] == [
             len(reference_roots(m, sequence)) for m in matchers
         ]
@@ -305,154 +305,79 @@ class TestMiningFingerprints:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory chaos
+# Worker failures on the pool path
 # ----------------------------------------------------------------------
-def _store():
-    return ColumnarEventStore.from_events(
-        [("a", 0), ("b", 1800), ("a", 3600), ("c", 5400)]
+def _pool_scan():
+    """A two-task grid (one group x two shards) on two forked workers."""
+    hour = SYSTEM.get("hour")
+    structure = EventStructure(["R", "A"], {("R", "A"): [TCG(0, 1, hour)]})
+    sequence = EventSequence(
+        [("r", 0), ("a", 1800), ("r", 40_000), ("a", 41_000)]
+    )
+    return parallel_scan(
+        sequence,
+        SYSTEM,
+        structure,
+        [{"R": "r", "A": "a"}, {"R": "r", "A": "b"}],
+        {"A": (0, 7200)},
+        [0, 2],
+        7200,
+        workers=2,
+        shard_size=1,
     )
 
 
-class TestSharedColumnsLifecycle:
-    def test_refcounted_unlink_exactly_once(self):
-        before = _shm_segments()
-        owner = _store().to_shared()
-        if owner.kind != "shm":
-            pytest.skip("shared_memory unavailable on this platform")
-        assert owner.refs == 1
-        owner.acquire()
-        assert owner.refs == 2
-        owner.close()
-        # Still one reference: the segment must survive.
-        assert _shm_segments() - before
-        owner.close()
-        assert _shm_segments() == before
-        # Idempotent once fully closed.
-        owner.close()
-        assert _shm_segments() == before
-        with pytest.raises(RuntimeError):
-            owner.acquire()
+def _failure_within(seconds):
+    """The exception :func:`_pool_scan` raises, which must come within
+    ``seconds``: a parent that hangs on a failed worker fails here."""
+    outcome = {}
 
-    def test_attach_roundtrip_is_bit_identical(self):
-        store = _store()
-        with store.to_shared() as owner:
-            attached = attach_shared(owner.handle())
-            assert attached is not None
-            assert len(attached) == len(store)
-            for i in range(len(store)):
-                assert attached.type_at(i) == store.type_at(i)
-                assert attached.time_at(i) == store.time_at(i)
+    def run():
+        try:
+            _pool_scan()
+        except Exception as exc:  # handed to the test thread
+            outcome["error"] = exc
 
-    def test_file_fallback_transport(self, monkeypatch):
-        """When segment creation fails the export falls back to an
-        mmap file - same attach contract, and close() deletes it."""
-        import multiprocessing.shared_memory as shm_module
-
-        def refuse(*args, **kwargs):
-            raise OSError("no shm for you")
-
-        monkeypatch.setattr(shm_module, "SharedMemory", refuse)
-        store = _store()
-        owner = store.to_shared()
-        assert owner.kind == "file"
-        path = owner.name
-        assert os.path.exists(path)
-        attached = attach_shared(owner.handle())
-        assert attached is not None
-        assert [attached.type_at(i) for i in range(len(store))] == [
-            store.type_at(i) for i in range(len(store))
-        ]
-        owner.close()
-        assert not os.path.exists(path)
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), "the parent hung on a failed worker"
+    return outcome.get("error")
 
 
 @pytest.mark.skipif(
     not fork_available(), reason="no fork start method on this platform"
 )
 class TestWorkerCrashChaos:
-    def test_crashed_attacher_leaks_no_segment(self):
-        """A forked child that attaches and dies without detaching
-        must not leak the segment: the owner's unlink wins."""
-        import multiprocessing
+    def test_worker_error_surfaces_in_parent(self, monkeypatch):
+        def fail(ctx, group_index, shard_index):
+            raise ValueError("task failed in pid %d" % os.getpid())
 
-        before = _shm_segments()
-        owner = _store().to_shared()
-        if owner.kind != "shm":
-            owner.close()
-            pytest.skip("shared_memory unavailable on this platform")
-        handle = owner.handle()
-        ctx = multiprocessing.get_context("fork")
+        monkeypatch.setattr(engine, "_execute_task", fail)
+        error = _failure_within(30)
+        assert isinstance(error, ValueError)
+        assert int(str(error).rsplit(" ", 1)[1]) != os.getpid()
+        # The worker's traceback travels as the cause.
+        assert "Traceback" in str(error.__cause__)
+        assert "in fail" in str(error.__cause__)
+        assert engine._CTX is None
+        assert engine._RUNTIMES == {}
 
-        def crash(handle):
-            store = attach_shared(handle)
-            assert store is not None and len(store) == 4
-            os._exit(17)  # simulated crash: no detach, no cleanup
+    def test_worker_exit_breaks_the_pool(self, monkeypatch):
+        def die(ctx, group_index, shard_index):
+            os._exit(17)  # no cleanup, no result
 
-        child = ctx.Process(target=crash, args=(handle,))
-        child.start()
-        child.join(30)
-        assert child.exitcode == 17
-        # The parent still owns the segment after the crash...
-        assert _shm_segments() - before
-        owner.close()
-        # ...and its single unlink reclaims it.
-        assert _shm_segments() == before
-
-    def test_engine_failure_mid_scan_still_unlinks(self, monkeypatch):
-        """An orchestration failure after the shard export must still
-        reach the owner's close() - no segment survives the wreck."""
-        from repro.parallel import stealing
-
-        hour = SYSTEM.get("hour")
-        structure = EventStructure(
-            ["R", "A"], {("R", "A"): [TCG(0, 1, hour)]}
-        )
-        sequence = EventSequence(
-            [("r", 0), ("a", 1800), ("r", 40_000), ("a", 41_000)]
-        )
-        sequence.columnar()
-
-        def explode(self, lane):
-            raise RuntimeError("scheduler wrecked mid-scan")
-
-        monkeypatch.setattr(stealing.StealScheduler, "next_for", explode)
-        before = _shm_segments()
-        with pytest.raises(RuntimeError, match="wrecked"):
-            parallel_scan(
-                sequence,
-                SYSTEM,
-                structure,
-                [{"R": "r", "A": "a"}, {"R": "r", "A": "b"}],
-                {"A": (0, 7200)},
-                [0, 2],
-                7200,
-                workers=2,
-                executor="pool",
-            )
-        assert _shm_segments() == before
+        monkeypatch.setattr(engine, "_execute_task", die)
+        assert isinstance(_failure_within(30), BrokenProcessPool)
+        assert engine._CTX is None
+        assert engine._RUNTIMES == {}
 
     def test_pool_scan_leaves_no_segments(self):
-        hour = SYSTEM.get("hour")
-        structure = EventStructure(
-            ["R", "A"], {("R", "A"): [TCG(0, 1, hour)]}
-        )
-        sequence = EventSequence(
-            [("r", 0), ("a", 1800), ("r", 40_000), ("a", 41_000)]
-        )
-        sequence.columnar()
-        before = _shm_segments()
-        results, report = parallel_scan(
-            sequence,
-            SYSTEM,
-            structure,
-            [{"R": "r", "A": "a"}, {"R": "r", "A": "b"}],
-            {"A": (0, 7200)},
-            [0, 2],
-            7200,
-            workers=2,
-            executor="pool",
-        )
+        before = set(glob.glob("/dev/shm/psm_*"))
+        results, report = _pool_scan()
         assert report["executor"] == "pool"
-        assert report["shm"] in ("shm", "file")
+        assert report["tasks"] == 2
         assert [r.hits for r in results] == [2, 0]
-        assert _shm_segments() == before
+        assert set(glob.glob("/dev/shm/psm_*")) == before
+        assert engine._CTX is None
+        assert engine._RUNTIMES == {}

@@ -375,8 +375,8 @@ class TestTargetedEdges:
         store.append("B", 20)
         view = store.columnar()
         assert len(view) == 2
-        assert view.attributes_at(0) == {"k": 1}
-        assert view.record_id_at(1) == 1
+        assert view.event_at(0) == ("A", 10)  # attributes are not columns
+        assert view.event_at(1) == (store.get(1).etype, store.get(1).time)
         assert store.columnar() is view  # cached
         store.append("A", 30)
         fresh = store.columnar()

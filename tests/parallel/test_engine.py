@@ -1,4 +1,4 @@
-"""Unit tests for the work-sharded scan engine (pool and inline)."""
+"""Unit tests for the work-sharded scan engine (pool and in-process)."""
 
 from unittest import mock
 
@@ -85,6 +85,13 @@ def _workload(system):
     return structure, sequence, roots, candidates, windows, horizon
 
 
+def _no_fork():
+    """The engine's real no-fork path: the grid runs in-process."""
+    return mock.patch(
+        "repro.parallel.engine.fork_available", return_value=False
+    )
+
+
 def _serial_counts(system, structure, sequence, roots, candidates, horizon):
     counts = []
     for assignment in candidates:
@@ -109,18 +116,18 @@ class TestParallelScan:
         expected = _serial_counts(
             system, structure, sequence, roots, candidates, horizon
         )
-        results, report = parallel_scan(
-            sequence,
-            system,
-            structure,
-            candidates,
-            windows,
-            roots,
-            horizon,
-            workers=2,
-            shard_size=shard_size,
-            executor="inline",
-        )
+        with _no_fork():
+            results, report = parallel_scan(
+                sequence,
+                system,
+                structure,
+                candidates,
+                windows,
+                roots,
+                horizon,
+                workers=2,
+                shard_size=shard_size,
+            )
         assert [result.hits for result in results] == expected
         assert report["executor"] == "inline"
         # The grid is groups x shards; both candidates share a clock
@@ -136,11 +143,11 @@ class TestParallelScan:
         )
         screened, _ = parallel_scan(
             sequence, system, structure, candidates, windows, roots,
-            horizon, workers=1, executor="inline", anchor_screen=True,
+            horizon, workers=1, anchor_screen=True,
         )
         unscreened, _ = parallel_scan(
             sequence, system, structure, candidates, windows, roots,
-            horizon, workers=1, executor="inline", anchor_screen=False,
+            horizon, workers=1, anchor_screen=False,
         )
         assert [r.hits for r in screened] == [r.hits for r in unscreened]
         assert sum(r.starts for r in unscreened) == len(roots) * len(
@@ -157,13 +164,14 @@ class TestParallelScan:
         structure, sequence, roots, candidates, windows, horizon = _workload(
             system
         )
-        inline, _ = parallel_scan(
-            sequence, system, structure, candidates, windows, roots,
-            horizon, workers=2, shard_size=2, executor="inline",
-        )
+        with _no_fork():
+            inline, _ = parallel_scan(
+                sequence, system, structure, candidates, windows, roots,
+                horizon, workers=2, shard_size=2,
+            )
         pooled, report = parallel_scan(
             sequence, system, structure, candidates, windows, roots,
-            horizon, workers=2, shard_size=2, executor="pool",
+            horizon, workers=2, shard_size=2,
         )
         assert [(r.hits, r.starts) for r in pooled] == [
             (r.hits, r.starts) for r in inline
@@ -176,12 +184,10 @@ class TestParallelScan:
             system
         )
         before = metrics_snapshot()
-        with mock.patch(
-            "repro.parallel.engine.fork_available", return_value=False
-        ):
+        with _no_fork():
             _, report = parallel_scan(
                 sequence, system, structure, candidates, windows, roots,
-                horizon, workers=2, executor="pool",
+                horizon, workers=2, shard_size=1,
             )
         assert report["executor"] == "inline"
         deltas = counter_deltas(before, metrics_snapshot())
@@ -194,7 +200,7 @@ class TestParallelScan:
         before = metrics_snapshot()
         _, report = parallel_scan(
             sequence, system, structure, candidates, windows, roots,
-            horizon, workers=1, shard_size=1, executor="inline",
+            horizon, workers=1, shard_size=1,
         )
         deltas = counter_deltas(before, metrics_snapshot())
         assert deltas.get("repro_mine_shards_total") == report["shards"]
@@ -207,7 +213,7 @@ class TestParallelScan:
         )
         results, report = parallel_scan(
             sequence, system, structure, candidates, windows, [],
-            horizon, workers=2, executor="inline",
+            horizon, workers=2,
         )
         assert [(r.hits, r.starts) for r in results] == [(0, 0), (0, 0)]
         assert report["shards"] == 0
@@ -221,10 +227,11 @@ class TestParallelScan:
             system
         )
         before = metrics_snapshot()
-        results, _ = parallel_scan(
+        results, report = parallel_scan(
             sequence, system, structure, candidates, windows, roots,
-            horizon, workers=2, shard_size=1, executor="pool",
+            horizon, workers=2, shard_size=1,
         )
         deltas = counter_deltas(before, metrics_snapshot())
         starts = sum(result.starts for result in results)
+        assert report["executor"] == "pool"
         assert deltas.get("repro_tag_runs_total", 0) == starts

@@ -22,6 +22,13 @@ class TestResolveShardSize:
     def test_auto_floors_at_one_root(self):
         assert resolve_shard_size("auto", 3, workers=8) == 1
 
+    def test_auto_divides_the_shard_count_by_candidates(self):
+        # ceil(4 x 2 / 3) = 3 shards of ceil(80 / 3) roots.
+        assert resolve_shard_size("auto", 80, workers=2, candidates=3) == 27
+        # At 4 x workers candidates or more, one shard holds every root.
+        assert resolve_shard_size("auto", 80, workers=2, candidates=8) == 80
+        assert resolve_shard_size("auto", 80, workers=2, candidates=720) == 80
+
     def test_explicit_size_passes_through(self):
         assert resolve_shard_size(7, 100, workers=4) == 7
 

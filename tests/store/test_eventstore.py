@@ -209,7 +209,8 @@ class TestExtendQuarantineRegression:
         assert fresh is not stale
         assert len(fresh) == 2
         assert [fresh.type_at(i) for i in range(2)] == ["a", "b"]
-        assert fresh.record_id_at(1) == store.get(1).record_id
+        # Position 1 is record 1, the batch's one valid event.
+        assert fresh.event_at(1) == (store.get(1).etype, store.get(1).time)
 
     def test_quarantined_load_then_extend_then_get(self, tmp_path):
         from repro.resilience import Quarantine
