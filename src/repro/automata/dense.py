@@ -22,9 +22,10 @@ Four layers:
 ``ColumnPlan``
     one (bank, columnar store) pairing: the store's alphabet events
     gathered into contiguous position/time/symbol columns, with
-    per-clock *tick columns* precomputed through the O(log period)
-    bisection, so every clock guard in the scan is an integer
-    subtraction instead of a granularity conversion.
+    per-clock *tick columns* converted in one
+    :func:`~repro.granularity.normalform.clock_ticks_of` pass each, so
+    every clock guard in the scan is an integer subtraction instead of
+    a granularity conversion.
 
 ``BatchRuntime``
     the only runtime that matches a TAG over a stored sequence: one
@@ -40,7 +41,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..granularity.normalform import clock_distance, clock_tick_of
+from ..granularity.normalform import (
+    clock_distance,
+    clock_tick_of,
+    clock_ticks_of,
+)
 from ..obs import counter, span
 from .clocks import And, Atom, Not, Or, TrueConstraint
 from .tag import ANY, TAG
@@ -48,8 +53,9 @@ from .tag import ANY, TAG
 #: Symbol id of the ANY pseudo-symbol in dense transition tables.
 ANY_ID = -1
 
-# The same metric families the object matcher reports (the registry
-# get-or-creates by name, so both paths share one counter).
+# Production matching work.  The Theorem-4 reference
+# (``TagMatcher.match_from``) reports its own work in ``MatchResult``
+# and never touches these, so reference arms leave them unchanged.
 _RUNS = counter("repro_tag_runs_total", "Anchored TAG runs started")
 _MATCHES = counter("repro_tag_matches_total", "Anchored runs that matched")
 _EVENTS_SCANNED = counter(
@@ -359,12 +365,16 @@ class ColumnPlan:
     ``positions``/``times``/``symbol_ids`` hold only the events whose
     type is in the bank's union alphabet (everything else can only take
     the ANY self-loop, which leaves configurations unchanged), and
-    ``ticks[c][j]`` caches ``tick_of(times[j])`` per clock - computed
-    once per (store, granularity) via the compiled normal form's
-    bisection.  ``strict_bad`` lists the *global* positions (over the
-    full store) whose timestamp some clock granularity does not cover;
-    a strict run is truncated at the first such position after its
-    anchor, exactly where the object path kills every configuration.
+    ``ticks[c][j]`` is ``clock_tick_of(clock_types[c], times[j])``,
+    None where the clock's granularity does not cover ``times[j]``.
+    ``strict_bad`` lists the *global* positions (over the full store)
+    whose timestamp some clock granularity does not cover; a strict run
+    is truncated at the first such position after its anchor, exactly
+    where the object path kills every configuration.  Both come from
+    one :func:`~repro.granularity.normalform.clock_ticks_of` column
+    conversion per clock (a vectorized bisection when the type lowers
+    with exact cover, the type's own ``tick_of`` per distinct time
+    otherwise).
     """
 
     __slots__ = (
@@ -394,34 +404,22 @@ class ColumnPlan:
             self.positions = [m[0] for m in merged]
             self.times = [m[1] for m in merged]
             self.symbol_ids = [m[2] for m in merged]
-            self.ticks: List[List[Optional[int]]] = []
-            for ttype in batch.clock_types:
-                memo: Dict[int, Optional[int]] = {}
-                column: List[Optional[int]] = []
-                for t in self.times:
-                    if t in memo:
-                        column.append(memo[t])
-                    else:
-                        z = clock_tick_of(ttype, t)
-                        memo[t] = z
-                        column.append(z)
-                self.ticks.append(column)
+            self.ticks: List[List[Optional[int]]] = [
+                _tick_column(ttype, self.times)
+                for ttype in batch.clock_types
+            ]
             self.strict_bad: Optional[List[int]] = None
             if strict and batch.clock_types:
-                bad: List[int] = []
-                memo_all: Dict[int, bool] = {}
-                for position in range(len(store)):
-                    t = store.time_at(position)
-                    covered = memo_all.get(t)
-                    if covered is None:
-                        covered = all(
-                            clock_tick_of(ttype, t) is not None
-                            for ttype in batch.clock_types
-                        )
-                        memo_all[t] = covered
-                    if not covered:
-                        bad.append(position)
-                self.strict_bad = bad
+                times = store.time_column()
+                defined = [
+                    clock_ticks_of(ttype, times)[1]
+                    for ttype in batch.clock_types
+                ]
+                self.strict_bad = [
+                    position
+                    for position, covered in enumerate(zip(*defined))
+                    if not all(covered)
+                ]
             scan_span.set(plan_events=len(self.positions))
 
     def plan_index_of(self, global_position: int) -> Optional[int]:
@@ -434,6 +432,14 @@ class ColumnPlan:
         ):
             return index
         return None
+
+
+def _tick_column(ttype, times) -> List[Optional[int]]:
+    """``clock_ticks_of`` as one column, None where undefined."""
+    ticks, defined = clock_ticks_of(ttype, times)
+    if all(defined):
+        return ticks
+    return [tick if ok else None for tick, ok in zip(ticks, defined)]
 
 
 def _plan_for(batch: "DenseBatch", store, strict: bool) -> ColumnPlan:

@@ -42,32 +42,12 @@ from typing import (
     Tuple,
 )
 
-from ..obs import counter
 from .builder import TagBuild
 from .dense import BatchRuntime, DenseBatch, DenseTAG, compile_dense_batch
 from .tag import ANY, Configuration
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..mining.events import EventSequence
-
-# Per-run work counters, accumulated locally in the scan loop and
-# flushed once per anchored match, so the hot loop stays allocation-
-# and lock-free (docs/OBSERVABILITY.md catalog).
-_RUNS = counter("repro_tag_runs_total", "Anchored TAG runs started")
-_MATCHES = counter("repro_tag_matches_total", "Anchored runs that matched")
-_EVENTS_SCANNED = counter(
-    "repro_tag_events_scanned_total", "Events scanned by anchored runs"
-)
-_TRANSITIONS = counter(
-    "repro_tag_transitions_total", "Non-skip transitions taken"
-)
-_SKIPS = counter(
-    "repro_tag_skips_total", "ANY self-loop survivals (skipped events)"
-)
-_GUARD_REJECTIONS = counter(
-    "repro_tag_guard_rejections_total",
-    "Transitions rejected by a clock guard",
-)
 
 #: Member ids of a one-member bank.
 _ONLY = (0,)
@@ -105,7 +85,9 @@ class MatchResult:
     """Outcome of matching one root occurrence.
 
     ``bindings`` maps variables to the timestamps of the events that
-    realised them in some accepting run (None when not matched).
+    realised them in some accepting run (None when not matched).  The
+    work figures are the reference's only report: it never touches the
+    production ``repro_tag_*`` counters.
     """
 
     matched: bool
@@ -180,7 +162,6 @@ class TagMatcher:
         root_event = sequence[root_index]
         if root_event.etype != self.build.root_symbol:
             return MatchResult(False, None, 0, 0)
-        _RUNS.inc()
         start_config = Configuration(
             state=next(iter(self.tag.start_states)),
             reset_times={
@@ -197,15 +178,8 @@ class TagMatcher:
             if config.bindings and config.bindings[0][0] == root_variable
         ]
         if not anchored:
-            _EVENTS_SCANNED.add(1)
             return MatchResult(False, None, 1, 0)
-        result = self._scan(
-            sequence, root_index + 1, root_event.time, anchored
-        )
-        _EVENTS_SCANNED.add(result.events_scanned)
-        if result.matched:
-            _MATCHES.inc()
-        return result
+        return self._scan(sequence, root_index + 1, root_event.time, anchored)
 
     def _scan(
         self,
@@ -219,11 +193,6 @@ class TagMatcher:
         accepted = self._accepting(configs)
         if accepted is not None:
             return MatchResult(True, dict(accepted.bindings), 1, peak)
-        # Work counts stay in locals through the hot loop and flush to
-        # the registry once per run.
-        transitions_taken = 0
-        skips = 0
-        guard_rejections = 0
         deadline = (
             root_time + self.horizon_seconds
             if self.horizon_seconds is not None
@@ -255,7 +224,6 @@ class TagMatcher:
                 if key not in seen:
                     seen.add(key)
                     next_configs.append(config)
-                    skips += 1
                 values = None
                 for transition in self.tag.transitions_from(config.state):
                     if transition.symbol == ANY:
@@ -267,9 +235,7 @@ class TagMatcher:
                             clocks, config.reset_times, event.time
                         )
                     if not transition.guard.evaluate(values):
-                        guard_rejections += 1
                         continue
-                    transitions_taken += 1
                     reset_times = dict(config.reset_times)
                     for name in transition.resets:
                         reset_times[name] = event.time
@@ -295,9 +261,6 @@ class TagMatcher:
                     break
             if accepted is not None:
                 peak = max(peak, len(next_configs) + 1)
-                _TRANSITIONS.add(transitions_taken)
-                _SKIPS.add(skips)
-                _GUARD_REJECTIONS.add(guard_rejections)
                 return MatchResult(
                     True, dict(accepted.bindings), events_scanned, peak
                 )
@@ -310,9 +273,6 @@ class TagMatcher:
                 )
             if not configs:
                 break
-        _TRANSITIONS.add(transitions_taken)
-        _SKIPS.add(skips)
-        _GUARD_REJECTIONS.add(guard_rejections)
         return MatchResult(False, None, events_scanned, peak)
 
     def _accepting(

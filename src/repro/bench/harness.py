@@ -908,20 +908,22 @@ def _x17(system, engine, scale) -> _Workload:
 def _x18(system, engine, scale) -> _Workload:
     """Calendar-algebra clocks: Gregorian and business granularities.
 
-    PR 10 teaches the compiler the types the period scan cannot reach
-    (months and years via the 400-year cycle, business calendars as
-    weekly overlays, grouped quarters via the operator algebra); this
-    experiment exercises them on both production paths:
+    The calendar algebra lowers every stock type (months and years
+    via the 400-year cycle, business calendars as weekly overlays,
+    grouped quarters via the operator algebra); this experiment
+    exercises the lowered forms on both production paths:
 
     * **TCG propagation** over month / quarter / business-month
       constraint granularities, compiled tables vs the sweep reference
       system (:func:`~repro.bench.reference.sweep_system`), derived
       interval groups asserted equal;
-    * **batched clock matching**: one month-tick column over a pinned
-      40-year event spread, the vectorized
-      ``PeriodicNormalForm.ticks_of_instants`` kernel (called through
-      ``clock_ticks_of``) vs the per-event ``tick_of`` loop a type
-      that does not lower takes (month wrapped in
+    * **clock columns**: one month-tick column over a pinned 40-year
+      event spread through ``clock_ticks_of``, the converter
+      :class:`~repro.automata.dense.ColumnPlan` builds its tick
+      columns with - the vectorized
+      ``PeriodicNormalForm.ticks_of_instants`` kernel for a type that
+      lowers vs the per-timestamp ``tick_of`` route it takes for one
+      that does not (month wrapped in
       :class:`~repro.bench.reference.Unlowered`), outputs asserted
       bit-identical.
 

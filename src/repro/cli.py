@@ -47,7 +47,6 @@ from typing import List, Optional
 
 from .automata.builder import build_tag
 from .automata.matching import TagMatcher
-from .bench.harness import PROFILES
 from .constraints.propagation import ENGINES, propagate
 from .constraints.stp import EngineUnavailable
 from .granularity.parser import GranularityParseError, parse_type
@@ -821,9 +820,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_option(bench)
     bench.add_argument(
         "--profile",
-        choices=sorted(PROFILES),
         default="quick",
-        help="workload size and repeat count",
+        help="workload size and repeat count (default: %(default)s)",
     )
     bench.add_argument(
         "--experiments",

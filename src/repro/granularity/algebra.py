@@ -12,12 +12,13 @@ same authors as the source paper) on top of
   bounded window of result ticks, and re-fold the stream into a new
   eventually-periodic form via :func:`eventually_periodic_form`.
 
-* **Direct lowerings** for the stock types the single-period scan
-  cannot reach: Gregorian months/years via the 400-year (146097-day)
-  cycle - numpy-vectorized boundary generation with a pure-python
-  fallback under ``REPRO_NO_NUMPY`` - and the business calendars as
-  week-periodic forms overlaid with the finite holiday exception set
-  folded into the aperiodic prefix.
+* **Direct lowerings** for the stock types whose representation is
+  not an operator: Gregorian months/years via the 400-year
+  (146097-day) cycle - numpy-vectorized boundary generation with a
+  pure-python fallback under ``REPRO_NO_NUMPY`` - custom calendars via
+  their (declared or inferred) leap cycle, and the business calendars
+  as week-periodic forms overlaid with the finite holiday exception
+  set (possibly empty) folded into the aperiodic prefix.
 
 * A **minimization pass** (:func:`minimize_form`): the smallest period
   divisor that reproduces the boundary arrays, then the shortest
@@ -59,7 +60,6 @@ from .intersection import IntersectionType
 from .normalform import (
     NormalFormError,
     PeriodicNormalForm,
-    _covers_whole_bounds,
     cached_normal_form,
 )
 
@@ -383,22 +383,19 @@ def _lower_year(ttype: YearType) -> PeriodicNormalForm:
 
 
 # ----------------------------------------------------------------------
-# Custom calendars with undeclared leap cycles
+# Custom calendars (declared or inferred leap cycles)
 # ----------------------------------------------------------------------
-def _lower_custom(ttype) -> Optional[PeriodicNormalForm]:
-    """Infer and verify the leap cycle of an undeclared custom calendar.
+def _lower_custom(ttype) -> PeriodicNormalForm:
+    """Lower a custom calendar over its leap cycle.
 
-    Calendars that declare ``period_years`` lower by the period scan
-    already; this rule only fires for undeclared ones, inferring the
-    cycle from the per-year day counts and letting
-    :func:`eventually_periodic_form`'s recurrence check reject a wrong
-    inference (an adversarial leap rule that breaks past the detection
-    window fails with ``reason="aperiodic"`` rather than compiling a
-    wrong form).
+    The cycle is the declared ``period_years`` when the calendar has
+    one, else inferred from the per-year day counts; either way
+    :func:`eventually_periodic_form`'s recurrence check over two cycles
+    of actual tick bounds rejects a wrong cycle (an adversarial leap
+    rule that breaks past the detection window fails with
+    ``reason="aperiodic"`` rather than compiling a wrong form).
     """
     calendar = ttype.calendar
-    if calendar.period_years is not None:
-        return None
     years = calendar.detect_period_years()
     if years is None:
         raise NormalFormError(
@@ -425,7 +422,7 @@ def _lower_custom(ttype) -> Optional[PeriodicNormalForm]:
         bounds,
         P,
         S,
-        exact_cover=_covers_whole_bounds(ttype),
+        exact_cover=ttype.total,
         rule="custom-cycle",
     )
 
@@ -436,16 +433,15 @@ def _lower_custom(ttype) -> Optional[PeriodicNormalForm]:
 def _lower_business_day(ttype: BusinessDayType) -> PeriodicNormalForm:
     """Weekly-periodic pattern with holidays folded into the prefix.
 
-    Only reached when the holiday set is non-empty (a holiday-free
-    business day declares ``period_info`` and lowers by the scan):
-    enumerating pattern workdays in day order while skipping holidays
+    Enumerating pattern workdays in day order while skipping holidays
     yields exactly the type's tick sequence, aperiodic until the last
-    holiday and weekly-periodic beyond it.
+    holiday and weekly-periodic beyond it (from tick 0 when the holiday
+    set is empty).
     """
     per_week = len(ttype.workdays)
     week_seconds = 7 * greg.SECONDS_PER_DAY
     day = greg.SECONDS_PER_DAY
-    cutoff = ttype.holidays[-1]
+    cutoff = ttype.holidays[-1] if ttype.holidays else -1
     estimate = (cutoff // 7 + 1) * per_week + 3 * per_week
     if estimate > normalform.MAX_PERIOD_TICKS:
         raise NormalFormError(
@@ -1001,8 +997,8 @@ def lower_algebraic(ttype: TemporalType) -> Optional[PeriodicNormalForm]:
     """Apply the first matching calendar-algebra rule, or None.
 
     Called by :func:`~repro.granularity.normalform.compile_normal_form`
-    after the structural and period-scan stages; every firing runs
-    under a ``sizetable.algebra`` span carrying the rule name.
+    for every type the structural stage does not lower; every firing
+    runs under a ``sizetable.algebra`` span carrying the rule name.
     """
     matched = _match_rule(ttype)
     if matched is None:
@@ -1013,8 +1009,7 @@ def lower_algebraic(ttype: TemporalType) -> Optional[PeriodicNormalForm]:
     ) as algebra_span:
         form = lowering(ttype)
         if form is None:
-            # Rules may decline (filter without a declared predicate
-            # period, holiday-free business day handled by the scan).
+            # A filter without a declared predicate period declines.
             algebra_span.set(declined=True)
             return None
         algebra_span.set(
@@ -1024,12 +1019,14 @@ def lower_algebraic(ttype: TemporalType) -> Optional[PeriodicNormalForm]:
 
 
 def _lower_grouped(ttype: GroupedType) -> PeriodicNormalForm:
+    # Consecutive ticks of a gapless base form one contiguous run,
+    # whatever the offset (``n``-month groups, fiscal years).
     return nf_group(
         _operand_form(ttype.base),
         ttype.n,
         offset=ttype.offset,
         label=ttype.label,
-        exact_cover=_covers_whole_bounds(ttype),
+        exact_cover=ttype.base.total,
     )
 
 
@@ -1075,21 +1072,12 @@ def _lower_form_backed(ttype: "FormBackedType") -> PeriodicNormalForm:
     return ttype.form
 
 
-def _lower_bday_overlay(
-    ttype: BusinessDayType,
-) -> Optional[PeriodicNormalForm]:
-    # Holiday-free business days lower by the period scan already.
-    if not ttype.holidays:
-        return None
-    return _lower_business_day(ttype)
-
-
 _RULES: List[Tuple[type, str, Callable]] = [
     (MonthType, "gregorian-cycle", _lower_month),
     (CustomMonthType, "custom-cycle", _lower_custom),
     (CustomYearType, "custom-cycle", _lower_custom),
     (YearType, "gregorian-cycle", _lower_year),
-    (BusinessDayType, "business-overlay", _lower_bday_overlay),
+    (BusinessDayType, "business-overlay", _lower_business_day),
     (BusinessWeekType, "business-overlay", _lower_business_week),
     (BusinessMonthType, "business-overlay", _lower_business_month),
     (GroupedType, "group", _lower_grouped),

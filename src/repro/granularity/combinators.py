@@ -116,7 +116,8 @@ class FilteredType(TemporalType):
         #: Declared period of the predicate in base ticks (a contract,
         #: like ``CustomCalendar.period_years``): the selection pattern
         #: must satisfy ``predicate(i) == predicate(i + period)``.
-        #: Enables :meth:`period_info` and hence the compiled backend.
+        #: Enables the calendar algebra's ``select`` lowering (and
+        #: :meth:`period_info` for the sweep table).
         self.predicate_period = predicate_period
         self.alignment_seconds = base.alignment_seconds
         self._selected = []  # sorted base indices discovered so far

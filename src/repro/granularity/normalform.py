@@ -11,18 +11,17 @@ PAPERS.md).  This module implements that lowering:
   prefix of explicit tick bounds followed by one period of ``P`` tick
   boundary offsets repeating every ``S`` seconds.  Uniform and
   :class:`~repro.granularity.periodic.PeriodicPatternType` types lower
-  *structurally* (no boundary scan at all); every other type declaring
-  ``period_info()`` is lowered by scanning a single period and
-  verifying the declared recurrence, two-thirds less scanning than the
-  sweep table's ``3 * period + 2`` horizon.  Types beyond the scan -
-  Gregorian months/years, holiday-laden business types, the
-  filtered/grouped/intersection combinators, custom calendars with an
-  undeclared leap cycle - are lowered by the calendar algebra
-  (:mod:`repro.granularity.algebra`): direct cycle rules plus closed
-  operators on compiled operand forms, every result minimized to the
-  smallest period divisor and shortest aperiodic prefix.  A type can
-  still refuse (period over the :data:`MAX_PERIOD_TICKS` budget, or
-  genuinely aperiodic): it then keeps the window-sweep
+  *structurally* (their representation is the form); every other
+  type - Gregorian months/years, business calendars with or without
+  holidays, custom calendars, the grouped/filtered/shifted/
+  intersection/union/nth combinators - is lowered by the calendar
+  algebra (:mod:`repro.granularity.algebra`): direct cycle rules plus
+  closed operators on compiled operand forms, every result minimized
+  to the smallest period divisor and shortest aperiodic prefix.  A
+  declared ``period_info()`` alone lowers nothing; it only widens the
+  sweep table's exact horizon.  A type can refuse (no rule applies,
+  period over the :data:`MAX_PERIOD_TICKS` budget, or genuinely
+  aperiodic): it then keeps the window-sweep
   :class:`~repro.granularity.sizes.SizeTable`, counted by
   ``repro_sizetable_fallback_total{reason}``.
 
@@ -46,8 +45,9 @@ PAPERS.md).  This module implements that lowering:
   and fall back to the type's own ``tick_of`` otherwise;
   :func:`clock_ticks_of` converts whole timestamp columns at once
   through :meth:`~PeriodicNormalForm.ticks_of_instants` (vectorized
-  under numpy, memoized per-element otherwise) for the columnar
-  matcher.
+  under numpy, memoized per-element otherwise) - the converter the
+  columnar matcher's :class:`~repro.automata.dense.ColumnPlan` builds
+  its tick columns and strict-kill positions with.
 
 * :func:`form_covers` decides the appendix A.1 coverage relation
   between two :func:`covered_set_form` results exactly, per residue
@@ -100,10 +100,10 @@ class NormalFormError(ValueError):
     ``repro gran info`` provenance report:
 
     ``no-period``
-        no lowering rule applies and the type declares no period.
-    ``degenerate`` / ``verification`` / ``exhausted`` / ``aperiodic``
-        a declared or derived recurrence is malformed or fails the
-        boundary-scan check.
+        no lowering rule applies (or a rule finds no cycle to lower).
+    ``verification`` / ``aperiodic``
+        a derived recurrence fails its check against the type's own
+        tick bounds.
     ``over-budget``
         the form would exceed the :data:`MAX_PERIOD_TICKS` budget.
     ``operand``
@@ -124,9 +124,8 @@ class PeriodicNormalForm:
     """One type's minimal periodic representation.
 
     ``prefix_firsts``/``prefix_lasts`` are the bounds of the leading
-    aperiodic ticks (empty for every type the compiler currently
-    emits - kept in the form because conversion outputs and hand-built
-    forms may carry one); from tick ``len(prefix_firsts)`` on, tick
+    aperiodic ticks (a holiday stretch, an operand's prefix; empty for
+    types periodic from tick 0); from tick ``len(prefix_firsts)`` on, tick
     ``prefix + q * period_ticks + r`` spans
     ``(firsts[r] + q * period_seconds, lasts[r] + q * period_seconds)``.
 
@@ -144,7 +143,9 @@ class PeriodicNormalForm:
     prefix_firsts: Tuple[int, ...] = ()
     prefix_lasts: Tuple[int, ...] = ()
     exact_cover: bool = False
-    source: str = "scanned"
+    #: Which compiler stage produced the form: ``structural`` or
+    #: ``algebra``; ``hand-built`` for forms built directly.
+    source: str = "hand-built"
     #: Which lowering rule produced the form (compile provenance shown
     #: by ``repro gran info``); empty for hand-built forms.
     rule: str = ""
@@ -406,78 +407,24 @@ def _structural_form(ttype: TemporalType) -> Optional[PeriodicNormalForm]:
     return None
 
 
-def _covers_whole_bounds(ttype: TemporalType) -> bool:
-    """Does every instant inside a tick's bounds belong to that tick?
-
-    Structural knowledge only - never answered by scanning: a total
-    type has no gaps at all, and day-based types whose ticks are single
-    days (business days) or contiguous day runs of a total calendar are
-    handled by their own classes' guarantees via ``total``.  Everything
-    else conservatively answers False, keeping ``tick_of`` fallbacks
-    exact.
-    """
-    if ttype.total:
-        return True
-    from .business import BusinessDayType
-    from .combinators import (
-        FilteredType,
-        GroupedType,
-        NthSubgranuleType,
-        ShiftedType,
-        UnionType,
-    )
-    from .intersection import IntersectionType
-
-    if isinstance(ttype, BusinessDayType):
-        # Each tick is exactly one day - contiguous by construction
-        # (a holiday set removes whole ticks, never interior instants).
-        return True
-    if isinstance(ttype, IntersectionType):
-        # An instant inside an overlap window lies inside both operand
-        # ticks, hence inside the intersection tick, when both operands
-        # certify exact coverage themselves.
-        return _covers_whole_bounds(ttype.a) and _covers_whole_bounds(
-            ttype.b
-        )
-    if isinstance(ttype, UnionType):
-        # Ticks are maximal covered runs: no interior gap can survive
-        # when both operands cover their own bounds exactly.
-        return _covers_whole_bounds(ttype.a) and _covers_whole_bounds(
-            ttype.b
-        )
-    if isinstance(ttype, (FilteredType, ShiftedType)):
-        # Selection and shift keep each tick's instant set equal to one
-        # base tick's (shifted for ShiftedType).
-        return _covers_whole_bounds(ttype.base)
-    if isinstance(ttype, NthSubgranuleType):
-        # Each tick is exactly one fine tick's instant set.
-        return _covers_whole_bounds(ttype.fine)
-    if isinstance(ttype, GroupedType):
-        # Consecutive ticks of a gapless base form one contiguous run,
-        # whatever the offset (``n``-month groups, fiscal years).
-        return ttype.base.total
-    return False
-
-
 def compile_normal_form(ttype: TemporalType) -> PeriodicNormalForm:
     """Lower a temporal type to its minimal periodic normal form.
 
-    Three lowering stages, first match wins, each followed by the
-    minimization pass of :mod:`repro.granularity.algebra`:
+    Two lowering stages, first match wins, followed by the minimization
+    pass of :mod:`repro.granularity.algebra`:
 
     1. *structural* - uniform and periodic-pattern types whose
        representation is the form;
-    2. *scanned* - types declaring ``period_info()``, lowered by
-       scanning one period and verifying the declared recurrence;
-    3. *algebraic* - the calendar-algebra rules (Gregorian 400-year
-       cycle, business overlays, combinator operators on the operands'
-       compiled forms).
+    2. *algebraic* - every other type, through the calendar-algebra
+       rules (Gregorian 400-year cycle, business overlays, custom
+       calendar cycles, combinator operators on the operands' compiled
+       forms).
 
     Raises :class:`NormalFormError` (with a machine-readable
-    ``reason``) when no stage applies, a recurrence fails verification,
-    or the form would exceed the :data:`MAX_PERIOD_TICKS` budget.  The
-    compilation is recorded under a ``sizetable.compile`` span and
-    counts into ``repro_sizetable_compiles_total``.
+    ``reason``) when no rule applies, a derived recurrence fails
+    verification, or the form would exceed the :data:`MAX_PERIOD_TICKS`
+    budget.  The compilation is recorded under a ``sizetable.compile``
+    span and counts into ``repro_sizetable_compiles_total``.
     """
     from .algebra import lower_algebraic, minimize_form
 
@@ -485,71 +432,16 @@ def compile_normal_form(ttype: TemporalType) -> PeriodicNormalForm:
         _COMPILES.inc()
         form = _structural_form(ttype)
         if form is None:
-            form = _scanned_form(ttype)
-        if form is None:
             form = lower_algebraic(ttype)
         if form is None:
             raise NormalFormError(
-                "type %r declares no exact period and no algebra "
-                "lowering rule applies" % (ttype.label,)
+                "no lowering rule applies to type %r" % (ttype.label,)
             )
         form = minimize_form(form)
         compile_span.set(
             source=form.source, rule=form.rule, period=form.period_ticks
         )
         return form
-
-
-def _scanned_form(ttype: TemporalType) -> Optional[PeriodicNormalForm]:
-    """Lower a type declaring ``period_info()`` by a one-period scan.
-
-    None when the type declares no period (the algebra rules get their
-    turn); raises on a malformed, over-budget or unverifiable
-    declaration (a declared period that fails its own recurrence is an
-    error, never a silent fallback to a different rule).
-    """
-    period_info = getattr(ttype, "period_info", None)
-    info = period_info() if callable(period_info) else None
-    if info is None:
-        return None
-    P, S = int(info[0]), int(info[1])
-    if P < 1 or S < 1:
-        raise NormalFormError(
-            "type %r declares a degenerate period" % (ttype.label,),
-            reason="degenerate",
-        )
-    if P > MAX_PERIOD_TICKS:
-        raise NormalFormError(
-            "period of %r too large to compile (%d ticks)" % (ttype.label, P),
-            reason="over-budget",
-        )
-    bounds = []
-    try:
-        for index in range(P + 1):
-            bounds.append(ttype.tick_bounds(index))
-    except ValueError as exc:
-        raise NormalFormError(
-            "type %r ran out of ticks inside one period" % (ttype.label,),
-            reason="exhausted",
-        ) from exc
-    first0, last0 = bounds[0]
-    if bounds[P] != (first0 + S, last0 + S):
-        raise NormalFormError(
-            "declared period of %r fails verification: tick %d is %r, "
-            "expected %r"
-            % (ttype.label, P, bounds[P], (first0 + S, last0 + S)),
-            reason="verification",
-        )
-    return PeriodicNormalForm(
-        label=ttype.label,
-        period_ticks=P,
-        period_seconds=S,
-        firsts=tuple(first for first, _ in bounds[:P]),
-        lasts=tuple(last for _, last in bounds[:P]),
-        exact_cover=_covers_whole_bounds(ttype),
-        source="scanned",
-        rule="period-scan",
-    )
 
 
 def explain_normal_form(ttype: TemporalType) -> dict:
@@ -674,11 +566,11 @@ class CompiledSizeTable(TableSearches):
             self._np_firsts = None
         # Mirror the sweep backend's virtual horizon *exactly*: the
         # sweep widens to 3 * declared-period + 2 only for types that
-        # declare period_info() themselves.  Algebra-lowered types
-        # (months, business overlays) declare none, so their sweep
-        # horizon - and hence the index range the direct boundary-scan
-        # conversion visits - stays at the caller's horizon; widening
-        # here would change conversion outcomes between backends.
+        # declare period_info() themselves.  Types that declare none
+        # (months, holiday-laden business overlays) keep the caller's
+        # horizon, and with it the index range the direct boundary-scan
+        # conversion visits; widening here would change conversion
+        # outcomes between backends.
         declared = getattr(ttype, "period_info", None)
         info = declared() if callable(declared) else None
         if info is not None:

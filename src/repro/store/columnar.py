@@ -177,6 +177,10 @@ class ColumnarEventStore:
     def time_at(self, position: int) -> int:
         return int(self._times[position])
 
+    def time_column(self):
+        """The whole int64 time column, indexed by global position."""
+        return self._times
+
     def type_at(self, position: int) -> str:
         return self._type_vocab[self._type_ids[position]]
 

@@ -224,3 +224,33 @@ class TestStrictMode:
         lazy = TagMatcher(build_tag(cet), strict=False)
         strict = TagMatcher(build_tag(cet), strict=True)
         assert lazy.occurs_at(seq, 0) == strict.occurs_at(seq, 0) is True
+
+
+class TestReferenceMetrics:
+    def test_match_from_leaves_tag_counters_unchanged(self, example1_cet):
+        """The Theorem-4 reference reports its work in ``MatchResult``
+        only; a reference arm must not move the production
+        ``repro_tag_*`` counters."""
+        from repro.obs import (
+            configure,
+            counter_deltas,
+            metrics_snapshot,
+            obs_enabled,
+        )
+
+        matcher = TagMatcher(build_tag(example1_cet))
+        seq = example1_positive_sequence()
+        previous = obs_enabled()
+        configure(True)
+        try:
+            before = metrics_snapshot()
+            result = matcher.match_from(seq, 1)
+            deltas = counter_deltas(before, metrics_snapshot())
+        finally:
+            configure(previous)
+        assert result.matched and result.events_scanned > 1
+        assert {
+            name: delta
+            for name, delta in deltas.items()
+            if name.startswith("repro_tag_")
+        } == {}

@@ -1,12 +1,15 @@
 """Differential oracle for the calendar-algebra compiler (PR 10).
 
 The algebra rules (Gregorian 400-year cycle, business-calendar
-overlays, and the closed operators) are only allowed to exist because
-their forms are **bit-identical** to the ground truth: the types' own
+overlays, custom calendar cycles, and the closed operators) are the
+only lowering route, and they are only allowed to exist because their
+forms are **bit-identical** to the ground truth: the types' own
 ``tick_of``/``tick_bounds`` and the sweep size tables wherever the
-sweep is exact.  Hypothesis drives random holidays, random instants,
-random ``k`` and random operator expressions through both paths; a
-second pass pins the pure-python batch kernel against the numpy one.
+sweep is exact.  Hypothesis drives random workday and holiday sets,
+random instants, random ``k`` and random operator expressions (over
+Gregorian, business, uniform, periodic-pattern and custom-calendar
+operands) through both paths; a second pass pins the pure-python batch
+kernel against the numpy one.
 """
 
 import pytest
@@ -28,8 +31,14 @@ from repro.granularity.combinators import (
     ShiftedType,
     UnionType,
 )
+from repro.granularity.customcal import (
+    CustomCalendar,
+    CustomMonthType,
+    CustomYearType,
+)
 from repro.granularity.intersection import IntersectionType, business_hours
-from repro.granularity.calendar import day, month, year
+from repro.granularity.calendar import day, hour, minute, month, week, year
+from repro.granularity.periodic import PeriodicPatternType
 from repro.granularity.gregorian import (
     DAYS_PER_400_YEARS,
     MONTHS_PER_400_YEARS,
@@ -51,11 +60,20 @@ def fresh(label):
 
 @st.composite
 def holiday_bdays(draw):
-    """Business days with a random (possibly empty) holiday set.
+    """Business days over a random workday set with a random (possibly
+    empty) holiday set.
 
     Holidays fall anywhere in days 0-3000, so the holiday-prefix
     lowerings run over aperiodic stretches of up to eight years.
     """
+    workdays = draw(
+        st.one_of(
+            st.just((0, 1, 2, 3, 4)),
+            st.sets(
+                st.integers(min_value=0, max_value=6), min_size=1
+            ).map(sorted),
+        )
+    )
     days = draw(
         st.lists(
             st.integers(min_value=0, max_value=3000),
@@ -63,21 +81,86 @@ def holiday_bdays(draw):
             unique=True,
         )
     )
-    return BusinessDayType(holidays=days)
+    return BusinessDayType(workdays=workdays, holidays=days)
+
+
+@st.composite
+def patterns(draw):
+    """A periodic-pattern type: one to three ticks in a six-hour cycle,
+    on a 15-minute grid, gaps between them likely."""
+    cuts = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=24),
+            min_size=2,
+            max_size=6,
+            unique=True,
+        ).filter(lambda cuts: len(cuts) % 2 == 0)
+    )
+    cuts.sort()
+    segments = [
+        (cuts[i] * 900, (cuts[i + 1] - cuts[i]) * 900)
+        for i in range(0, len(cuts), 2)
+    ]
+    return PeriodicPatternType("p", 6 * 3600, segments)
+
+
+def operands():
+    """Operands periodic from tick 0: uniform types, a periodic pattern
+    and a holiday-free business day over a random workday set."""
+    return st.one_of(
+        st.builds(day),
+        st.builds(minute),
+        st.builds(hour),
+        st.builds(week),
+        patterns(),
+        st.sets(st.integers(min_value=0, max_value=6), min_size=1).map(
+            lambda workdays: BusinessDayType(workdays=sorted(workdays))
+        ),
+    )
+
+
+@st.composite
+def custom_calendars(draw):
+    """Months or years of a custom calendar declaring its leap cycle."""
+    month_lengths = draw(
+        st.lists(st.integers(min_value=20, max_value=40), min_size=1,
+                 max_size=13)
+    )
+    years = draw(st.integers(min_value=1, max_value=6))
+    leap_year = draw(st.integers(min_value=0, max_value=years - 1))
+    extra = draw(st.integers(min_value=0, max_value=7))
+    calendar = CustomCalendar(
+        month_lengths,
+        leap_days=lambda y: extra if y % years == leap_year else 0,
+        leap_month=draw(
+            st.integers(min_value=0, max_value=len(month_lengths) - 1)
+        ),
+        period_years=years,
+    )
+    if draw(st.booleans()):
+        return CustomMonthType(calendar, "c-month")
+    return CustomYearType(calendar, "c-year")
 
 
 @st.composite
 def calendar_expressions(draw):
-    """Random compilable calendar expressions over small operands."""
+    """Random compilable calendar expressions over small operands.
+
+    Intersections pair an operand with an hour, a week or a pattern (or
+    business hours over a holiday business day), so the common
+    refinement stays at most a few hundred ticks per window.
+    """
     kind = draw(
         st.sampled_from(
-            ["group", "filter", "intersect", "union", "shift", "nth"]
+            ["group", "filter", "intersect", "union", "shift", "nth", "custom"]
         )
     )
+    if kind == "custom":
+        return draw(custom_calendars())
     if kind == "group":
         n = draw(st.integers(min_value=2, max_value=9))
         offset = draw(st.integers(min_value=0, max_value=5))
-        return GroupedType(day(), n, offset=offset)
+        return GroupedType(draw(operands()), n, offset=offset)
     if kind == "filter":
         modulus = draw(st.integers(min_value=2, max_value=9))
         residues = draw(
@@ -88,12 +171,17 @@ def calendar_expressions(draw):
             )
         )
         return FilteredType(
-            day(),
+            draw(operands()),
             lambda i, m=modulus, rs=frozenset(residues): i % m in rs,
             "f-%d" % modulus,
             predicate_period=modulus,
         )
     if kind == "intersect":
+        if draw(st.booleans()):
+            return IntersectionType(
+                draw(operands()),
+                draw(st.one_of(st.builds(hour), st.builds(week), patterns())),
+            )
         start = draw(st.integers(min_value=0, max_value=11))
         hours = draw(st.integers(min_value=1, max_value=12))
         return business_hours(
@@ -115,7 +203,7 @@ def calendar_expressions(draw):
                 bool
             )
         )
-        return ShiftedType(day(), delta)
+        return ShiftedType(draw(operands()), delta)
     weekday = draw(st.integers(min_value=0, max_value=6))
     n = draw(st.integers(min_value=1, max_value=4))
     weekdays = FilteredType(
@@ -125,6 +213,18 @@ def calendar_expressions(draw):
         predicate_period=7,
     )
     return NthSubgranuleType(weekdays, month(), n)
+
+
+def documented_exact(ttype):
+    """Whether the compiler documents ``ttype``'s form as exact cover.
+
+    Every drawn operand covers its tick bounds exactly and every
+    operator keeps that, except a group over a base with gaps: its
+    ticks span the base's gaps.
+    """
+    if isinstance(ttype, GroupedType):
+        return ttype.base.total
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -238,6 +338,8 @@ def test_business_day_tables_match_sweep(bday, data):
 @settings(max_examples=120, deadline=None)
 def test_random_expressions_compile_identically(ttype, data):
     form = compile_normal_form(ttype)
+    if documented_exact(ttype):
+        assert form.exact_cover
     index = data.draw(
         st.integers(min_value=0, max_value=2 * form.period_ticks + 20),
         label="index",

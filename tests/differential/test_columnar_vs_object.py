@@ -6,11 +6,13 @@ is *bit-identical* to the object NDFA simulation,
 :meth:`~repro.automata.matching.TagMatcher.match_from`, root by root:
 same match sets, same bindings, same mining outcomes.  The anchor
 screen's posting-list answers are held against brute force over the
-sequence.  Hypothesis generates the stores and the patterns and
-shrinks any disagreement to a minimal counterexample; the ``kernel``
-fixture runs every property under both the numpy and the pure-Python
-``array`` kernels in one process (CI additionally runs the whole suite
-under ``REPRO_NO_NUMPY=1``).
+sequence, and the plan's clock columns (tick columns and strict-kill
+positions) against the scalar clock, element by element.  Hypothesis
+generates the stores and the patterns and shrinks any disagreement to
+a minimal counterexample; the ``kernel`` fixture runs every property
+under both the numpy and the pure-Python ``array`` kernels in one
+process (CI additionally runs the whole suite under
+``REPRO_NO_NUMPY=1``).
 
 Duplicate timestamps are generated on purpose (times are drawn with
 replacement) and horizons are drawn from *realised event-time
@@ -25,8 +27,12 @@ from hypothesis import strategies as st
 
 import repro.store.columnar as columnar_module
 from repro.automata import TagMatcher, build_tag
+from repro.automata.dense import ColumnPlan, DenseBatch, compile_dense
+from repro.bench.reference import Unlowered
 from repro.constraints import TCG, ComplexEventType, EventStructure
-from repro.granularity import standard_system
+from repro.granularity import ConversionCache, normalform, standard_system
+from repro.granularity.normalform import clock_tick_of
+from repro.granularity.periodic import PeriodicPatternType
 from repro.mining.discovery import EventDiscoveryProblem, discover
 from repro.mining.events import Event, EventSequence
 from repro.store import ColumnarEventStore
@@ -282,6 +288,93 @@ class TestMiningParity:
         assert solution_map(outcome) == reference_solutions(
             problem, sequence, SYSTEM
         )
+
+
+# ----------------------------------------------------------------------
+# Property 4: clock columns over calendar granularities
+# ----------------------------------------------------------------------
+_CLOCK_TYPES = {}
+
+
+@pytest.fixture
+def clock_types(kernel, monkeypatch):
+    """Clock granularities with different coverage, one set per kernel:
+    ``b-day`` and ``month`` (exact cover, with and without gaps),
+    ``business-month`` (lowers without exact cover) and a 09:00-17:00
+    daily shift wrapped in :class:`Unlowered` (no form).  Under
+    ``fallback`` the normal-form module's numpy binding is nulled too,
+    so the forms compiled for that set convert columns with the
+    pure-python kernel."""
+    if kernel == "fallback":
+        monkeypatch.setattr(normalform, "_np", None)
+    types = _CLOCK_TYPES.get(kernel)
+    if types is None:
+        system = standard_system(cache=ConversionCache())
+        shift = PeriodicPatternType("shift", 86400, [(9 * 3600, 8 * 3600)])
+        types = tuple(
+            system.get(label) for label in ("b-day", "month", "business-month")
+        ) + (Unlowered(shift),)
+        _CLOCK_TYPES[kernel] = types
+    return types
+
+
+@st.composite
+def clock_cases(draw):
+    """A two-arc chain over two drawn clock granularities (indices into
+    :func:`clock_types`) on quarter-day slots across three years, so
+    weekends, month ends and duplicate timestamps are all likely."""
+    arcs = [
+        (
+            draw(st.integers(0, 3)),
+            draw(st.integers(0, 2)),
+            draw(st.integers(0, 2)),
+        )
+        for _ in range(2)
+    ]
+    slots = draw(st.lists(st.integers(0, 4400), min_size=2, max_size=30))
+    events = [
+        (draw(st.sampled_from(["A", "B", "C", "noise"])), slot * 21600)
+        for slot in slots
+    ]
+    return arcs, events, draw(st.booleans())
+
+
+class TestClockColumns:
+    @given(case=clock_cases())
+    @RELAXED
+    def test_plan_columns_equal_scalar_clock(
+        self, kernel, clock_types, case
+    ):
+        arcs, events, strict = case
+        (g1, m1, w1), (g2, m2, w2) = arcs
+        structure = EventStructure(
+            ["X0", "X1", "X2"],
+            {
+                ("X0", "X1"): [TCG(m1, m1 + w1, clock_types[g1])],
+                ("X1", "X2"): [TCG(m2, m2 + w2, clock_types[g2])],
+            },
+        )
+        cet = ComplexEventType(structure, {"X0": "A", "X1": "B", "X2": "C"})
+        matcher = TagMatcher(build_tag(cet), strict=strict)
+        sequence = EventSequence([Event(etype, t) for etype, t in events])
+        store = sequence.columnar()
+        batch = DenseBatch([compile_dense(matcher.tag)])
+        plan = ColumnPlan(batch, store, strict=True)
+        for ttype, column in zip(batch.clock_types, plan.ticks):
+            assert column == [clock_tick_of(ttype, t) for t in plan.times]
+        assert plan.strict_bad == [
+            position
+            for position in range(len(store))
+            if any(
+                clock_tick_of(ttype, store.time_at(position)) is None
+                for ttype in batch.clock_types
+            )
+        ]
+        for index, (matched, bindings) in reference_outcomes(
+            matcher, sequence
+        ).items():
+            assert matcher.occurs_at(sequence, index) == matched
+            assert matcher.bindings_at(sequence, index) == bindings
 
 
 # ----------------------------------------------------------------------

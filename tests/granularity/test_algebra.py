@@ -176,9 +176,13 @@ class TestBusinessLowerings:
         assert form.prefix_ticks > 0
         assert form.exact_cover
 
-    def test_holiday_free_business_day_stays_scanned(self):
+    def test_holiday_free_business_day_is_a_business_overlay(self):
         form = compile_normal_form(BusinessDayType())
-        assert form.source == "scanned"
+        assert form.source == "algebra"
+        assert form.rule == "business-overlay"
+        assert form.period_ticks == 5
+        assert form.prefix_ticks == 0
+        assert form.exact_cover
 
     def test_business_week_is_week_periodic(self):
         bweek = BusinessWeekType(BusinessDayType())
@@ -283,14 +287,16 @@ class TestCustomCalendarInference:
         assert form.rule == "custom-cycle"
         assert form.period_ticks == 65
 
-    def test_declared_cycle_still_scans(self):
+    def test_declared_cycle_lowers_by_custom_cycle(self):
         calendar = CustomCalendar(
             [28] * 13,
             leap_days=lambda y: 7 if y % 5 == 4 else 0,
             period_years=5,
         )
         form = compile_normal_form(CustomMonthType(calendar, "acct-month"))
-        assert form.source == "scanned"
+        assert form.source == "algebra"
+        assert form.rule == "custom-cycle"
+        assert form.period_ticks == 65
 
 
 class TestBudgetAndFallback:

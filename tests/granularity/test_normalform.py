@@ -60,10 +60,11 @@ class TestCompiler:
         assert info["gap_seconds"] == 75
         assert info["period_instants"] == 25
 
-    def test_business_day_is_scanned_and_exact(self):
+    def test_business_day_is_algebraic_and_exact(self):
         system = standard_system(cache=ConversionCache())
         form = compile_normal_form(system.get("b-day"))
-        assert form.source == "scanned"
+        assert form.source == "algebra"
+        assert form.rule == "business-overlay"
         assert form.period_ticks == 5
         assert form.exact_cover
 

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.automata import TagMatcher, build_tag
 from repro.cli import main
 from repro.constraints import TCG, ComplexEventType, EventStructure
@@ -214,6 +217,12 @@ class TestErrorHandling:
         events.write_text("event_type,timestamp\nonly-one-column\n")
         assert main(["match", pattern_file, str(events)]) == 2
 
+    def test_unknown_bench_profile_exits_2(self, capsys):
+        assert main(["bench", "--profile", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown profile 'nope'")
+        assert err.count("\n") == 1
+
 
 class TestMineReport:
     def test_report_flag(self, tmp_path, pair_structure, events_file, capsys):
@@ -226,6 +235,26 @@ class TestMineReport:
 
 
 class TestParserRobustness:
+    def test_parsing_mine_leaves_the_bench_harness_unimported(self):
+        """Only ``repro bench`` loads the harness; a fresh interpreter
+        that builds the parser and parses a mine command never does."""
+        code = (
+            "import sys\n"
+            "from repro.cli import build_parser\n"
+            "build_parser().parse_args(['mine', 'p.json', 'e.csv'])\n"
+            "print([m for m in sys.modules if m.startswith('repro.bench')])"
+        )
+        package_root = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
+
     def test_no_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
@@ -329,15 +358,17 @@ class TestGranInfo:
         assert main(["gran", "info", "b-day"]) == 0
         out = capsys.readouterr().out
         assert "granularity: b-day" in out
-        assert "normal form: scanned" in out
+        assert "normal form: algebra" in out
+        assert "compiled by: business-overlay" in out
         assert "period: 5 ticks / 604800 seconds" in out
         assert "exact instant cover: yes" in out
 
     def test_structural_type(self, capsys):
         assert main(["gran", "info", "group(minute,15)"]) == 0
         out = capsys.readouterr().out
-        assert "normal form: scanned" in out or "structural" in out
-        assert "period:" in out
+        assert "normal form: algebra" in out
+        assert "compiled by: group" in out
+        assert "period: 1 ticks / 900 seconds" in out
 
     def test_month_reports_gregorian_cycle(self, capsys):
         assert main(["gran", "info", "month"]) == 0
