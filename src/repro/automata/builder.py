@@ -26,13 +26,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..constraints.structure import ComplexEventType, EventStructure
 from ..granularity.registry import GranularitySystem
 from ..obs import counter, span
 from .clocks import And, Clock, ClockConstraint, TrueConstraint, within
 from .tag import ANY, TAG, Transition
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .dense import BankKernel, DenseBatch, DenseTAG
 
 _BUILDS = counter("repro_tag_builds_total", "TAG constructions")
 _STATES = counter(
@@ -50,7 +54,8 @@ def clock_name(chain_index: int, granularity_label: str) -> str:
 
 @dataclass
 class TagBuild:
-    """A built TAG together with its construction metadata."""
+    """A built TAG together with its construction metadata, and its
+    compiled form - built once, shared by every matcher over it."""
 
     tag: TAG
     complex_event_type: ComplexEventType
@@ -66,6 +71,23 @@ class TagBuild:
     def root_symbol(self) -> str:
         """The event type assigned to the root variable."""
         return self.complex_event_type.event_type(self.structure.root)
+
+    @cached_property
+    def dense(self) -> "DenseTAG":
+        """The TAG's dense transition tables."""
+        return self.tag.compile_dense()
+
+    @cached_property
+    def bank(self) -> "DenseBatch":
+        """The dense tables as a bank of one."""
+        from .dense import DenseBatch
+
+        return DenseBatch([self.dense])
+
+    @property
+    def kernel(self) -> "BankKernel":
+        """The bank's advance kernel, anchored at the root variable."""
+        return self.bank.kernel(self.root_symbol, self.structure.root)
 
 
 def build_tag(

@@ -1,14 +1,14 @@
-"""Dense TAG compilation and the stored-sequence matching runtime.
+"""Dense TAG compilation and the one production TAG advance.
 
 Franceschet & Montanari's automaton view of granularity matching says a
 TAG is just a transition table; this module compiles the object graph of
 :class:`~repro.automata.tag.TAG` into exactly that - integer state ids,
 integer symbol ids, integer clock ids, per-state transition lists, and
-guards lowered to threshold programs over clock indexes - and then runs
-banks of those tables over the int64 columns of a
-:class:`~repro.store.columnar.ColumnarEventStore`.
+guards lowered to threshold programs over clock indexes - and advances
+banks of those tables with one kernel, over stored sequences and live
+streams alike.
 
-Four layers:
+Five layers:
 
 ``compile_dense(tag)``
     the pure compilation step.  :meth:`DenseTAG.step` mirrors
@@ -17,7 +17,15 @@ Four layers:
 
 ``DenseBatch``
     dense TAGs sharing one clock space, rebanked over their union
-    alphabet.  A single pattern is a bank of one.
+    alphabet.  A single pattern is a bank of one, compiled once per
+    :class:`~repro.automata.builder.TagBuild` and shared by every
+    matcher over it.
+
+``BankKernel``
+    the only production advance: the memoised anchor step that seeds
+    a frontier, and the advance of a frontier over a run of events
+    given as columns.  Its memo tables live with the bank
+    (:meth:`DenseBatch.kernel`).
 
 ``ColumnPlan``
     one (bank, columnar store) pairing: the store's alphabet events
@@ -28,12 +36,13 @@ Four layers:
     a granularity conversion.
 
 ``BatchRuntime``
-    the only runtime that matches a TAG over a stored sequence: one
-    sweep per anchored root advances every requested bank member over
-    only the plan's events.  Its match decisions and bindings are
+    matching over a stored sequence: one kernel seed and one kernel
+    advance per anchored root, over only the plan's events.
+    :class:`~repro.automata.streaming.StreamingMatcher` runs the same
+    kernel on each fed event.  Match decisions and bindings are
     bit-identical to the object NDFA simulation
     (:class:`~repro.automata.matching.TagMatcher`'s Theorem-4
-    reference), which the differential suites hold it against.
+    reference), which the differential suites hold both against.
 """
 
 from __future__ import annotations
@@ -79,8 +88,16 @@ _BATCH_CANDIDATES = counter(
     "Candidates evaluated through batched frontier scans",
 )
 
+#: What :attr:`BankKernel.work` tallies, in order.
+_WORK_COUNTERS = (_RUNS, _MATCHES, _EVENTS_SCANNED, _TRANSITIONS, _SKIPS,
+                  _GUARD_REJECTIONS)
+
 #: Shared miss entry for :meth:`BatchRuntime.match_many` results.
 _NO_MATCH: Tuple[bool, None] = (False, None)
+
+#: Configuration-set cap of every production matcher: a member whose
+#: frontier outgrows it raises RuntimeError ("tighten the horizon").
+MAX_CONFIGURATIONS = 100_000
 
 
 class DenseGuard:
@@ -469,7 +486,7 @@ class DenseBatch:
     and strict-kill positions are computed once per event instead of
     once per candidate.  ``keysets[m][state]`` is the set of union
     symbol ids state ``state`` of member ``m`` can consume - the
-    routing table :class:`BatchRuntime` uses to skip members with no
+    routing table :class:`BankKernel` uses to skip members with no
     transition on the current event's symbol.  ``wake_classes[sid][m]``
     numbers member ``m``'s transition rows on ``sid`` (over all states,
     plus its accepting set) so that members with equal numbers react
@@ -485,6 +502,7 @@ class DenseBatch:
         "banks",
         "keysets",
         "wake_classes",
+        "_kernels",
     )
 
     def __init__(self, members: Sequence[DenseTAG]):
@@ -553,10 +571,15 @@ class DenseBatch:
                 )
             )
         self.wake_classes = tuple(wake_classes)
+        self._kernels: Dict[Tuple[str, str], "BankKernel"] = {}
 
-    @property
-    def n_clocks(self) -> int:
-        return len(self.clock_names)
+    def kernel(self, root_symbol: str, root_variable: str) -> "BankKernel":
+        """The bank's advance kernel for one root, built on first use
+        and shared by every runtime and stream over this bank."""
+        key = (root_symbol, root_variable)
+        if key not in self._kernels:
+            self._kernels[key] = BankKernel(self, root_symbol, root_variable)
+        return self._kernels[key]
 
 
 def _row_signature(transitions) -> tuple:
@@ -624,35 +647,31 @@ def _sweep_states(member: DenseTAG) -> Set[int]:
     return reachable
 
 
-class BatchRuntime:
-    """Anchored matching of a bank of TAGs in one traversal per root.
+class BankKernel:
+    """The one production TAG advance: a bank's memoised anchor step
+    (:meth:`seed`) and the advance of its frontier over a run of events
+    given as columns (:meth:`advance`).
 
-    Per member, every decision mirrors the object NDFA reference in
-    :mod:`repro.automata.matching` - same anchor step, same
-    configuration dedup by (state, reset times), same transition order,
-    same early accept, horizon and strict cuts - so match sets and
-    bindings are bit-identical to it (the differential suites hold
-    this).  What the bank amortizes is the traversal itself: the union
-    plan's positions, times, tick columns and cut bisections are
-    computed once per root, and the static consumer index means an
-    event only touches the members whose current states can consume
-    its symbol.  A member waiting on a rare symbol pays nothing while
-    dense noise streams by.  Members whose assignments share a prefix
-    also share work: equal anchor steps start from one frontier list,
-    and a member whose frontier and wake class equal the previous
-    member's replays that wake's outcome (and its counts) instead of
-    recomputing it.
+    A frontier maps a member id to its configurations ``(state,
+    reset_times, reset_ticks, bindings)``; ``wanted[m]`` holds the union
+    symbol ids member ``m``'s states can consume.  Per member, every
+    decision mirrors the object NDFA reference - same anchor step, same
+    dedup by ``(state, reset_times)``, same transition order, same early
+    accept - so match sets and bindings are bit-identical to it; like
+    :func:`~repro.automata.builder.build_tag`'s TAGs, it assumes a bare
+    ANY self-loop on every state.  The static consumer index means an
+    event only touches the members that can consume its symbol, equal
+    anchor steps share one frontier list, and a member whose frontier
+    and wake class equal the previous member's replays that wake.
+    ``work`` tallies runs, matches, events scanned, transitions, skips
+    and guard rejections until :meth:`fold` adds it to ``repro_tag_*``.
     """
 
     __slots__ = (
         "batch",
-        "store",
-        "plan",
-        "strict",
-        "horizon_seconds",
-        "max_configurations",
         "root_symbol",
         "root_variable",
+        "work",
         "_root_symbol_ids",
         "_consumers",
         "_want_cache",
@@ -660,24 +679,11 @@ class BatchRuntime:
         "_survivor_forms",
     )
 
-    def __init__(
-        self,
-        batch: DenseBatch,
-        store,
-        root_symbol: str,
-        root_variable: str,
-        strict: bool = False,
-        horizon_seconds: Optional[int] = None,
-        max_configurations: int = 100_000,
-    ):
+    def __init__(self, batch, root_symbol: str, root_variable: str):
         self.batch = batch
-        self.store = store
-        self.plan = _plan_for(batch, store, strict)
-        self.strict = strict
-        self.horizon_seconds = horizon_seconds
-        self.max_configurations = max_configurations
         self.root_symbol = root_symbol
         self.root_variable = root_variable
+        self.work = [0] * len(_WORK_COUNTERS)
         self._root_symbol_ids = tuple(
             member.symbol_id(root_symbol) for member in batch.members
         )
@@ -701,40 +707,38 @@ class BatchRuntime:
         #: sids; state sets recur across roots, so the union is paid
         #: once per distinct set.
         self._want_cache: Dict[tuple, frozenset] = {}
-        #: (member, clock-coverage pattern) -> anchor-step survivors
-        #: as (target, variables) pairs; the anchor valuation depends
-        #: only on which clocks cover the root timestamp.
+        #: (member, clock-coverage pattern) -> (anchor-step survivors
+        #: as (target, variables) pairs, their wanted set); the anchor
+        #: valuation depends only on which clocks cover the root.
         self._anchor_memo: Dict[tuple, tuple] = {}
         self._survivor_forms: Dict[tuple, tuple] = {}
 
-    def match_many(
-        self,
-        root_position: int,
-        member_ids: Optional[Sequence[int]] = None,
-    ) -> Dict[int, Tuple[bool, Optional[Dict[str, int]]]]:
-        """``{member_id: (matched, bindings)}`` for one anchored root,
-        advancing every requested member through one event sweep."""
+    def fold(self) -> None:
+        """Add the work tally to the ``repro_tag_*`` counters; zero it."""
+        for metric, total in zip(_WORK_COUNTERS, self.work):
+            if total:
+                metric.add(total)
+        self.work = [0] * len(_WORK_COUNTERS)
+
+    def wanted_set(self, m: int, states) -> frozenset:
+        """Union symbol ids member ``m`` can consume from ``states``."""
+        key = (m, frozenset(states))
+        want = self._want_cache.get(key)
+        if want is None:
+            union: Set[int] = set()
+            for state in key[1]:
+                union |= self.batch.keysets[m][state]
+            want = self._want_cache[key] = frozenset(union)
+        return want
+
+    def seed(self, member_ids, root_time, root_ticks, strict, results):
+        """``(frontier, wanted)`` after each member's anchor step at a
+        root event with tick ``root_ticks[c]`` (None where uncovered)
+        per clock; a member that accepts at once gets ``results[m] =
+        (True, bindings)`` instead."""
         batch = self.batch
-        if member_ids is None:
-            member_ids = range(len(batch.members))
-        results: Dict[int, Tuple[bool, Optional[Dict[str, int]]]] = (
-            dict.fromkeys(member_ids, _NO_MATCH)
-        )
-        store = self.store
-        if store.type_at(root_position) != self.root_symbol:
-            return results
-        root_time = store.time_at(root_position)
-        plan = self.plan
-        root_plan = plan.plan_index_of(root_position)
-        if root_plan is None:  # pragma: no cover - root is in alphabet
-            return results
-        ticks = plan.ticks
-        n_clocks = batch.n_clocks
-        root_ticks = [ticks[c][root_plan] for c in range(n_clocks)]
-        strict_dead = self.strict and any(
-            z is None for z in root_ticks
-        )
-        reset0 = tuple([root_time] * n_clocks)
+        strict_dead = strict and None in root_ticks
+        reset0 = tuple([root_time] * len(root_ticks))
         tick0 = tuple(root_ticks)
         # Anchor step per member (shared clock valuation, shared
         # resets: all clocks reset at the root for every member).
@@ -744,11 +748,10 @@ class BatchRuntime:
         cov = tuple(z is not None for z in root_ticks)
         anchor_memo = self._anchor_memo
         frontier: Dict[int, list] = {}
+        wanted: Dict[int, frozenset] = {}
         runs = 0
         extra_scanned = 0
         matches = 0
-        wanted: Dict[int, frozenset] = {}
-        keysets = batch.keysets
         # Frontier lists are never mutated in place, so members may
         # share one: this root's initial frontiers, by survivor form.
         initial: Dict[int, list] = {}
@@ -777,20 +780,19 @@ class BatchRuntime:
                     collected.append(
                         (transition.target, transition.variables)
                     )
-                survivors = tuple(collected)
-                # The initial wanted set is a pure function of the
-                # surviving anchor targets, so it is memoized with
-                # them (saves one frozenset build per member sweep).
-                keys = keysets[m]
-                union: Set[int] = set()
-                for target, _variables in survivors:
-                    union |= keys[target]
                 # Equal survivor tuples are interned, so members with
                 # the same anchor step share one initial frontier.
+                survivors = tuple(collected)
                 survivors = self._survivor_forms.setdefault(
                     survivors, survivors
                 )
-                memo = (survivors, frozenset(union))
+                # The initial wanted set is a pure function of the
+                # surviving anchor targets, so it is memoized with
+                # them (saves one frozenset build per member sweep).
+                memo = (
+                    survivors,
+                    self.wanted_set(m, [target for target, _ in survivors]),
+                )
                 anchor_memo[(m, cov)] = memo
             survivors, want0 = memo
             if not survivors:
@@ -824,35 +826,24 @@ class BatchRuntime:
                 continue
             frontier[m] = configs
             wanted[m] = want0
-        if not frontier:
-            _RUNS.add(runs)
-            if matches:
-                _MATCHES.add(matches)
-            if extra_scanned:
-                _EVENTS_SCANNED.add(extra_scanned)
-            return results
-        # Shared cuts: one horizon bisection and one strict-kill
-        # bisection serve every member (identical clock space).
-        times = plan.times
-        end = len(times)
-        deadline = (
-            root_time + self.horizon_seconds
-            if self.horizon_seconds is not None
-            else None
-        )
-        if deadline is not None:
-            end = bisect_right(times, deadline)
-        if plan.strict_bad is not None:
-            bad = plan.strict_bad
-            k = bisect_right(bad, root_position)
-            if k < len(bad):
-                bad_position = bad[k]
-                if deadline is None or (
-                    store.time_at(bad_position) <= deadline
-                ):
-                    end = min(
-                        end, bisect_left(plan.positions, bad_position)
-                    )
+        work = self.work
+        work[0] += runs
+        work[1] += matches
+        # A sweep counts its root once, however many members it seeds.
+        work[2] += extra_scanned + (1 if frontier else 0)
+        return frontier, wanted
+
+    def advance(self, frontier, wanted, results, symbol_ids, times, ticks,
+                start, end, max_configurations):
+        """Advance ``frontier`` over events ``start .. end - 1``.
+
+        Event ``j`` has union symbol ``symbol_ids[j]``, timestamp
+        ``times[j]`` and tick ``ticks[c][j]`` per clock.  A member that
+        accepts leaves the frontier with ``results[m] = (True,
+        bindings)``; the run stops once the frontier is empty.  A
+        configuration set beyond ``max_configurations`` raises
+        RuntimeError.
+        """
         # Routing: the static consumer list (who could *ever* consume
         # sid) filtered by the member's current ``wanted`` set (who can
         # consume it *now*).  An event whose symbol nobody consumes
@@ -861,18 +852,18 @@ class BatchRuntime:
         # transition fired - when nothing fires, a carried-over
         # frontier has the same states (dedup can only drop a config
         # whose state survives in the kept copy).
+        batch = self.batch
         consumers = self._consumers
         want_cache = self._want_cache
-        scanned = 1
+        scanned = 0
+        matches = 0
         transitions_taken = 0
         skips = 0
         guard_rejections = 0
-        symbol_ids = plan.symbol_ids
         members_list = batch.members
         banks = batch.banks
-        max_configurations = self.max_configurations
         wake_classes = batch.wake_classes
-        for j in range(root_plan + 1, end):
+        for j in range(start, end):
             scanned += 1
             sid = symbol_ids[j]
             group = consumers.get(sid)
@@ -1004,24 +995,111 @@ class BatchRuntime:
                 frontier[m] = next_configs
                 want = want_cache.get((m, sig))
                 if want is None:
-                    keys = keysets[m]
-                    union = set()
-                    for state in sig:
-                        union |= keys[state]
-                    want = frozenset(union)
-                    want_cache[(m, sig)] = want
+                    want = self.wanted_set(m, sig)
                 wanted[m] = want
             if not frontier:
                 break
-        _RUNS.add(runs)
-        if matches:
-            _MATCHES.add(matches)
-        # The traversal is shared: count each event once per sweep,
-        # not once per member (documented in OBSERVABILITY.md).
-        _EVENTS_SCANNED.add(scanned + extra_scanned)
-        _TRANSITIONS.add(transitions_taken)
-        _SKIPS.add(skips)
-        _GUARD_REJECTIONS.add(guard_rejections)
+        work = self.work
+        work[1] += matches
+        work[2] += scanned
+        work[3] += transitions_taken
+        work[4] += skips
+        work[5] += guard_rejections
+
+
+class BatchRuntime:
+    """Anchored matching of a bank of TAGs in one traversal per root.
+
+    A root sweep is one :meth:`BankKernel.seed` and one
+    :meth:`BankKernel.advance` over the plan's events up to the sweep's
+    horizon and strict cuts (one bisection each), so positions, times,
+    tick columns and cuts are computed once per root for the whole
+    bank.  The differential suites hold it against the object NDFA
+    reference (:meth:`~repro.automata.matching.TagMatcher.match_from`).
+    """
+
+    __slots__ = (
+        "batch",
+        "store",
+        "plan",
+        "strict",
+        "horizon_seconds",
+        "max_configurations",
+        "root_symbol",
+        "kernel",
+    )
+
+    def __init__(
+        self,
+        batch: DenseBatch,
+        store,
+        root_symbol: str,
+        root_variable: str,
+        strict: bool = False,
+        horizon_seconds: Optional[int] = None,
+        max_configurations: int = MAX_CONFIGURATIONS,
+    ):
+        self.batch = batch
+        self.store = store
+        self.plan = _plan_for(batch, store, strict)
+        self.strict = strict
+        self.horizon_seconds = horizon_seconds
+        self.max_configurations = max_configurations
+        self.root_symbol = root_symbol
+        self.kernel = batch.kernel(root_symbol, root_variable)
+
+    def match_many(
+        self,
+        root_position: int,
+        member_ids: Optional[Sequence[int]] = None,
+    ) -> Dict[int, Tuple[bool, Optional[Dict[str, int]]]]:
+        """``{member_id: (matched, bindings)}`` for one anchored root,
+        advancing every requested member through one event sweep."""
+        batch = self.batch
+        if member_ids is None:
+            member_ids = range(len(batch.members))
+        results: Dict[int, Tuple[bool, Optional[Dict[str, int]]]] = (
+            dict.fromkeys(member_ids, _NO_MATCH)
+        )
+        store = self.store
+        if store.type_at(root_position) != self.root_symbol:
+            return results
+        root_time = store.time_at(root_position)
+        plan = self.plan
+        root_plan = plan.plan_index_of(root_position)
+        if root_plan is None:  # pragma: no cover - root is in alphabet
+            return results
+        kernel = self.kernel
+        ticks = plan.ticks
+        frontier, wanted = kernel.seed(
+            member_ids, root_time, [column[root_plan] for column in ticks],
+            self.strict, results,
+        )
+        if frontier:
+            # Shared cuts: one horizon bisection and one strict-kill
+            # bisection serve every member (identical clock space).
+            times = plan.times
+            end = len(times)
+            deadline = None
+            if self.horizon_seconds is not None:
+                deadline = root_time + self.horizon_seconds
+                end = bisect_right(times, deadline)
+            if plan.strict_bad is not None:
+                bad = plan.strict_bad
+                k = bisect_right(bad, root_position)
+                if k < len(bad):
+                    bad_position = bad[k]
+                    if deadline is None or (
+                        store.time_at(bad_position) <= deadline
+                    ):
+                        end = min(
+                            end, bisect_left(plan.positions, bad_position)
+                        )
+            kernel.advance(
+                frontier, wanted, results, plan.symbol_ids, times, ticks,
+                root_plan + 1, end, self.max_configurations,
+            )
+        kernel.fold()
         return results
 
     def scan_roots(

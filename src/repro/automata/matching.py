@@ -14,8 +14,10 @@ Production matching - :meth:`TagMatcher.occurs_at`,
 :meth:`~TagMatcher.matching_roots` and friends, and
 :func:`batch_matching_roots` for whole candidate frontiers - runs the
 same decisions as banks of dense transition tables over the
-sequence's columnar view (:class:`~repro.automata.dense.BatchRuntime`);
-a single pattern is a bank of one.
+sequence's columnar view (:class:`~repro.automata.dense.BatchRuntime`,
+advanced by the one kernel streaming also runs); a single pattern is
+its build's bank of one, compiled once per
+:class:`~repro.automata.builder.TagBuild`.
 
 ``strict=True`` reproduces the letter of the paper's run definition:
 any event whose timestamp is uncovered by some clock granularity kills
@@ -43,7 +45,7 @@ from typing import (
 )
 
 from .builder import TagBuild
-from .dense import BatchRuntime, DenseBatch, DenseTAG, compile_dense_batch
+from .dense import MAX_CONFIGURATIONS, BatchRuntime, compile_dense_batch
 from .tag import ANY, Configuration
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -99,10 +101,9 @@ class MatchResult:
 class TagMatcher:
     """Run a built TAG against event sequences.
 
-    Every production query runs a one-member
-    :class:`~repro.automata.dense.BatchRuntime` bank, cached per
-    columnar view; the object NDFA simulation stays beside it as the
-    reference.
+    Every production query runs the build's one-member bank in a
+    :class:`~repro.automata.dense.BatchRuntime`, cached per columnar
+    view; the object NDFA simulation stays beside it as the reference.
 
     Parameters
     ----------
@@ -133,7 +134,7 @@ class TagMatcher:
         strict: bool = False,
         horizon_seconds: Optional[int] = None,
         anchor_requirements: Optional[Sequence[Tuple[str, int, int]]] = None,
-        max_configurations: int = 100_000,
+        max_configurations: int = MAX_CONFIGURATIONS,
     ):
         self.build = build
         self.tag = build.tag
@@ -143,7 +144,6 @@ class TagMatcher:
             tuple(anchor_requirements) if anchor_requirements else ()
         )
         self.max_configurations = max_configurations
-        self._dense: Optional[DenseTAG] = None
         self._runtimes = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
@@ -286,23 +286,17 @@ class TagMatcher:
     # ------------------------------------------------------------------
     # Production queries: a one-member bank over the columnar view
     # ------------------------------------------------------------------
-    def _dense_tag(self) -> DenseTAG:
-        """The dense transition tables (compiled once per matcher)."""
-        if self._dense is None:
-            self._dense = self.tag.compile_dense()
-        return self._dense
-
     def _runtime(self, sequence: "EventSequence") -> BatchRuntime:
         """The one-member bank runtime over the sequence's columnar view.
 
-        Memoised per view (weakly keyed); the dense tables compile once
-        per matcher.
+        Memoised per view (weakly keyed); the bank is the build's, so
+        it compiles once however many matchers share the build.
         """
         view = sequence.columnar()
         runtime = self._runtimes.get(view)
         if runtime is None:
             runtime = BatchRuntime(
-                DenseBatch([self._dense_tag()]),
+                self.build.bank,
                 view,
                 self.build.root_symbol,
                 self.build.structure.root,
@@ -395,7 +389,7 @@ def batch_matching_roots(
     for key, indexes in groups.items():
         root_symbol, root_variable, strict, horizon, cap = key
         banks = compile_dense_batch(
-            [matchers[i]._dense_tag() for i in indexes]
+            [matchers[i].build.dense for i in indexes]
         )
         for positions, batch in banks:
             members = [indexes[p] for p in positions]

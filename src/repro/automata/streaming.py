@@ -4,10 +4,15 @@ The batch :class:`~repro.automata.matching.TagMatcher` answers "does
 the pattern occur anchored at this index" over a stored sequence; real
 monitoring systems instead *consume events as they arrive*.  This
 module provides that mode: a :class:`StreamingMatcher` is fed events,
-maintains one configuration set per live anchor (each root-type event
+maintains one kernel frontier per live anchor (each root-type event
 opens one - the paper's "start one copy of the TAG at every occurrence
 of E0"), and emits a detection the first time an anchor's run reaches
 acceptance.
+
+Streams run the stored scans' kernel
+(:class:`~repro.automata.dense.BankKernel`) over the build's shared
+bank, one event at a time, so detections and bindings equal the
+stored scan's; its work reaches ``repro_tag_*`` once per feed.
 
 Anchors retire when they accept, when their configuration set dies, or
 when the (propagation-derived or user-supplied) horizon passes - so
@@ -26,8 +31,8 @@ Resilience (see :mod:`repro.resilience` and docs/RESILIENCE.md):
   ``sample`` shed load and count what they dropped);
 * the full matcher state checkpoints to a JSON payload
   (:meth:`StreamingMatcher.checkpoint`) and restores with
-  :meth:`StreamingMatcher.from_checkpoint`, so a crashed monitor
-  resumes without replaying the stream.
+  :meth:`StreamingMatcher.from_checkpoint` (or :meth:`~StreamingMatcher.
+  restore`), so a crashed monitor resumes without replaying the stream.
 """
 
 from __future__ import annotations
@@ -35,12 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from ..granularity.normalform import clock_tick_of
 from ..obs import counter, gauge
 from ..resilience.errors import StreamFeedError, validate_event
 from ..resilience.policies import apply_overflow, normalize_overflow_policy
 from ..resilience.reorder import ReorderBuffer
 from .builder import TagBuild
-from .tag import Configuration
+from .dense import MAX_CONFIGURATIONS
 
 # Process-wide stream health metrics.  Counters aggregate across every
 # matcher in the process; the gauges reflect the most recently fed
@@ -85,12 +91,19 @@ class Detection:
     bindings: Dict[str, int]
 
 
-class _Anchor:
-    __slots__ = ("time", "configs")
+#: The member id of a build's bank of one.
+_ONLY = (0,)
 
-    def __init__(self, time: int, configs: List[Configuration]):
+
+class _Anchor:
+    """A live anchor: root time and member 0's kernel frontier."""
+
+    __slots__ = ("time", "frontier", "wanted")
+
+    def __init__(self, time: int, frontier: Dict[int, list], wanted):
         self.time = time
-        self.configs = configs
+        self.frontier = frontier
+        self.wanted = wanted
 
 
 class StreamingMatcher:
@@ -124,7 +137,8 @@ class StreamingMatcher:
         overflow_policy: str = "raise",
     ):
         self.build = build
-        self.tag = build.tag
+        #: The build's advance kernel, shared by every matcher over it.
+        self.kernel = build.kernel
         self.strict = strict
         self.horizon_seconds = horizon_seconds
         self.max_live_anchors = max_live_anchors
@@ -218,16 +232,11 @@ class StreamingMatcher:
                 raise ValueError(
                     "events must arrive in non-decreasing timestamp order"
                 )
-            detections = self._advance(etype, time)
-            self._export_gauges()
-            return detections
+            return self._advance_all([(etype, time)])
         dropped_before = self._buffer.late_dropped
-        detections: List[Detection] = []
-        for ready_etype, ready_time in self._buffer.push(etype, time):
-            detections.extend(self._advance(ready_etype, ready_time))
+        ready = self._buffer.push(etype, time)
         _LATE_DROPPED.add(self._buffer.late_dropped - dropped_before)
-        self._export_gauges()
-        return detections
+        return self._advance_all(ready)
 
     def flush(self) -> List[Detection]:
         """Drain the reorder buffer (end of stream); returns detections.
@@ -236,91 +245,74 @@ class StreamingMatcher:
         """
         if self._buffer is None:
             return []
+        return self._advance_all(self._buffer.flush())
+
+    # ------------------------------------------------------------------
+    def _advance_all(self, events) -> List[Detection]:
+        """Advance over in-order events, then fold the kernel's work
+        into the ``repro_tag_*`` counters once and export the gauges."""
         detections: List[Detection] = []
-        for etype, time in self._buffer.flush():
+        for etype, time in events:
             detections.extend(self._advance(etype, time))
+        self.kernel.fold()
         self._export_gauges()
         return detections
 
-    # ------------------------------------------------------------------
     def _advance(self, etype: str, time: int) -> List[Detection]:
         """Advance the automaton state on one in-order event."""
         self._last_time = time
         self.events_processed += 1
         _EVENTS_PROCESSED.inc()
         detections: List[Detection] = []
-
-        # Advance live anchors.
-        survivors: List[_Anchor] = []
-        for anchor in self._anchors:
-            if (
-                self.horizon_seconds is not None
-                and time > anchor.time + self.horizon_seconds
-            ):
-                continue  # expired
-            seen = set()
-            next_configs: List[Configuration] = []
-            accepted: Optional[Configuration] = None
-            for config in anchor.configs:
-                for successor in self.tag.step(
-                    config, etype, time, self.strict
-                ):
-                    key = successor.frozen_key()
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if successor.state in self.tag.accepting:
-                        accepted = successor
-                        break
-                    next_configs.append(successor)
-                if accepted is not None:
-                    break
-            if accepted is not None:
-                detections.append(
-                    Detection(
-                        anchor_time=anchor.time,
-                        detected_at=time,
-                        bindings=dict(accepted.bindings),
-                    )
+        kernel = self.kernel
+        anchors = self._anchors
+        if self.horizon_seconds is not None:
+            oldest = time - self.horizon_seconds
+            anchors = [anchor for anchor in anchors if anchor.time >= oldest]
+        opens = etype == kernel.root_symbol
+        sid = kernel.batch.symbol_index.get(etype)
+        if opens or (anchors and (sid is not None or self.strict)):
+            # One conversion per clock serves every anchor.
+            now_ticks = [
+                clock_tick_of(ttype, time)
+                for ttype in kernel.batch.clock_types
+            ]
+            if self.strict and None in now_ticks:
+                # The paper's literal run definition: an uncovered
+                # timestamp kills every run, skipped or not.
+                anchors = []
+        if anchors and sid is not None:
+            columns = [[tick] for tick in now_ticks]
+            results: Dict[int, tuple] = {}
+            survivors: List[_Anchor] = []
+            for anchor in anchors:
+                kernel.advance(
+                    anchor.frontier, anchor.wanted, results, (sid,),
+                    (time,), columns, 0, 1, MAX_CONFIGURATIONS,
                 )
-                continue  # anchor consumed by its detection
-            if next_configs:
-                anchor.configs = next_configs
-                survivors.append(anchor)
-        self._anchors = survivors
+                if results:
+                    detections.append(
+                        Detection(anchor.time, time, results.pop(0)[1])
+                    )
+                else:
+                    survivors.append(anchor)
+            anchors = survivors
+        self._anchors = anchors
 
         # Open a new anchor if this is a root-type event.
-        if etype == self.build.root_symbol:
-            start_config = Configuration(
-                state=next(iter(self.tag.start_states)),
-                reset_times={name: time for name in self.tag.clocks},
-                last_time=time,
+        if opens:
+            results = {}
+            frontier, wanted = kernel.seed(
+                _ONLY, time, now_ticks, self.strict, results
             )
-            root_variable = self.build.structure.root
-            opened = [
-                config
-                for config in self.tag.step(
-                    start_config, etype, time, self.strict
-                )
-                if config.bindings and config.bindings[0][0] == root_variable
-            ]
-            accepted = next(
-                (c for c in opened if c.state in self.tag.accepting), None
-            )
-            if accepted is not None:
+            if results:
                 # Single-variable patterns accept immediately.
-                detections.append(
-                    Detection(
-                        anchor_time=time,
-                        detected_at=time,
-                        bindings=dict(accepted.bindings),
-                    )
-                )
-            elif opened:
-                self._anchors.append(_Anchor(time, opened))
-                if len(self._anchors) > self.max_live_anchors:
+                detections.append(Detection(time, time, results[0][1]))
+            elif frontier:
+                anchors.append(_Anchor(time, frontier, wanted))
+                if len(anchors) > self.max_live_anchors:
                     self._anchors, shed = apply_overflow(
-                        self._anchors,
+                        anchors,
                         self.max_live_anchors,
                         self.overflow_policy,
                     )
@@ -371,6 +363,14 @@ class StreamingMatcher:
         from ..io.serialize import streaming_checkpoint_to_dict
 
         return streaming_checkpoint_to_dict(self)
+
+    def restore(self, payload: Dict[str, Any]) -> None:
+        """Load :meth:`checkpoint` state onto this matcher, which keeps
+        its build and parameters (the payload's pattern must be the
+        build's: :class:`~repro.io.SerializationError` otherwise)."""
+        from ..io.serialize import restore_streaming_checkpoint
+
+        restore_streaming_checkpoint(self, payload)
 
     @classmethod
     def from_checkpoint(

@@ -183,7 +183,12 @@ class EventStructure:
         assert order is not None  # validated at construction
         position = {v: i for i, v in enumerate(order)}
         while uncovered:
-            target = min(uncovered, key=lambda arc: position[arc[0]])
+            # Ties go to the first arc inserted: the TAG states and clock
+            # names checkpoints record must not depend on set order.
+            target = min(
+                (arc for arc in self.constraints if arc in uncovered),
+                key=lambda arc: position[arc[0]],
+            )
             path = self._path(self.root, target[0])
             path.append(target[1])
             uncovered.discard(target)

@@ -14,6 +14,7 @@ construction recipe.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from typing import Any, Dict, IO, List, Mapping, Optional, Union
 
 from ..constraints.structure import ComplexEventType, EventStructure
@@ -27,6 +28,7 @@ from ..granularity.business import (
 from ..granularity.calendar import MonthType, YearType
 from ..granularity.combinators import GroupedType
 from ..granularity.intersection import IntersectionType
+from ..granularity.normalform import clock_tick_of
 from ..granularity.periodic import PeriodicPatternType
 from ..granularity.registry import GranularitySystem
 from ..mining.discovery import EventDiscoveryProblem, TypeConstraint
@@ -35,6 +37,18 @@ from ..mining.events import Event, EventSequence
 
 class SerializationError(ValueError):
     """Raised on malformed or unsupported payloads."""
+
+
+@contextmanager
+def _malformed(what: str):
+    """Re-raise a payload lookup or conversion error as a
+    :class:`SerializationError` about ``what``."""
+    try:
+        yield
+    except SerializationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError("malformed %s payload: %s" % (what, exc))
 
 
 # ----------------------------------------------------------------------
@@ -325,47 +339,53 @@ def _decode_tag_state(payload: Any) -> Any:
     raise SerializationError("malformed TAG state payload %r" % (payload,))
 
 
-def configuration_to_dict(config) -> Dict[str, Any]:
-    """Encode one automaton configuration (state, clocks, bindings)."""
-    return {
-        "state": _encode_tag_state(config.state),
-        "reset_times": dict(config.reset_times),
-        "last_time": config.last_time,
-        "bindings": [[variable, time] for variable, time in config.bindings],
-    }
+def frontier_to_dicts(dense, configs, last_time) -> List[Dict[str, Any]]:
+    """Encode kernel configurations of ``dense`` (a
+    :class:`~repro.automata.dense.DenseTAG`) in the v1 object form: TAG
+    state, a reset time per clock name, the last consumed timestamp and
+    the bindings.  Reset ticks are left out and recomputed on decode."""
+    return [
+        {
+            "state": _encode_tag_state(dense.states[state]),
+            "reset_times": dict(zip(dense.clock_names, resets)),
+            "last_time": last_time,
+            "bindings": [[variable, time] for variable, time in bindings],
+        }
+        for state, resets, _ticks, bindings in configs
+    ]
 
 
-def configuration_from_dict(payload: Mapping[str, Any]):
-    """Decode :func:`configuration_to_dict` output."""
-    from ..automata.tag import Configuration
-
-    try:
-        return Configuration(
-            state=_decode_tag_state(payload["state"]),
-            reset_times={
-                str(name): int(time)
-                for name, time in payload["reset_times"].items()
-            },
-            last_time=int(payload["last_time"]),
-            bindings=tuple(
-                (str(variable), int(time))
-                for variable, time in payload.get("bindings", ())
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(
-            "malformed configuration payload: %s" % exc
-        )
+def frontier_from_dicts(dense, payload) -> List[tuple]:
+    """Decode :func:`frontier_to_dicts` output onto ``dense``'s tables."""
+    configs = []
+    with _malformed("configuration"):
+        for config in payload:
+            resets = tuple(
+                int(config["reset_times"][name]) for name in dense.clock_names
+            )
+            configs.append((
+                dense.state_index[_decode_tag_state(config["state"])],
+                resets,
+                tuple(
+                    clock_tick_of(ttype, reset)
+                    for ttype, reset in zip(dense.clock_types, resets)
+                ),
+                tuple(
+                    (str(variable), int(time))
+                    for variable, time in config.get("bindings", ())
+                ),
+            ))
+    return configs
 
 
 def streaming_checkpoint_to_dict(matcher) -> Dict[str, Any]:
     """Snapshot a :class:`~repro.automata.streaming.StreamingMatcher`.
 
-    The payload carries the pattern (so the TAG is rebuilt on
-    restore), the matcher's tuning parameters, every live anchor's
-    configuration set (bindings included - they become detection
-    output), the reorder buffer, and all counters.  It is pure JSON:
-    write it with :func:`dump_json`, read it back with
+    The payload carries the pattern (so the TAG can be rebuilt), the
+    matcher's tuning parameters, every live anchor's frontier
+    (:func:`frontier_to_dicts`; bindings included - they become
+    detection output), the reorder buffer, and all counters.  It is
+    pure JSON: write it with :func:`dump_json`, read it back with
     :func:`load_json`.
     """
     return {
@@ -380,18 +400,15 @@ def streaming_checkpoint_to_dict(matcher) -> Dict[str, Any]:
         "last_time": matcher._last_time,
         "max_time_seen": matcher._max_time_seen,
         "counters": {
-            "events_received": matcher.events_received,
-            "events_processed": matcher.events_processed,
-            "detections_emitted": matcher.detections_emitted,
-            "anchors_shed": matcher.anchors_shed,
+            name: getattr(matcher, name) for name in _CHECKPOINT_COUNTERS
         },
         "anchors": [
             {
                 "time": anchor.time,
-                "configs": [
-                    configuration_to_dict(config)
-                    for config in anchor.configs
-                ],
+                "configs": frontier_to_dicts(
+                    matcher.build.dense, anchor.frontier[0],
+                    matcher._last_time,
+                ),
             }
             for anchor in matcher._anchors
         ],
@@ -401,29 +418,88 @@ def streaming_checkpoint_to_dict(matcher) -> Dict[str, Any]:
     }
 
 
+_CHECKPOINT_COUNTERS = (
+    "events_received", "events_processed", "detections_emitted",
+    "anchors_shed",
+)
+
+
+def _check_version(payload: Mapping[str, Any]) -> None:
+    if payload.get("version") != CHECKPOINT_VERSION:
+        raise SerializationError(
+            "unsupported checkpoint version %r (expected %d)"
+            % (payload.get("version"), CHECKPOINT_VERSION)
+        )
+
+
+def restore_streaming_checkpoint(matcher, payload: Mapping[str, Any]) -> None:
+    """Load :func:`streaming_checkpoint_to_dict` state onto ``matcher``.
+
+    The one restore routine, run by
+    :func:`streaming_matcher_from_checkpoint` and by the service's
+    session registry.  The matcher keeps its build and parameters; the
+    payload brings the stream position, counters, live anchors and
+    reorder buffer.  A payload of another pattern raises
+    :class:`SerializationError` instead of running that pattern.
+    """
+    from ..automata.streaming import _Anchor
+    from ..resilience.reorder import ReorderBuffer
+
+    _check_version(payload)
+    build = matcher.build
+    with _malformed("checkpoint"):
+        if payload["pattern"] != complex_event_type_to_dict(
+            build.complex_event_type
+        ):
+            raise SerializationError(
+                "checkpoint pattern differs from the matcher's pattern"
+            )
+        anchors = []
+        for anchor in payload.get("anchors", ()):
+            configs = frontier_from_dicts(build.dense, anchor["configs"])
+            wanted = build.kernel.wanted_set(0, [c[0] for c in configs])
+            anchors.append(
+                _Anchor(int(anchor["time"]), {0: configs}, {0: wanted})
+            )
+        reorder = payload.get("reorder")
+        buffer = None if reorder is None else ReorderBuffer.from_dict(reorder)
+        last_time = payload.get("last_time")
+        max_seen = payload.get("max_time_seen", last_time)
+        counters = payload.get("counters", {})
+        counts = {
+            name: int(counters.get(name, 0)) for name in _CHECKPOINT_COUNTERS
+        }
+        last_time = int(last_time) if last_time is not None else None
+        max_seen = int(max_seen) if max_seen is not None else None
+    # Nothing is assigned until the whole payload has decoded.
+    matcher._anchors = anchors
+    if buffer is not None:
+        matcher._buffer = buffer
+    matcher._last_time = last_time
+    matcher._max_time_seen = max_seen
+    for name, count in counts.items():
+        setattr(matcher, name, count)
+
+
 def streaming_matcher_from_checkpoint(
     payload: Mapping[str, Any],
     system: Optional[GranularitySystem] = None,
 ):
-    """Rebuild a matcher from :func:`streaming_checkpoint_to_dict`.
+    """Rebuild a matcher from :func:`streaming_checkpoint_to_dict`: the
+    payload's pattern built with its parameters, then
+    :func:`restore_streaming_checkpoint`.
 
     ``system`` defaults to :func:`repro.granularity.standard_system`;
     pass the original system when the pattern uses custom
     granularities registered there.
     """
     from ..automata.builder import build_tag
-    from ..automata.streaming import StreamingMatcher, _Anchor
+    from ..automata.streaming import StreamingMatcher
     from ..granularity.registry import standard_system
-    from ..resilience.reorder import ReorderBuffer
 
-    version = payload.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise SerializationError(
-            "unsupported checkpoint version %r (expected %d)"
-            % (version, CHECKPOINT_VERSION)
-        )
+    _check_version(payload)
     system = system if system is not None else standard_system()
-    try:
+    with _malformed("checkpoint"):
         cet = complex_event_type_from_dict(payload["pattern"], system)
         horizon = payload.get("horizon_seconds")
         matcher = StreamingMatcher(
@@ -433,35 +509,8 @@ def streaming_matcher_from_checkpoint(
             max_live_anchors=int(payload.get("max_live_anchors", 10_000)),
             overflow_policy=payload.get("overflow_policy", "raise"),
         )
-        last_time = payload.get("last_time")
-        matcher._last_time = int(last_time) if last_time is not None else None
-        max_seen = payload.get("max_time_seen", last_time)
-        matcher._max_time_seen = int(max_seen) if max_seen is not None else None
-        counters = payload.get("counters", {})
-        matcher.events_received = int(counters.get("events_received", 0))
-        matcher.events_processed = int(counters.get("events_processed", 0))
-        matcher.detections_emitted = int(
-            counters.get("detections_emitted", 0)
-        )
-        matcher.anchors_shed = int(counters.get("anchors_shed", 0))
-        matcher._anchors = [
-            _Anchor(
-                int(anchor["time"]),
-                [
-                    configuration_from_dict(config)
-                    for config in anchor["configs"]
-                ],
-            )
-            for anchor in payload.get("anchors", ())
-        ]
-        reorder = payload.get("reorder")
-        if reorder is not None:
-            matcher._buffer = ReorderBuffer.from_dict(reorder)
-        return matcher
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, SerializationError):
-            raise
-        raise SerializationError("malformed checkpoint payload: %s" % exc)
+    restore_streaming_checkpoint(matcher, payload)
+    return matcher
 
 
 # ----------------------------------------------------------------------

@@ -156,7 +156,7 @@ def compile_groups(
     groups = []
     for symbol, members in by_symbol.items():
         for relative, bank in compile_dense_batch(
-            [builds[member].tag for member in members]
+            [builds[member].dense for member in members]
         ):
             groups.append(
                 (tuple(members[r] for r in relative), bank, symbol)

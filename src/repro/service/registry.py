@@ -5,20 +5,26 @@ state in memory.  The registry keeps at most ``max_resident`` sessions
 resident; acquiring one beyond that evicts the least-recently-used
 session by checkpointing it to the store and dropping the matcher.
 The next event for an evicted session transparently *rehydrates* it
-(under a ``service.rehydrate`` span): load the last durable
-checkpoint, then replay the WAL suffix - events accepted after that
-checkpoint - through the restored matcher.  Replay re-emits the
-detections those events completed, tagged with their sequence numbers,
-giving at-least-once delivery across evictions and crashes; consumers
-that need exactly-once dedupe on ``(tenant, key, seq)``.
+(under a ``service.rehydrate`` span): restore the last durable
+checkpoint's state onto a fresh matcher from ``matcher_factory`` - the
+service's one compiled pattern and config, so rehydration never
+re-parses a pattern or rebuilds a TAG - then replay the WAL suffix
+(events accepted after that checkpoint) through it.  A checkpoint of
+another pattern fails loudly instead of running that pattern.  Replay
+re-emits the detections those events completed, tagged with their
+sequence numbers, giving at-least-once delivery across evictions and
+crashes; consumers that need exactly-once dedupe on ``(tenant, key,
+seq)``.
 
-Recency is a logical use counter, not wall time, so eviction order is
-deterministic and the differential suite can force churn by setting
-``max_resident=1``.
+Recency is the order of the resident map (a session moves to its end
+on every acquire, and eviction takes from its front), not wall time,
+so eviction order is deterministic and the differential suite can
+force churn by setting ``max_resident=1``.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..automata.streaming import Detection, StreamingMatcher
@@ -52,9 +58,7 @@ _SESSIONS_EVICTED = gauge(
 class Session:
     """One resident ``(tenant, key)`` detection session."""
 
-    __slots__ = (
-        "tenant", "key", "matcher", "seq", "checkpointed_seq", "last_use",
-    )
+    __slots__ = ("tenant", "key", "matcher", "seq", "checkpointed_seq")
 
     def __init__(self, tenant: str, key: str, matcher: StreamingMatcher):
         self.tenant = tenant
@@ -64,15 +68,14 @@ class Session:
         self.seq = 0
         #: Sequence the last durable checkpoint reflects.
         self.checkpointed_seq = 0
-        self.last_use = 0
 
 
 class SessionRegistry:
     """Keyed matchers with bounded residency and transparent spill.
 
-    ``matcher_factory`` builds a fresh matcher for a session with no
-    durable state; rehydration needs no factory because checkpoints
-    carry the pattern.
+    ``matcher_factory`` builds every session's matcher: a fresh one for
+    a session with no durable state, and the one a rehydration restores
+    its checkpoint onto.
     """
 
     def __init__(
@@ -80,7 +83,6 @@ class SessionRegistry:
         store: CheckpointStoreBase,
         matcher_factory: Callable[[], StreamingMatcher],
         max_resident: int = 64,
-        system=None,
         context_for: Optional[
             Callable[[str], Optional[TraceContext]]
         ] = None,
@@ -95,10 +97,9 @@ class SessionRegistry:
         #: originating-submit context in) - None falls back to stack
         #: nesting.
         self.context_for = context_for
-        self.system = system
-        self._resident: Dict[Tuple[str, str], Session] = {}
+        #: Resident sessions, least recently used first.
+        self._resident: Dict[Tuple[str, str], Session] = OrderedDict()
         self._evicted_keys: set = set()
-        self._use_counter = 0
         self.evictions = 0
         self.rehydrations = 0
 
@@ -112,7 +113,6 @@ class SessionRegistry:
         replay (``(seq, ordinal, detection)`` triples) - non-empty only
         when the durable state was behind the WAL, i.e. after a crash.
         """
-        self._use_counter += 1
         session = self._resident.get((tenant, key))
         replayed: List[Tuple[int, int, Detection]] = []
         if session is None:
@@ -122,10 +122,9 @@ class SessionRegistry:
                 session = Session(tenant, key, self.matcher_factory())
             self._resident[(tenant, key)] = session
             self._evicted_keys.discard((tenant, key))
-            session.last_use = self._use_counter
             self._enforce_residency(keep=(tenant, key))
         else:
-            session.last_use = self._use_counter
+            self._resident.move_to_end((tenant, key))
         self._export_gauges()
         return session, replayed
 
@@ -137,16 +136,10 @@ class SessionRegistry:
             "service.rehydrate", parent, tenant=tenant, key=key
         ):
             payload = self.store.load(tenant, key)
-            if payload is None:
-                # WAL with no checkpoint yet: replay from a fresh matcher.
-                session = Session(tenant, key, self.matcher_factory())
-            else:
-                session = Session(
-                    tenant, key,
-                    StreamingMatcher.from_checkpoint(
-                        payload["matcher"], system=self.system
-                    ),
-                )
+            # WAL with no checkpoint yet: replay from a fresh matcher.
+            session = Session(tenant, key, self.matcher_factory())
+            if payload is not None:
+                session.matcher.restore(payload["matcher"])
                 session.seq = int(payload["seq"])
                 session.checkpointed_seq = session.seq
             replayed: List[Tuple[int, int, Detection]] = []
@@ -173,10 +166,7 @@ class SessionRegistry:
     # ------------------------------------------------------------------
     def _enforce_residency(self, keep: Tuple[str, str]) -> None:
         while len(self._resident) > self.max_resident:
-            victim_key = min(
-                (k for k in self._resident if k != keep),
-                key=lambda k: self._resident[k].last_use,
-            )
+            victim_key = next(k for k in self._resident if k != keep)
             self.evict(*victim_key)
 
     def evict(self, tenant: str, key: str) -> None:

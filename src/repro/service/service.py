@@ -255,6 +255,11 @@ class DetectionService:
 
     Use :meth:`submit` / :meth:`drain` / :meth:`close` from a running
     event loop, or the synchronous :func:`serve_events` facade.
+
+    Every session, new or rehydrated, runs over ``build``: the
+    service's one compiled pattern.  ``system`` is unused, since no
+    checkpoint is decoded into a pattern; it stays for the callers
+    that pass it, ``perf/inproc.py`` among them.
     """
 
     def __init__(
@@ -277,7 +282,6 @@ class DetectionService:
             self.store,
             self._new_matcher,
             max_resident=config.max_resident_sessions,
-            system=system,
             context_for=self._tenant_context,
         )
         self.quarantine = Quarantine(source="service")
@@ -429,13 +433,7 @@ class DetectionService:
         except ValueError as exc:
             self._reject(tenant, state, key, etype, time, exc)
             return
-        session, replayed = self.registry.acquire(tenant, key)
-        self.detections.extend(
-            ServiceDetection(
-                tenant, key, seq, detection, replayed=True, ordinal=ordinal
-            )
-            for seq, ordinal, detection in replayed
-        )
+        session = self._acquire(tenant, key)
         session.seq += 1
         self.store.append_wal(tenant, key, session.seq, etype, time)
         try:
@@ -444,19 +442,34 @@ class DetectionService:
             self._reject(tenant, state, key, etype, time, exc)
             return
         state.breaker.record_success()
+        self._emit(session, found)
+        self._tenant_counters.record(tenant, detections=len(found))
+        self.registry.maybe_checkpoint(
+            session, self.config.checkpoint_interval
+        )
+
+    def _acquire(self, tenant: str, key: str):
+        """The session, after recording what rehydration replayed."""
+        session, replayed = self.registry.acquire(tenant, key)
+        self.detections.extend(
+            ServiceDetection(
+                tenant, key, seq, detection, replayed=True, ordinal=ordinal
+            )
+            for seq, ordinal, detection in replayed
+        )
+        return session
+
+    def _emit(self, session, found: List[Detection]) -> None:
+        """Record detections the session's latest call completed."""
         base = session.matcher.detections_emitted - len(found)
         self.detections.extend(
             ServiceDetection(
-                tenant, key, session.seq, detection,
+                session.tenant, session.key, session.seq, detection,
                 ordinal=base + offset,
             )
             for offset, detection in enumerate(found)
         )
         _DETECTIONS.add(len(found))
-        self._tenant_counters.record(tenant, detections=len(found))
-        self.registry.maybe_checkpoint(
-            session, self.config.checkpoint_interval
-        )
 
     def _reject(
         self, tenant: str, state: _TenantState,
@@ -525,32 +538,21 @@ class DetectionService:
 
     async def flush(self) -> None:
         """Drain, then flush every session's reorder buffer (end of
-        stream) - only meaningful with ``max_lateness`` configured.
+        stream).
 
-        Spilled sessions are rehydrated to flush too: their buffered
-        events are part of the stream, and eviction must not change
-        what gets detected.
+        Sessions are visited only with ``max_lateness`` configured:
+        without it no matcher has a reorder buffer, and visiting would
+        rehydrate spilled sessions for nothing.  With it, spilled
+        sessions are rehydrated to flush too: their buffered events are
+        part of the stream, and eviction must not change what gets
+        detected.
         """
         await self.drain()
+        if self.config.max_lateness is None:
+            return
         for tenant, key in self.registry.session_keys():
-            session, replayed = self.registry.acquire(tenant, key)
-            self.detections.extend(
-                ServiceDetection(
-                    tenant, key, seq, detection,
-                    replayed=True, ordinal=ordinal,
-                )
-                for seq, ordinal, detection in replayed
-            )
-            found = session.matcher.flush()
-            base = session.matcher.detections_emitted - len(found)
-            self.detections.extend(
-                ServiceDetection(
-                    tenant, key, session.seq, detection,
-                    ordinal=base + offset,
-                )
-                for offset, detection in enumerate(found)
-            )
-            _DETECTIONS.add(len(found))
+            session = self._acquire(tenant, key)
+            self._emit(session, session.matcher.flush())
 
     async def close(self) -> None:
         """Stop workers and checkpoint every resident session."""
@@ -578,17 +580,10 @@ class DetectionService:
         :attr:`detections`, flagged ``replayed=True``).  At-least-once:
         a detection delivered just before the crash may appear again.
         """
-        recovered: List[ServiceDetection] = []
+        before = len(self.detections)
         for tenant, key in self.store.sessions():
-            _, replayed = self.registry.acquire(tenant, key)
-            recovered.extend(
-                ServiceDetection(
-                    tenant, key, seq, detection,
-                    replayed=True, ordinal=ordinal,
-                )
-                for seq, ordinal, detection in replayed
-            )
-        self.detections.extend(recovered)
+            self._acquire(tenant, key)
+        recovered = self.detections[before:]
         _DETECTIONS.add(len(recovered))
         return recovered
 

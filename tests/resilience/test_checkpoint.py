@@ -12,12 +12,13 @@ from repro.granularity import standard_system
 from repro.granularity.gregorian import SECONDS_PER_HOUR
 from repro.io.serialize import (
     SerializationError,
-    configuration_from_dict,
-    configuration_to_dict,
+    frontier_from_dicts,
+    frontier_to_dicts,
     streaming_matcher_from_checkpoint,
 )
 
 H = SECONDS_PER_HOUR
+D = 24 * H
 
 SYSTEM = standard_system()
 
@@ -51,20 +52,288 @@ def detections_as_json(detections):
 
 
 class TestConfigurationPayload:
+    """The frontier codec: kernel configurations to and from the v1
+    object form (TAG state, reset time per clock name, bindings)."""
+
     def test_roundtrip(self, chain_cet):
         build = build_tag(chain_cet)
         matcher = StreamingMatcher(build)
         matcher.feed("a", 0)
         matcher.feed("b", H)
         (anchor,) = matcher._anchors
-        for config in anchor.configs:
-            payload = json.loads(json.dumps(configuration_to_dict(config)))
-            restored = configuration_from_dict(payload)
-            assert restored == config
+        configs = anchor.frontier[0]
+        assert len(configs) == 2
+        payload = json.loads(
+            json.dumps(frontier_to_dicts(build.dense, configs, H))
+        )
+        assert [config["state"] for config in payload] == [
+            {"t": [1]}, {"t": [2]},
+        ]
+        assert all(config["last_time"] == H for config in payload)
+        # Reset ticks are recomputed from the reset times on decode.
+        assert frontier_from_dicts(build.dense, payload) == configs
 
-    def test_malformed_payload_rejected(self):
+    def test_malformed_payload_rejected(self, chain_cet):
+        dense = build_tag(chain_cet).dense
+        clocks = {name: 0 for name in dense.clock_names}
+        for payload in (
+            [{"state": {"bogus": 1}, "reset_times": clocks}],
+            [{"state": {"t": [7]}, "reset_times": clocks}],
+            [{"state": {"t": [1]}, "reset_times": {"c9:hour": 0}}],
+            [{"state": {"t": [1]}}],
+        ):
+            with pytest.raises(SerializationError):
+                frontier_from_dicts(dense, payload)
+
+
+def _module_diamond_cet():
+    """The Figure 1(a) diamond: b-day, week and hour clocks, the b-day
+    one with gaps (it covers days 0-4 of each week, counted from day 0
+    of the epoch)."""
+    bday = SYSTEM.get("b-day")
+    hour = SYSTEM.get("hour")
+    week = SYSTEM.get("week")
+    structure = EventStructure(
+        ["X0", "X1", "X2", "X3"],
+        {
+            ("X0", "X1"): [TCG(1, 1, bday)],
+            ("X1", "X3"): [TCG(0, 1, week)],
+            ("X0", "X2"): [TCG(0, 5, bday)],
+            ("X2", "X3"): [TCG(0, 8, hour)],
+        },
+    )
+    return ComplexEventType(
+        structure, {"X0": "a", "X1": "b", "X2": "c", "X3": "d"}
+    )
+
+
+DIAMOND_CET = _module_diamond_cet()
+
+#: A stream over the diamond, starting on day 7 (b-day covered).
+T0 = 7 * D
+DIAMOND_EVENTS = [
+    ("a", T0 + 9 * H), ("c", T0 + 10 * H), ("a", T0 + 11 * H),
+    ("noise", T0 + 12 * H), ("b", T0 + D + 9 * H), ("c", T0 + D + 10 * H),
+    ("a", T0 + D + 11 * H), ("b", T0 + 2 * D + 12 * H),
+    ("c", T0 + 2 * D + 13 * H), ("d", T0 + 2 * D + 14 * H),
+    ("d", T0 + 2 * D + 20 * H), ("c", T0 + 3 * D + 9 * H),
+    ("d", T0 + 3 * D + 10 * H), ("noise", T0 + 5 * D + 9 * H),
+]
+
+#: ``StreamingMatcher.checkpoint()`` after the first seven events of
+#: ``DIAMOND_EVENTS`` (horizon six days), as written by the matcher
+#: that advanced object configurations before the dense kernel took
+#: over: three live anchors, the first with six configurations.
+OBJECT_MATCHER_CHECKPOINT = (
+    {'anchors': [{'configs': [{'bindings': [['X0', 637200]],
+                               'last_time': 730800,
+                               'reset_times': {'c0:b-day': 637200,
+                                               'c0:week': 637200,
+                                               'c1:b-day': 637200,
+                                               'c1:hour': 637200},
+                               'state': {'t': [1, 1]}},
+                              {'bindings': [['X0', 637200], ['X2', 727200]],
+                               'last_time': 730800,
+                               'reset_times': {'c0:b-day': 637200,
+                                               'c0:week': 637200,
+                                               'c1:b-day': 727200,
+                                               'c1:hour': 727200},
+                               'state': {'t': [1, 2]}},
+                              {'bindings': [['X0', 637200], ['X1', 723600]],
+                               'last_time': 730800,
+                               'reset_times': {'c0:b-day': 723600,
+                                               'c0:week': 723600,
+                                               'c1:b-day': 637200,
+                                               'c1:hour': 637200},
+                               'state': {'t': [2, 1]}},
+                              {'bindings': [['X0', 637200],
+                                            ['X1', 723600],
+                                            ['X2', 727200]],
+                               'last_time': 730800,
+                               'reset_times': {'c0:b-day': 723600,
+                                               'c0:week': 723600,
+                                               'c1:b-day': 727200,
+                                               'c1:hour': 727200},
+                               'state': {'t': [2, 2]}},
+                              {'bindings': [['X0', 637200], ['X2', 640800]],
+                               'last_time': 730800,
+                               'reset_times': {'c0:b-day': 637200,
+                                               'c0:week': 637200,
+                                               'c1:b-day': 640800,
+                                               'c1:hour': 640800},
+                               'state': {'t': [1, 2]}},
+                              {'bindings': [['X0', 637200],
+                                            ['X2', 640800],
+                                            ['X1', 723600]],
+                               'last_time': 730800,
+                               'reset_times': {'c0:b-day': 723600,
+                                               'c0:week': 723600,
+                                               'c1:b-day': 640800,
+                                               'c1:hour': 640800},
+                               'state': {'t': [2, 2]}}],
+                  'time': 637200},
+                 {'configs': [{'bindings': [['X0', 644400]],
+                               'last_time': 730800,
+                               'reset_times': {'c0:b-day': 644400,
+                                               'c0:week': 644400,
+                                               'c1:b-day': 644400,
+                                               'c1:hour': 644400},
+                               'state': {'t': [1, 1]}},
+                              {'bindings': [['X0', 644400], ['X2', 727200]],
+                               'last_time': 730800,
+                               'reset_times': {'c0:b-day': 644400,
+                                               'c0:week': 644400,
+                                               'c1:b-day': 727200,
+                                               'c1:hour': 727200},
+                               'state': {'t': [1, 2]}},
+                              {'bindings': [['X0', 644400], ['X1', 723600]],
+                               'last_time': 730800,
+                               'reset_times': {'c0:b-day': 723600,
+                                               'c0:week': 723600,
+                                               'c1:b-day': 644400,
+                                               'c1:hour': 644400},
+                               'state': {'t': [2, 1]}},
+                              {'bindings': [['X0', 644400],
+                                            ['X1', 723600],
+                                            ['X2', 727200]],
+                               'last_time': 730800,
+                               'reset_times': {'c0:b-day': 723600,
+                                               'c0:week': 723600,
+                                               'c1:b-day': 727200,
+                                               'c1:hour': 727200},
+                               'state': {'t': [2, 2]}}],
+                  'time': 644400},
+                 {'configs': [{'bindings': [['X0', 730800]],
+                               'last_time': 730800,
+                               'reset_times': {'c0:b-day': 730800,
+                                               'c0:week': 730800,
+                                               'c1:b-day': 730800,
+                                               'c1:hour': 730800},
+                               'state': {'t': [1, 1]}}],
+                  'time': 730800}],
+     'counters': {'anchors_shed': 0,
+                  'detections_emitted': 0,
+                  'events_processed': 7,
+                  'events_received': 7},
+     'horizon_seconds': 518400,
+     'last_time': 730800,
+     'max_live_anchors': 10000,
+     'max_time_seen': 730800,
+     'overflow_policy': 'raise',
+     'pattern': {'assignment': {'X0': 'a', 'X1': 'b', 'X2': 'c', 'X3': 'd'},
+                 'structure': {'constraints': [{'from': 'X0',
+                                                'tcgs': [{'granularity': {'holidays': [],
+                                                                          'kind': 'businessday',
+                                                                          'label': 'b-day',
+                                                                          'workdays': [0,
+                                                                                       1,
+                                                                                       2,
+                                                                                       3,
+                                                                                       4]},
+                                                          'm': 1,
+                                                          'n': 1}],
+                                                'to': 'X1'},
+                                               {'from': 'X1',
+                                                'tcgs': [{'granularity': {'kind': 'uniform',
+                                                                          'label': 'week',
+                                                                          'phase': 0,
+                                                                          'seconds_per_tick': 604800},
+                                                          'm': 0,
+                                                          'n': 1}],
+                                                'to': 'X3'},
+                                               {'from': 'X0',
+                                                'tcgs': [{'granularity': {'holidays': [],
+                                                                          'kind': 'businessday',
+                                                                          'label': 'b-day',
+                                                                          'workdays': [0,
+                                                                                       1,
+                                                                                       2,
+                                                                                       3,
+                                                                                       4]},
+                                                          'm': 0,
+                                                          'n': 5}],
+                                                'to': 'X2'},
+                                               {'from': 'X2',
+                                                'tcgs': [{'granularity': {'kind': 'uniform',
+                                                                          'label': 'hour',
+                                                                          'phase': 0,
+                                                                          'seconds_per_tick': 3600},
+                                                          'm': 0,
+                                                          'n': 8}],
+                                                'to': 'X3'}],
+                               'variables': ['X0', 'X1', 'X2', 'X3']}},
+     'reorder': None,
+     'strict': False,
+     'version': 1}
+)
+
+#: What the uninterrupted run of that matcher detected.
+OBJECT_MATCHER_DETECTIONS = [
+    [637200, 828000,
+     [["X0", 637200], ["X1", 723600], ["X2", 824400], ["X3", 828000]]],
+    [644400, 828000,
+     [["X0", 644400], ["X1", 723600], ["X2", 824400], ["X3", 828000]]],
+    [730800, 828000,
+     [["X0", 730800], ["X1", 820800], ["X2", 824400], ["X3", 828000]]],
+]
+
+
+class TestObjectMatcherCheckpoint:
+    """A v1 payload written mid-stream by the object-configuration
+    matcher still restores, onto a rebuilt matcher or onto one already
+    built over the pattern, and finishes the stream exactly as the
+    uninterrupted run does - detections and bindings."""
+
+    CUT = 7
+
+    def _uninterrupted(self):
+        matcher = StreamingMatcher(
+            build_tag(DIAMOND_CET, system=SYSTEM), horizon_seconds=6 * D
+        )
+        return [d for e, t in DIAMOND_EVENTS for d in matcher.feed(e, t)]
+
+    def test_literal_matches_this_stream(self):
+        matcher = StreamingMatcher(
+            build_tag(DIAMOND_CET, system=SYSTEM), horizon_seconds=6 * D
+        )
+        for etype, time in DIAMOND_EVENTS[: self.CUT]:
+            matcher.feed(etype, time)
+        payload = json.loads(json.dumps(matcher.checkpoint()))
+        assert payload == OBJECT_MATCHER_CHECKPOINT
+
+    def test_uninterrupted_run_matches_the_object_matcher(self):
+        assert json.loads(detections_as_json(self._uninterrupted())) == (
+            OBJECT_MATCHER_DETECTIONS
+        )
+
+    def test_rebuilt_matcher_finishes_the_stream(self):
+        resumed = streaming_matcher_from_checkpoint(
+            OBJECT_MATCHER_CHECKPOINT, SYSTEM
+        )
+        assert resumed.live_anchors == 3
+        rest = [
+            d for e, t in DIAMOND_EVENTS[self.CUT:] for d in resumed.feed(e, t)
+        ]
+        assert detections_as_json(rest) == detections_as_json(
+            self._uninterrupted()
+        )
+
+    def test_restore_onto_a_built_matcher(self):
+        build = build_tag(DIAMOND_CET, system=SYSTEM)
+        resumed = StreamingMatcher(build, horizon_seconds=6 * D)
+        resumed.restore(OBJECT_MATCHER_CHECKPOINT)
+        assert resumed.kernel is build.kernel
+        rest = [
+            d for e, t in DIAMOND_EVENTS[self.CUT:] for d in resumed.feed(e, t)
+        ]
+        assert detections_as_json(rest) == detections_as_json(
+            self._uninterrupted()
+        )
+
+    def test_restore_refuses_another_pattern(self):
+        matcher = StreamingMatcher(build_tag(CHAIN_CET, system=SYSTEM))
         with pytest.raises(SerializationError):
-            configuration_from_dict({"state": {"bogus": 1}})
+            matcher.restore(OBJECT_MATCHER_CHECKPOINT)
 
 
 class TestCheckpointRestore:

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.automata import StreamingMatcher
+from repro.automata import StreamingMatcher, build_tag
+from repro.constraints import TCG, ComplexEventType, EventStructure
+from repro.io.serialize import SerializationError
+from repro.obs import configure, global_metrics, obs_enabled
 from repro.service import MemoryCheckpointStore, SessionRegistry
 
 H = 3600
@@ -10,12 +13,11 @@ EVENTS = [("a", 0), ("b", H), ("c", 2 * H)]
 
 
 @pytest.fixture
-def registry(chain_build, system):
+def registry(chain_build):
     return SessionRegistry(
         MemoryCheckpointStore(),
         lambda: StreamingMatcher(chain_build),
         max_resident=2,
-        system=system,
     )
 
 
@@ -65,16 +67,56 @@ class TestResidency:
         assert first is second
 
 
-class TestReplay:
-    def test_wal_replay_reemits_detections_after_crash(
-        self, chain_build, system
+class TestOneCompiledPattern:
+    """Rehydration restores onto the factory's matcher: no pattern is
+    decoded and no TAG is built, and the session runs the registry's
+    compiled pattern - never one a checkpoint names."""
+
+    def test_rehydration_builds_nothing_and_shares_the_bank(
+        self, registry, chain_build
     ):
+        feed(registry, "t", "k1", EVENTS[:2])
+        registry.acquire("t", "k2")
+        registry.acquire("t", "k3")  # evicts k1
+        previous = obs_enabled()
+        configure(True)
+        try:
+            builds = global_metrics().get("repro_tag_builds_total")
+            before = builds.value()
+            session, _ = registry.acquire("t", "k1")
+            assert builds.value() == before
+        finally:
+            configure(previous)
+        assert registry.rehydrations == 1
+        assert session.matcher.build is chain_build
+        assert session.matcher.kernel is chain_build.kernel
+        assert session.matcher.build.bank is chain_build.bank
+
+    def test_checkpoint_of_another_pattern_raises(self, registry, system):
+        hour = system.get("hour")
+        other = build_tag(
+            ComplexEventType(
+                EventStructure(["A", "B"], {("A", "B"): [TCG(0, 1, hour)]}),
+                {"A": "a", "B": "b"},
+            ),
+            system=system,
+        )
+        matcher = StreamingMatcher(other)
+        matcher.feed("a", 0)
+        registry.store.save("t", "k", 1, matcher.checkpoint())
+        with pytest.raises(SerializationError):
+            registry.acquire("t", "k")
+        assert not registry.is_resident("t", "k")
+
+
+class TestReplay:
+    def test_wal_replay_reemits_detections_after_crash(self, chain_build):
         store = MemoryCheckpointStore()
 
         def factory():
             return StreamingMatcher(chain_build)
 
-        crashed = SessionRegistry(store, factory, system=system)
+        crashed = SessionRegistry(store, factory)
         session, _ = crashed.acquire("t", "k")
         for etype, time in EVENTS:
             session.seq += 1
@@ -82,24 +124,22 @@ class TestReplay:
             session.matcher.feed(etype, time)
         # Checkpoint covered only the first event; the crash loses the
         # in-memory matcher but the WAL carries events 2 and 3.
-        checkpointed = SessionRegistry(store, factory, system=system)
+        checkpointed = SessionRegistry(store, factory)
         early, _ = checkpointed.acquire("t2", "k")  # unrelated session
         store.save("t", "k", 1, _matcher_after(chain_build, EVENTS[:1]))
 
-        fresh = SessionRegistry(store, factory, system=system)
+        fresh = SessionRegistry(store, factory)
         session, replayed = fresh.acquire("t", "k")
         assert session.seq == 3
         assert [seq for seq, _, _ in replayed] == [3]
         assert replayed[0][2].anchor_time == 0
 
-    def test_wal_only_session_replays_from_scratch(
-        self, chain_build, system
-    ):
+    def test_wal_only_session_replays_from_scratch(self, chain_build):
         store = MemoryCheckpointStore()
         for seq, (etype, time) in enumerate(EVENTS, start=1):
             store.append_wal("t", "k", seq, etype, time)
         registry = SessionRegistry(
-            store, lambda: StreamingMatcher(chain_build), system=system
+            store, lambda: StreamingMatcher(chain_build)
         )
         session, replayed = registry.acquire("t", "k")
         assert session.seq == 3

@@ -286,6 +286,31 @@ class TestLifecycle:
         assert len(service.detections) == 1
         assert service.detections[0].detection.anchor_time == 0
 
+    def test_flush_without_lateness_leaves_sessions_alone(
+        self, chain_build, run
+    ):
+        """Without ``max_lateness`` no matcher buffers anything, so
+        flush must not rehydrate spilled sessions (nor evict others
+        to make room for them)."""
+
+        async def go():
+            service = DetectionService(
+                chain_build, ServiceConfig(max_resident_sessions=2)
+            )
+            for etype, time in CHAIN:
+                for key in ("k1", "k2", "k3", "k4"):
+                    await service.submit("t", key, etype, time)
+            await service.drain()
+            drained = service.registry.stats()
+            detections = len(service.detections)
+            await service.flush()
+            return service, drained, detections
+
+        service, drained, detections = run(go())
+        assert drained["evictions"] > 0
+        assert service.registry.stats() == drained
+        assert len(service.detections) == detections == 4
+
     def test_serve_events_facade_reports_stats(self, chain_build, system):
         events = [("t", "k", e, t) for e, t in CHAIN]
         service = serve_events(chain_build, events, system=system)
