@@ -14,6 +14,7 @@ construction recipe.
 from __future__ import annotations
 
 import json
+import marshal
 from contextlib import contextmanager
 from typing import Any, Dict, IO, List, Mapping, Optional, Union
 
@@ -381,7 +382,8 @@ def frontier_from_dicts(dense, payload) -> List[tuple]:
 def streaming_checkpoint_to_dict(matcher) -> Dict[str, Any]:
     """Snapshot a :class:`~repro.automata.streaming.StreamingMatcher`.
 
-    The payload carries the pattern (so the TAG can be rebuilt), the
+    The payload carries the pattern (so the TAG can be rebuilt), decoded
+    from the build's one encoding (``TagBuild.pattern_encoding``), the
     matcher's tuning parameters, every live anchor's frontier
     (:func:`frontier_to_dicts`; bindings included - they become
     detection output), the reorder buffer, and all counters.  It is
@@ -390,9 +392,7 @@ def streaming_checkpoint_to_dict(matcher) -> Dict[str, Any]:
     """
     return {
         "version": CHECKPOINT_VERSION,
-        "pattern": complex_event_type_to_dict(
-            matcher.build.complex_event_type
-        ),
+        "pattern": marshal.loads(matcher.build.pattern_encoding),
         "strict": matcher.strict,
         "horizon_seconds": matcher.horizon_seconds,
         "max_live_anchors": matcher.max_live_anchors,
@@ -448,9 +448,7 @@ def restore_streaming_checkpoint(matcher, payload: Mapping[str, Any]) -> None:
     _check_version(payload)
     build = matcher.build
     with _malformed("checkpoint"):
-        if payload["pattern"] != complex_event_type_to_dict(
-            build.complex_event_type
-        ):
+        if payload["pattern"] != marshal.loads(build.pattern_encoding):
             raise SerializationError(
                 "checkpoint pattern differs from the matcher's pattern"
             )

@@ -156,17 +156,19 @@ class CheckpointStoreBase:
             session_payload(tenant, key, seq, matcher_checkpoint),
         )
         _CHECKPOINTS_WRITTEN.inc()
-        for old in generations[: max(0, len(generations) + 1
-                                     - self.keep_generations)]:
+        dropped = max(0, len(generations) + 1 - self.keep_generations)
+        for old in generations[:dropped]:
             self._drop_generation(tenant, key, old)
-        covered = [
+        # The new generation covers ``seq``; only the older retained
+        # ones are read back, and an unreadable one is skipped.
+        covered = [seq] + [
             cover for cover in (
                 self._generation_seq(tenant, key, g)
-                for g in self._generations(tenant, key)
+                for g in generations[dropped:]
             )
             if cover is not None
         ]
-        floor = min(covered) if covered else seq
+        floor = min(covered)
         self._write_wal(
             tenant, key,
             [entry for entry in self._read_wal(tenant, key)

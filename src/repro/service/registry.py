@@ -99,6 +99,9 @@ class SessionRegistry:
         self.context_for = context_for
         #: Resident sessions, least recently used first.
         self._resident: Dict[Tuple[str, str], Session] = OrderedDict()
+        #: The same sessions by tenant, then key, so a tenant's lookup
+        #: never scans the other tenants' sessions.
+        self._by_tenant: Dict[str, Dict[str, Session]] = {}
         self._evicted_keys: set = set()
         self.evictions = 0
         self.rehydrations = 0
@@ -121,6 +124,7 @@ class SessionRegistry:
             else:
                 session = Session(tenant, key, self.matcher_factory())
             self._resident[(tenant, key)] = session
+            self._by_tenant.setdefault(tenant, {})[key] = session
             self._evicted_keys.discard((tenant, key))
             self._enforce_residency(keep=(tenant, key))
         else:
@@ -172,6 +176,10 @@ class SessionRegistry:
     def evict(self, tenant: str, key: str) -> None:
         """Checkpoint one resident session and drop its matcher."""
         session = self._resident.pop((tenant, key))
+        sessions = self._by_tenant[tenant]
+        del sessions[key]
+        if not sessions:
+            del self._by_tenant[tenant]
         self.checkpoint(session)
         self._evicted_keys.add((tenant, key))
         self.evictions += 1
@@ -204,10 +212,8 @@ class SessionRegistry:
         return sorted(set(self._resident) | self._evicted_keys)
 
     def resident_for_tenant(self, tenant: str) -> List[Session]:
-        return [
-            session for (t, _), session in self._resident.items()
-            if t == tenant
-        ]
+        """The tenant's resident sessions, in no particular order."""
+        return list(self._by_tenant.get(tenant, {}).values())
 
     def is_resident(self, tenant: str, key: str) -> bool:
         return (tenant, key) in self._resident

@@ -55,6 +55,7 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Set,
     Tuple,
 )
 
@@ -71,7 +72,7 @@ from ..obs import (
 )
 from ..resilience import Quarantine, apply_overflow, validate_event
 from ..resilience.policies import normalize_overflow_policy
-from .breaker import BREAKER_STATES, OPEN, CircuitBreaker
+from .breaker import BREAKER_STATES, CLOSED, CircuitBreaker
 from .checkpoints import CheckpointStoreBase, open_store
 from .errors import ServiceClosedError, TenantOverloadError
 from .registry import SessionRegistry
@@ -287,6 +288,13 @@ class DetectionService:
         self.quarantine = Quarantine(source="service")
         self.detections: List[ServiceDetection] = []
         self._tenants: Dict[str, _TenantState] = {}
+        #: Events in every tenant queue: the queue-depth gauge, kept
+        #: as a running total wherever a queue grows or shrinks.
+        self._queued = 0
+        #: Tenants whose breaker may not be closed: each joins on a
+        #: trip and leaves when an export reads its breaker closed, so
+        #: the breaker gauges never visit the closed majority.
+        self._tripped: Set[_TenantState] = set()
         self._tenant_counters = _TenantCounters(config.tenant_labels)
         self._closed = False
 
@@ -382,12 +390,14 @@ class DetectionService:
             items = list(state.pending)
             items.append((key, etype, time))
             kept, shed = apply_overflow(items, capacity, self.shed_policy)
+            self._queued += len(kept) - len(state.pending)
             state.pending = deque(kept)
             state.shed += shed
             _SHED.add(shed)
             self._tenant_counters.record(tenant, shed=shed)
         else:
             state.pending.append((key, etype, time))
+            self._queued += 1
         self._ensure_worker(state, tenant)
         state.wake.set()
         self._export_gauges()
@@ -420,6 +430,7 @@ class DetectionService:
                 if not state.breaker.allow():
                     break  # parked until cooldown admits probes
                 key, etype, time = state.pending.popleft()
+                self._queued -= 1
                 self._process(tenant, state, key, etype, time)
         self._export_gauges()
 
@@ -492,6 +503,7 @@ class DetectionService:
         trips_before = state.breaker.trips
         state.breaker.record_failure()
         if state.breaker.trips > trips_before:
+            self._tripped.add(state)
             self._on_breaker_trip(tenant, state)
 
     def _on_breaker_trip(self, tenant: str, state: _TenantState) -> None:
@@ -591,12 +603,22 @@ class DetectionService:
     # Introspection
     # ------------------------------------------------------------------
     def _export_gauges(self) -> None:
-        _QUEUE_DEPTH.set(
-            sum(len(state.pending) for state in self._tenants.values())
-        )
-        counts = {state: 0 for state in BREAKER_STATES}
-        for state in self._tenants.values():
-            counts[state.breaker.state] += 1
+        """Set the queue-depth and breaker-state gauges.
+
+        Costs the number of tripped tenants, not of all tenants.
+        Reading each tripped breaker's ``state`` still applies its lazy
+        open -> half-open move, so a cooled-down breaker shows as
+        half-open at the first export after its cooldown.
+        """
+        _QUEUE_DEPTH.set(self._queued)
+        counts = dict.fromkeys(BREAKER_STATES, 0)
+        for state in list(self._tripped):
+            current = state.breaker.state
+            if current == CLOSED:
+                self._tripped.discard(state)
+            else:
+                counts[current] += 1
+        counts[CLOSED] = len(self._tenants) - len(self._tripped)
         for name, value in counts.items():
             _BREAKER_GAUGES[name].set(value)
 

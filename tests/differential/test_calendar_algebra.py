@@ -13,7 +13,7 @@ kernel against the numpy one.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.granularity import (
@@ -44,7 +44,7 @@ from repro.granularity.gregorian import (
     MONTHS_PER_400_YEARS,
     SECONDS_PER_DAY,
 )
-from repro.granularity.normalform import clock_ticks_of
+from repro.granularity.normalform import NormalFormError, clock_ticks_of
 
 DAY = SECONDS_PER_DAY
 CYCLE_SECONDS = DAYS_PER_400_YEARS * DAY
@@ -178,10 +178,13 @@ def calendar_expressions(draw):
         )
     if kind == "intersect":
         if draw(st.booleans()):
-            return IntersectionType(
-                draw(operands()),
-                draw(st.one_of(st.builds(hour), st.builds(week), patterns())),
-            )
+            a = draw(operands())
+            b = draw(st.one_of(st.builds(hour), st.builds(week), patterns()))
+            # Two patterns whose segments never meet intersect to no
+            # tick at all: not a calendar (see
+            # test_disjoint_patterns_do_not_lower).
+            assume(not disjoint_patterns(a, b))
+            return IntersectionType(a, b)
         start = draw(st.integers(min_value=0, max_value=11))
         hours = draw(st.integers(min_value=1, max_value=12))
         return business_hours(
@@ -213,6 +216,21 @@ def calendar_expressions(draw):
         predicate_period=7,
     )
     return NthSubgranuleType(weekdays, month(), n)
+
+
+def disjoint_patterns(a, b):
+    """Whether ``a`` and ``b`` are patterns of one cycle and phase
+    whose segments share no instant."""
+    return (
+        isinstance(a, PeriodicPatternType)
+        and isinstance(b, PeriodicPatternType)
+        and (a.cycle_seconds, a.phase) == (b.cycle_seconds, b.phase)
+        and not any(
+            start < other + other_length and other < start + length
+            for start, length in a.segments
+            for other, other_length in b.segments
+        )
+    )
 
 
 def documented_exact(ttype):
@@ -351,6 +369,16 @@ def test_random_expressions_compile_identically(ttype, data):
     )
     if form.exact_cover:
         assert form.tick_of_instant(second) == ttype.tick_of(second)
+
+
+def test_disjoint_patterns_do_not_lower():
+    """An intersection of patterns that never meet has no tick, so it
+    has no normal form; lowering says so at once."""
+    early = PeriodicPatternType("p", 6 * 3600, [(0, 900)])
+    late = PeriodicPatternType("p", 6 * 3600, [(900, 900)])
+    assert disjoint_patterns(late, early)
+    with pytest.raises(NormalFormError, match="no periodic overlap"):
+        compile_normal_form(IntersectionType(late, early))
 
 
 # ----------------------------------------------------------------------

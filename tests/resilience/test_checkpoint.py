@@ -323,6 +323,10 @@ class TestObjectMatcherCheckpoint:
         resumed = StreamingMatcher(build, horizon_seconds=6 * D)
         resumed.restore(OBJECT_MATCHER_CHECKPOINT)
         assert resumed.kernel is build.kernel
+        # Written back from the build's one pattern encoding, unchanged.
+        assert json.loads(json.dumps(resumed.checkpoint())) == (
+            OBJECT_MATCHER_CHECKPOINT
+        )
         rest = [
             d for e, t in DIAMOND_EVENTS[self.CUT:] for d in resumed.feed(e, t)
         ]
@@ -334,6 +338,52 @@ class TestObjectMatcherCheckpoint:
         matcher = StreamingMatcher(build_tag(CHAIN_CET, system=SYSTEM))
         with pytest.raises(SerializationError):
             matcher.restore(OBJECT_MATCHER_CHECKPOINT)
+
+
+class TestOnePatternEncoding:
+    """A build encodes its pattern once; checkpoints carry copies."""
+
+    def test_churned_service_encodes_once_per_build(self, monkeypatch):
+        from repro.io import serialize
+        from repro.service import ServiceConfig, serve_events
+
+        encoded = []
+        encode = serialize.complex_event_type_to_dict
+
+        def counted(cet):
+            encoded.append(cet)
+            return encode(cet)
+
+        monkeypatch.setattr(
+            serialize, "complex_event_type_to_dict", counted
+        )
+        build = build_tag(CHAIN_CET, system=SYSTEM)
+        # Five tenants round-robin over one resident slot: every event
+        # evicts one session (a checkpoint write) and rehydrates another
+        # (a restore).
+        events = [
+            ("t%d" % (index % 5), "k", "abc"[index % 3], index * 600)
+            for index in range(40)
+        ]
+        service = serve_events(
+            build, events, config=ServiceConfig(max_resident_sessions=1)
+        )
+        registry = service.registry.stats()
+        assert registry["evictions"] > 30 and registry["rehydrations"] > 30
+        assert encoded == [CHAIN_CET]
+
+    def test_editing_a_checkpoint_leaves_the_build_alone(self):
+        build = build_tag(CHAIN_CET, system=SYSTEM)
+        matcher = StreamingMatcher(build)
+        matcher.feed("a", 0)
+        edited = matcher.checkpoint()
+        pristine = json.loads(json.dumps(edited))
+        edited["pattern"]["assignment"]["A"] = "z"
+        edited["pattern"]["structure"]["constraints"][0]["tcgs"][0]["n"] = 9
+        assert matcher.checkpoint() == pristine
+        StreamingMatcher(build).restore(pristine)
+        with pytest.raises(SerializationError):
+            StreamingMatcher(build).restore(edited)
 
 
 class TestCheckpointRestore:

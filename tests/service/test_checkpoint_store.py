@@ -122,6 +122,27 @@ class TestCorruption:
         assert store.load("t", "k")["seq"] == 3
 
 
+class TestSaveWalFloor:
+    """``save`` truncates the WAL through the lowest seq its retained
+    generations cover: its own from the ``seq`` argument, the older
+    ones read back, skipping any it cannot read."""
+
+    def test_entries_newer_than_the_seq_survive(self, store):
+        for seq in range(1, 6):
+            store.append_wal("t", "k", seq, "a", seq * 100)
+        store.save("t", "k", 3, MATCHER)
+        assert store.wal_suffix("t", "k", 0) == [(4, "a", 400), (5, "a", 500)]
+
+    def test_unreadable_older_generation_is_skipped(self, store):
+        for seq in range(1, 8):
+            store.append_wal("t", "k", seq, "a", seq * 100)
+        store.save("t", "k", 3, MATCHER)
+        corrupt_latest(store, "t", "k")
+        store.save("t", "k", 6, MATCHER)
+        assert store.wal_suffix("t", "k", 0) == [(7, "a", 700)]
+        assert store.load("t", "k")["seq"] == 6
+
+
 class TestDirectoryStore:
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         store = DirectoryCheckpointStore(str(tmp_path / "ckpt"))

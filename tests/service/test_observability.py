@@ -17,6 +17,7 @@ from repro.obs import (
     span,
 )
 from repro.service import DetectionService, ServiceConfig, serve_events
+from repro.service.breaker import BREAKER_STATES, CLOSED, HALF_OPEN, OPEN
 from repro.service.service import _TenantCounters
 
 
@@ -26,6 +27,9 @@ def obs_on():
     configure(True)
     yield
     configure(previous)
+
+
+H = 3600
 
 
 def _tenant(prefix):
@@ -105,6 +109,96 @@ class TestTenantLabels:
         counters = _TenantCounters(limit=0)
         counters.record(_tenant("zero"), received=5)
         assert counters.labelled_tenants() == []
+
+
+class TestServiceGauges:
+    """The queue-depth and breaker-state gauges against a brute-force
+    recount of the service's own view, after every submit and drain."""
+
+    @staticmethod
+    def _gauges():
+        registry = global_metrics()
+        depth = registry.get("repro_service_queue_depth").value()
+        states = {
+            name: registry.get(
+                "repro_service_breaker_state", labels={"state": name}
+            ).value()
+            for name in BREAKER_STATES
+        }
+        return depth, states
+
+    def _check(self, service):
+        depth, states = self._gauges()
+        assert depth == sum(service.parked(t) for t in service.tenants())
+        breakers = [
+            tenant["breaker"]["state"]
+            for tenant in service.stats()["tenants"].values()
+        ]
+        assert states == {
+            name: breakers.count(name) for name in BREAKER_STATES
+        }
+        return depth, states
+
+    @pytest.mark.parametrize(
+        "policy", ["shed-oldest", "shed-newest", "sample"]
+    )
+    def test_gauges_equal_a_recount(
+        self, chain_build, obs_on, run, clock, policy
+    ):
+        seen = []
+
+        async def submit(service, tenant, etype, time):
+            await service.submit(tenant, "k", etype, time)
+            seen.append(self._check(service))
+
+        async def drain(service):
+            await service.drain()
+            seen.append(self._check(service))
+
+        async def scenario():
+            service = DetectionService(
+                chain_build,
+                ServiceConfig(
+                    queue_capacity=6,
+                    shed_policy=policy,
+                    breaker_failure_threshold=1,
+                    breaker_reset_seconds=10,
+                    breaker_clock=clock,
+                    max_live_anchors=2,
+                ),
+            )
+            await submit(service, "ok", "a", 0)
+            await submit(service, "hot", "a", 0)  # one anchor of two
+            for tenant in ("closes", "reopens", "hot"):
+                await submit(service, tenant, "", 0)  # malformed: trips
+            assert seen[-1][1][OPEN] == 3
+            # Open breakers park valid events; a full queue sheds.
+            for index in range(7):
+                await submit(service, "closes", "bc"[index % 2], index * H)
+            await submit(service, "reopens", "", H)  # a failing probe
+            # hot's probe adds a second anchor, which halves its
+            # capacity to 3; the malformed event behind it re-trips the
+            # breaker with four events still parked.
+            for etype in ("a", "", "b", "b", "b", "b"):
+                await submit(service, "hot", etype, H)
+            assert seen[-1][0] == 6 + 1 + 6
+            await drain(service)
+            clock.advance(11)
+            # The lazy open -> half-open move shows at the next export.
+            await submit(service, "ok", "b", H)
+            assert seen[-1][1][HALF_OPEN] == 3
+            await drain(service)
+            assert seen[-1] == (4, {CLOSED: 2, OPEN: 2, HALF_OPEN: 0})
+            # Four parked over a capacity of three: one event sheds two.
+            await submit(service, "hot", "c", 2 * H)
+            assert seen[-1][0] == 3
+            await service.close()
+            seen.append(self._check(service))
+            return service
+
+        tenants = run(scenario()).stats()["tenants"]
+        assert tenants["closes"]["shed"] == 1
+        assert tenants["hot"]["shed"] == 2
 
 
 class TestBreakerTripDumps:

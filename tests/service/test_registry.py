@@ -1,9 +1,12 @@
 """LRU residency, spill, rehydration and WAL replay."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.automata import StreamingMatcher, build_tag
 from repro.constraints import TCG, ComplexEventType, EventStructure
+from repro.granularity import standard_system
 from repro.io.serialize import SerializationError
 from repro.obs import configure, global_metrics, obs_enabled
 from repro.service import MemoryCheckpointStore, SessionRegistry
@@ -65,6 +68,64 @@ class TestResidency:
         first, _ = registry.acquire("t", "k")
         second, _ = registry.acquire("t", "k")
         assert first is second
+
+
+def _module_chain_build():
+    """Module-level twin of the ``chain_build`` fixture, for Hypothesis
+    tests (which cannot take function-scoped fixtures)."""
+    system = standard_system()
+    hour = system.get("hour")
+    structure = EventStructure(
+        ["A", "B", "C"],
+        {
+            ("A", "B"): [TCG(0, 2, hour)],
+            ("B", "C"): [TCG(0, 2, hour)],
+        },
+    )
+    cet = ComplexEventType(structure, {"A": "a", "B": "b", "C": "c"})
+    return build_tag(cet, system=system)
+
+
+CHAIN_BUILD = _module_chain_build()
+TENANTS = ("t1", "t2", "t3")
+
+
+class TestTenantIndex:
+    """``resident_for_tenant`` reads a per-tenant index; it must always
+    hold what a scan of the resident map finds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        max_resident=st.integers(1, 4),
+        steps=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.sampled_from(TENANTS),
+                st.sampled_from(("k1", "k2", "k3")),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_index_equals_a_scan(self, max_resident, steps):
+        registry = SessionRegistry(
+            MemoryCheckpointStore(),
+            lambda: StreamingMatcher(CHAIN_BUILD),
+            max_resident=max_resident,
+        )
+        for evict, tenant, key in steps:
+            if not evict:
+                registry.acquire(tenant, key)
+            elif registry.is_resident(tenant, key):
+                registry.evict(tenant, key)
+            for t in TENANTS:
+                indexed = registry.resident_for_tenant(t)
+                scan = [
+                    session
+                    for (owner, _), session in registry._resident.items()
+                    if owner == t
+                ]
+                assert len(indexed) == len(scan)
+                assert {id(s) for s in indexed} == {id(s) for s in scan}
 
 
 class TestOneCompiledPattern:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.automata import StreamingMatcher
 from repro.service import (
+    CircuitBreaker,
     DetectionService,
     ServiceClosedError,
     ServiceConfig,
@@ -248,6 +249,42 @@ class TestBackpressure:
             await service.close()
 
         run(go())
+
+
+class TestPerEventCost:
+    """What one event costs the service's bookkeeping does not grow
+    with the number of other tenants (counted in calls, not time)."""
+
+    def _state_reads(self, build, run, monkeypatch, fleet):
+        reads = []
+        read_state = CircuitBreaker.state.fget
+
+        def counted(breaker):
+            reads.append(breaker)
+            return read_state(breaker)
+
+        async def go():
+            service = DetectionService(build)
+            for index in range(fleet):
+                await service.submit("other%d" % index, "k", "a", index)
+            with monkeypatch.context() as patch:
+                patch.setattr(CircuitBreaker, "state", property(counted))
+                for index in range(100):
+                    await service.submit(
+                        "probe", "k", "abc"[index % 3], index * 60
+                    )
+            await service.close()
+
+        run(go())
+        return len(reads)
+
+    def test_breaker_reads_do_not_grow_with_the_fleet(
+        self, chain_build, run, monkeypatch
+    ):
+        small = self._state_reads(chain_build, run, monkeypatch, 8)
+        large = self._state_reads(chain_build, run, monkeypatch, 512)
+        assert small > 0
+        assert small == large
 
 
 class TestLifecycle:
