@@ -25,7 +25,7 @@ from .clocks import (
     evaluate_clocks,
     within,
 )
-from .matching import MatchResult, TagMatcher, batch_matching_roots
+from .matching import MatchResult, TagMatcher
 from .streaming import Detection, StreamingMatcher
 from .structmatch import count_occurrences, find_occurrence, occurs_at
 from .tag import ANY, TAG, Configuration, Transition
@@ -52,7 +52,6 @@ __all__ = [
     "DenseTAG",
     "DenseBatch",
     "BatchRuntime",
-    "batch_matching_roots",
     "TagMatcher",
     "MatchResult",
     "StreamingMatcher",

@@ -11,9 +11,9 @@ against, and the source of the Theorem-4 work figures
 report.
 
 Production matching - :meth:`TagMatcher.occurs_at`,
-:meth:`~TagMatcher.matching_roots` and friends, and
-:func:`batch_matching_roots` for whole candidate frontiers - runs the
-same decisions as banks of dense transition tables over the
+:meth:`~TagMatcher.matching_roots` and friends, and the mining scan
+over whole candidate frontiers (:mod:`repro.parallel.engine`) - runs
+the same decisions as banks of dense transition tables over the
 sequence's columnar view (:class:`~repro.automata.dense.BatchRuntime`,
 advanced by the one kernel streaming also runs); a single pattern is
 its build's bank of one, compiled once per
@@ -45,7 +45,7 @@ from typing import (
 )
 
 from .builder import TagBuild
-from .dense import MAX_CONFIGURATIONS, BatchRuntime, compile_dense_batch
+from .dense import MAX_CONFIGURATIONS, BatchRuntime
 from .tag import ANY, Configuration
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -324,8 +324,8 @@ class TagMatcher:
         """Root occurrences surviving the anchor screen, as positions.
 
         The enumeration :meth:`matching_roots` starts from, split out
-        so frontier-level callers (:func:`batch_matching_roots`) can
-        feed it to a shared :class:`~repro.automata.dense.BatchRuntime`.
+        so frontier-level callers can feed it to a shared
+        :class:`~repro.automata.dense.BatchRuntime`.
         """
         view = sequence.columnar()
         positions, times = view.postings(self.build.root_symbol)
@@ -357,54 +357,3 @@ class TagMatcher:
         skip any prefix via the start state's self-loop).
         """
         return any(True for _ in self.matching_roots(sequence))
-
-
-# ----------------------------------------------------------------------
-# Frontier-level scanning
-# ----------------------------------------------------------------------
-def batch_matching_roots(
-    matchers: Sequence[TagMatcher], sequence: "EventSequence"
-) -> List[List[int]]:
-    """Per-matcher matching-root lists for a whole candidate frontier.
-
-    Matchers that share root symbol/variable, semantics (strict,
-    horizon, configuration cap) and clock space are merged into one
-    :class:`~repro.automata.dense.DenseBatch` and scanned in a single
-    :class:`~repro.automata.dense.BatchRuntime` traversal per root; a
-    group of one is a bank of one.  The result equals
-    ``[list(m.matching_roots(sequence)) for m in matchers]``.
-    """
-    results: List[List[int]] = [[] for _ in matchers]
-    store = sequence.columnar()
-    groups: Dict[tuple, List[int]] = {}
-    for i, matcher in enumerate(matchers):
-        key = (
-            matcher.build.root_symbol,
-            matcher.build.structure.root,
-            matcher.strict,
-            matcher.horizon_seconds,
-            matcher.max_configurations,
-        )
-        groups.setdefault(key, []).append(i)
-    for key, indexes in groups.items():
-        root_symbol, root_variable, strict, horizon, cap = key
-        banks = compile_dense_batch(
-            [matchers[i].build.dense for i in indexes]
-        )
-        for positions, batch in banks:
-            members = [indexes[p] for p in positions]
-            runtime = BatchRuntime(
-                batch,
-                store,
-                root_symbol,
-                root_variable,
-                strict=strict,
-                horizon_seconds=horizon,
-                max_configurations=cap,
-            )
-            hits = runtime.scan_roots(
-                [matchers[i].viable_root_positions(sequence) for i in members]
-            )
-            for i, roots in zip(members, hits):
-                results[i] = roots
-    return results

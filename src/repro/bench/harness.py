@@ -799,18 +799,21 @@ def _x17(system, engine, scale) -> _Workload:
     sequence: the object NDFA reference (``match_from`` from every
     viable root of every candidate), the per-candidate arm
     (``matching_roots`` per matcher: 64 one-member banks, 64
-    independent table scans), and the batched arm
-    (``batch_matching_roots``: one
-    :class:`~repro.automata.dense.DenseBatch` advancing the whole
-    frontier per root).  All three must produce identical match sets;
+    independent table scans), and the batched arm (the matchers' builds
+    banked by :func:`~repro.parallel.engine.compile_groups`, the
+    grouping ``repro mine`` scans with, each bank advancing its
+    frontier per root in one
+    :meth:`~repro.automata.dense.BatchRuntime.scan_roots` sweep).  All
+    three must produce identical match sets;
     the gate is the batched arm beating the per-candidate arm >= 3x,
     which is exactly the work the banked tables exist to amortise: one
     traversal and one set of cuts per root instead of 64, and one wake
     per shared ``X1`` prefix instead of one per candidate.
     """
-    from ..automata.matching import batch_matching_roots
+    from ..automata.dense import BatchRuntime
     from ..core.api import compile_pattern
     from ..mining.events import EventSequence
+    from ..parallel.engine import compile_groups
 
     hour = system.get("hour")
     minute = system.get("minute")
@@ -874,7 +877,26 @@ def _x17(system, engine, scale) -> _Workload:
         return [list(m.matching_roots(sequence)) for m in matchers]
 
     def batched_scan():
-        return batch_matching_roots(matchers, sequence)
+        found = [None] * len(matchers)
+        for members, bank, root_symbol in compile_groups(
+            [matcher.build for matcher in matchers]
+        ):
+            runtime = BatchRuntime(
+                bank,
+                sequence.columnar(),
+                root_symbol,
+                structure.root,
+                horizon_seconds=matchers[members[0]].horizon_seconds,
+            )
+            hits = runtime.scan_roots(
+                [
+                    matchers[member].viable_root_positions(sequence)
+                    for member in members
+                ]
+            )
+            for member, roots in zip(members, hits):
+                found[member] = roots
+        return found
 
     def run():
         object_roots, object_seconds = timed_pass(reference_scan)

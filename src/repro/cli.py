@@ -18,8 +18,9 @@ Usage (also available as ``python -m repro.cli``)::
 to pick the propagation engine (a pure performance knob; see
 docs/PERFORMANCE.md).  ``mine`` is also available as ``discover`` and
 accepts ``--parallel N|auto`` / ``--shard-size N|auto`` to run the
-final TAG scan on a worker pool (identical output to the serial
-engine; without ``--parallel`` the scan is serial).  ``serve`` takes
+final TAG scan on a worker pool and to chunk its reference
+occurrences (identical output to the serial scan; without
+``--parallel`` the scan is serial).  ``serve`` takes
 ``--recorder-dir DIR`` for the flight dumps a breaker trip writes.
 
 Every command accepts ``--trace FILE`` (write the span tree of the run
@@ -797,8 +798,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-size",
         default="auto",
         metavar="N|auto",
-        help="anchors per time shard for the parallel scan "
-        "(default: auto-sized from the worker count)",
+        help="reference occurrences per chunk of the TAG scan's task "
+        "grid, serial or parallel (default: one chunk when serial, "
+        "else auto-sized from the worker count). Output is identical "
+        "for any size.",
     )
     mine.add_argument(
         "--report",

@@ -8,7 +8,6 @@ from ..automata.builder import TagBuild, build_tag
 from ..automata.matching import TagMatcher
 from ..constraints.propagation import propagate
 from ..constraints.structure import ComplexEventType, EventStructure
-from ..granularity.calendar import second
 from ..granularity.registry import GranularitySystem, standard_system
 from ..mining.discovery import (
     DiscoveryOutcome,
@@ -16,6 +15,12 @@ from ..mining.discovery import (
     discover,
 )
 from ..mining.events import EventSequence
+from ..mining.pruning import (
+    candidate_requirements,
+    consistency_gate,
+    seconds_horizon,
+    seconds_windows,
+)
 
 
 def check_consistency(
@@ -52,27 +57,14 @@ def compile_pattern(
     system = system if system is not None else standard_system()
     cet = ComplexEventType(structure, assignment)
     build: TagBuild = build_tag(cet, system=system)
-    result = propagate(
-        structure, system, extra_granularities=[second()], engine=engine
-    )
-    horizon = None
-    requirements = []
-    if result.consistent:
-        seconds = result.groups.get("second", {})
-        bounds = []
-        for variable in structure.variables:
-            if variable == structure.root:
-                continue
-            interval = seconds.get((structure.root, variable))
-            bounds.append(interval)
-            if interval is not None:
-                requirements.append(
-                    (assignment[variable], interval[0], interval[1])
-                )
-        if bounds and all(b is not None for b in bounds):
-            horizon = max(hi for _, hi in bounds)
+    consistent, result = consistency_gate(structure, system, engine=engine)
+    windows = seconds_windows(result) if consistent else {}
     return TagMatcher(
-        build, horizon_seconds=horizon, anchor_requirements=requirements
+        build,
+        horizon_seconds=seconds_horizon(structure, windows),
+        anchor_requirements=candidate_requirements(
+            assignment, windows, structure.root
+        ),
     )
 
 

@@ -7,8 +7,9 @@ daily 09:00-17:00 window yields one tick per working day's office
 hours - a granularity none of the primitive constructors express.
 
 Tick enumeration walks both boundary streams in order (a merge scan),
-caching discovered ticks; lookups beyond the scan extend it on demand,
-bounded by ``max_ticks``.
+caching discovered ticks; lookups beyond the scan extend it on demand.
+The walk to the next overlap is bounded, so operands that never meet
+leave the type without ticks instead of scanning forever.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ class IntersectionType(TemporalType):
         self._next_b = 0
         self._exhausted = False
         self._period_info_cache = False  # False = not computed yet
+        self._joint_period_cache = False  # False = not computed yet
 
     #: Overlap streams wider than this per lcm window get no declared
     #: period (the bounded scan would be as bad as the sweep).
@@ -102,18 +104,47 @@ class IntersectionType(TemporalType):
     # ------------------------------------------------------------------
     # Scanning
     # ------------------------------------------------------------------
+    def _joint_period(self) -> Optional[int]:
+        """``lcm`` of the operands' declared periods in seconds, or None
+        when either declares none."""
+        if self._joint_period_cache is False:
+            periods = []
+            for operand in (self.a, self.b):
+                info = getattr(operand, "period_info", None)
+                info = info() if callable(info) else None
+                periods.append(info[1] if info is not None else None)
+            seconds_a, seconds_b = periods
+            self._joint_period_cache = (
+                seconds_a * seconds_b // _gcd(seconds_a, seconds_b)
+                if seconds_a is not None and seconds_b is not None
+                else None
+            )
+        return self._joint_period_cache
+
     def _extend(self) -> bool:
-        """Discover the next overlapping pair; False when exhausted."""
+        """Discover the next overlapping pair; False when exhausted.
+
+        The walk is bounded.  Both operands repeat every joint period
+        from where the walk starts, so with declared periods a whole
+        joint period without an overlap means none will ever come;
+        otherwise the walk gives up after ``max_ticks`` operand ticks.
+        Either way the type is exhausted from then on.
+        """
         if self._exhausted or len(self._pairs) >= self.max_ticks:
             return False
-        while True:
+        window = self._joint_period()
+        start = None
+        for _ in range(self.max_ticks):
             try:
                 first_a, last_a = self.a.tick_bounds(self._next_a)
                 first_b, last_b = self.b.tick_bounds(self._next_b)
             except ValueError:
-                self._exhausted = True
-                return False
+                break
             lo = max(first_a, first_b)
+            if start is None:
+                start = lo
+            if window is not None and min(first_a, first_b) >= start + window:
+                break
             hi = min(last_a, last_b)
             advance_a = last_a <= last_b
             advance_b = last_b <= last_a
@@ -131,6 +162,8 @@ class IntersectionType(TemporalType):
                 self._next_a += 1
             if advance_b:
                 self._next_b += 1
+        self._exhausted = True
+        return False
 
     def _ensure_time(self, second: int) -> None:
         """Scan until the discovered ticks pass ``second``."""
@@ -167,7 +200,7 @@ class IntersectionType(TemporalType):
         if index >= len(self._pairs):
             raise ValueError(
                 "tick %d of %r not found (operands exhausted or "
-                "max_ticks reached)" % (index, self.label)
+                "disjoint, or max_ticks reached)" % (index, self.label)
             )
         return self._firsts[index], self._lasts[index]
 

@@ -38,6 +38,7 @@ from .pruning import (
     reduce_sequence,
     screen_candidate_pairs,
     screen_candidates,
+    seconds_horizon,
     seconds_windows,
 )
 
@@ -159,13 +160,15 @@ class EventDiscoveryProblem:
 class DiscoveryOutcome:
     """Solutions plus the per-step work statistics of the pipeline.
 
-    ``parallelism`` describes how the TAG scan was executed when the
-    parallel engine ran: ``workers`` (processes used), ``shards``,
-    ``tasks`` (candidate groups x shards), ``batch_groups`` and
-    ``executor`` - ``"pool"`` for forked workers, ``"inline"`` when
-    the grid ran in-process (one task, or no fork).  It is None for
-    plain serial scans and excluded from serial-vs-parallel
-    equivalence comparisons - everything else is bit-identical.
+    ``parallelism`` describes how the TAG scan was executed when more
+    than one worker was requested: ``workers`` (processes used),
+    ``shards`` (root chunks), ``tasks`` (candidate groups x shards),
+    ``batch_groups`` and ``executor`` - ``"pool"`` for forked workers,
+    ``"inline"`` when the grid ran in-process (one task, or no fork).
+    A serial scan runs the same task grid in-process with one worker,
+    and its ``parallelism`` is None.  The field is excluded from
+    serial-vs-parallel equivalence comparisons - everything else is
+    bit-identical.
     """
 
     solutions: List[ComplexEventType]
@@ -228,63 +231,6 @@ def candidate_assignments(
         ):
             continue
         yield assignment
-
-
-def _batched_scan(
-    reduced: EventSequence,
-    system: GranularitySystem,
-    structure: EventStructure,
-    candidates: List[Dict[str, str]],
-    windows,
-    roots: List[int],
-    horizon: Optional[int],
-    strict: bool,
-    anchor_screen: bool,
-) -> List[Tuple[int, int]]:
-    """Step 5: the surviving frontier scanned in banked traversals.
-
-    One :func:`~repro.parallel.engine.scan_group` per candidate group
-    over all roots - the same per-group step each parallel task runs
-    over one shard's roots, so serial and parallel outcomes are
-    bit-identical.  Returns ``(hits, starts)`` per candidate.
-    """
-    from ..automata.dense import BatchRuntime
-    from ..parallel.engine import (
-        candidate_requirements,
-        compile_groups,
-        scan_group,
-    )
-
-    view = reduced.columnar()
-    root_times = [reduced[root].time for root in roots]
-    counts = [(0, 0)] * len(candidates)
-    for positions, batch, root_symbol in compile_groups(
-        structure, candidates, system
-    ):
-        runtime = BatchRuntime(
-            batch,
-            view,
-            root_symbol,
-            structure.root,
-            strict=strict,
-            horizon_seconds=horizon,
-        )
-        group_counts = scan_group(
-            runtime,
-            roots,
-            root_times,
-            [
-                candidate_requirements(
-                    candidates[position], windows, structure.root
-                )
-                if anchor_screen
-                else ()
-                for position in positions
-            ],
-        )
-        for position, count in zip(positions, group_counts):
-            counts[position] = count
-    return counts
 
 
 def _frequency(
@@ -379,12 +325,12 @@ def discover(
     ``engine`` selects the propagation engine used by the consistency
     gate (every engine derives identical windows).
 
-    ``parallel`` requests the sharded scan engine: an int worker count,
-    ``"auto"`` (one per CPU), or None (serial).
-    ``shard_size`` is roots per time shard (``"auto"`` load-balances).
-    ``anchor_screen`` toggles the posting-list anchor viability filter;
-    it runs in both the serial and parallel engines, so results are
-    bit-identical for any worker count.
+    ``parallel`` is the step-5 scan's worker count: an int, ``"auto"``
+    (one per CPU), or None (serial).
+    ``shard_size`` is roots per chunk of the scan's task grid
+    (``"auto"``: one chunk when serial, else load-balanced).
+    ``anchor_screen`` toggles the posting-list anchor viability filter.
+    Results are bit-identical for any worker count and shard size.
     """
     with span(
         "mine",
@@ -507,9 +453,6 @@ def _discover(
         stats.pairs_kept = sum(len(kept) for kept in allowed_pairs.values())
 
     # Step 5: TAG scan over the surviving candidates and roots.
-    horizon = None
-    if windows and len(windows) == len(structure.variables) - 1:
-        horizon = max(hi for _, hi in windows.values())
     from ..parallel.engine import parallel_scan, resolve_workers
 
     workers = resolve_workers(parallel)
@@ -522,44 +465,30 @@ def _discover(
                 allowed_pairs=allowed_pairs,
             )
         )
-        if workers > 1:
-            results, report = parallel_scan(
-                reduced,
-                system,
-                structure,
-                candidates,
-                windows,
-                roots,
-                horizon,
-                strict=strict,
-                workers=workers,
-                shard_size=shard_size,
-                anchor_screen=anchor_screen,
-            )
-            outcome.parallelism = report
-            counts = [(result.hits, result.starts) for result in results]
-        else:
-            counts = _batched_scan(
-                reduced,
-                system,
-                structure,
-                candidates,
-                windows,
-                roots,
-                horizon,
-                strict,
-                anchor_screen,
-            )
-        frequencies = frontier_frequencies(
-            [hits for hits, _ in counts], total
+        results, report = parallel_scan(
+            reduced,
+            system,
+            structure,
+            candidates,
+            windows,
+            roots,
+            seconds_horizon(structure, windows),
+            strict=strict,
+            workers=workers,
+            shard_size=shard_size,
+            anchor_screen=anchor_screen,
         )
-        # Candidate-enumeration order, whichever engine ran the scan.
-        for assignment, (_, starts), frequency in zip(
-            candidates, counts, frequencies
-        ):
+        if workers > 1:
+            outcome.parallelism = report
+        frequencies = frontier_frequencies(
+            [result.hits for result in results], total
+        )
+        # Candidate-enumeration order, whichever executor ran the scan.
+        for result, frequency in zip(results, frequencies):
+            assignment = result.assignment
             cet = ComplexEventType(structure, assignment)
             outcome.candidates_evaluated += 1
-            outcome.automaton_starts += starts
+            outcome.automaton_starts += result.starts
             frequent = frequency > problem.min_confidence
             with span(
                 "mine.candidate",

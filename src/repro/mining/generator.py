@@ -14,11 +14,10 @@ import random
 import weakref
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..constraints.propagation import propagate
 from ..constraints.structure import ComplexEventType
-from ..granularity.calendar import second
 from ..granularity.registry import GranularitySystem
 from .events import Event, EventSequence
+from .pruning import consistency_gate, seconds_windows
 
 
 def random_noise(
@@ -124,21 +123,16 @@ def instance_windows(structure, system) -> Dict[str, Tuple[int, int]]:
     cached = per_system.get(system)
     if cached is not None:
         return cached
-    result = propagate(structure, system, extra_granularities=[second()])
-    if not result.consistent:
+    consistent, result = consistency_gate(structure, system)
+    if not consistent:
         raise ValueError("cannot sample from an inconsistent structure")
-    windows = {}
-    seconds = result.groups.get("second", {})
+    windows = seconds_windows(result)
     for variable in structure.variables:
-        if variable == structure.root:
-            continue
-        interval = seconds.get((structure.root, variable))
-        if interval is None:
+        if variable != structure.root and variable not in windows:
             raise ValueError(
                 "no finite second window for %r; add constraints"
                 % (variable,)
             )
-        windows[variable] = interval
     per_system[system] = windows
     return windows
 

@@ -21,12 +21,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..automata.builder import build_tag
 from ..automata.streaming import StreamingMatcher
-from ..constraints.propagation import propagate
 from ..constraints.structure import ComplexEventType
-from ..granularity.calendar import second
 from ..granularity.registry import GranularitySystem
 from .discovery import EventDiscoveryProblem
 from .events import Event
+from .pruning import consistency_gate, seconds_horizon, seconds_windows
 
 
 @dataclass
@@ -68,18 +67,11 @@ class IncrementalDiscovery:
                 "window first)" % (unrestricted,)
             )
         if horizon_seconds is None:
-            result = propagate(
-                structure, self.system, extra_granularities=[second()]
-            )
-            if result.consistent:
-                seconds = result.groups.get("second", {})
-                bounds = [
-                    seconds.get((structure.root, v))
-                    for v in structure.variables
-                    if v != structure.root
-                ]
-                if bounds and all(b is not None for b in bounds):
-                    horizon_seconds = max(hi for _, hi in bounds)
+            consistent, result = consistency_gate(structure, self.system)
+            if consistent:
+                horizon_seconds = seconds_horizon(
+                    structure, seconds_windows(result)
+                )
         self.horizon_seconds = horizon_seconds
         self.candidates: List[CandidateState] = []
         import itertools

@@ -73,6 +73,36 @@ def seconds_windows(result: PropagationResult) -> Dict[str, Window]:
     return windows
 
 
+def seconds_horizon(
+    structure: EventStructure, windows: Dict[str, Window]
+) -> Optional[int]:
+    """The root-to-anything bound in seconds of a scan anchored at the
+    root: the widest window's upper end, or None unless every non-root
+    variable has a window (:func:`seconds_windows`)."""
+    if windows and len(windows) == len(structure.variables) - 1:
+        return max(hi for _, hi in windows.values())
+    return None
+
+
+def candidate_requirements(
+    assignment: Dict[str, str],
+    windows: Dict[str, Window],
+    root: str,
+) -> Tuple[Tuple[str, int, int], ...]:
+    """The anchor-screen requirements of one candidate assignment.
+
+    For each non-root variable with a propagated window ``[lo, hi]``
+    (seconds from the root), any match must witness an event of the
+    *assigned* type inside the window - the per-candidate sharpening of
+    the step-3 any-allowed-type filter.
+    """
+    return tuple(
+        (assignment[variable], lo, hi)
+        for variable, (lo, hi) in sorted(windows.items())
+        if variable != root and variable in assignment
+    )
+
+
 def required_granularities(
     structure: EventStructure,
 ) -> Dict[str, List]:

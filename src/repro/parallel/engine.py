@@ -1,22 +1,24 @@
-"""The work-sharded mining scan (candidates x time shards -> workers).
+"""The step-5 mining scan: candidate groups x root chunks -> tasks.
 
 The paper's step 5 is embarrassingly parallel once two facts are pinned
-down: candidate assignments are independent, and anchored runs are
-time-local (a run started at root ``t0`` with horizon ``H`` never reads
-past ``t0 + H``).  This module exploits both:
+down: candidate assignments are independent, and a run anchored at one
+root never depends on runs anchored at another.  This module runs
+the scan, serial or parallel, as one task grid:
 
-* candidates sharing a clock signature are compiled into one
-  :class:`~repro.automata.dense.DenseBatch` in the parent; those
-  groups and the planned time shards (:mod:`repro.parallel.shards`)
-  form a task grid, and each task scans one shard's owned roots for one
-  group in a single banked traversal;
-* before any TAG starts, the shard's roots are screened through
-  :meth:`~repro.store.columnar.ColumnarEventStore.screen_anchors`
+* candidates sharing a root symbol and a clock signature are compiled
+  into one :class:`~repro.automata.dense.DenseBatch`
+  (:func:`compile_groups`); those groups and the planned root chunks
+  (:mod:`repro.parallel.shards`) form a task grid, and each task scans
+  one chunk's roots for one group in a single banked traversal
+  (:func:`scan_group`);
+* before any TAG starts, the chunk's roots are screened through
+  :meth:`~repro.store.columnar.ColumnarEventStore.viable_positions`
   against each member's propagated windows - the *anchor screen* - so
-  only viable anchors pay for an automaton run (the same screen runs in
-  the serial engine, which keeps serial and parallel results
-  bit-identical);
-* contiguous batches of the grid go to a fork-based
+  only viable anchors pay for an automaton run;
+* a serial scan (one worker) plans one chunk, so its grid is one task
+  per group, and runs it in-process, as does any grid of one task or
+  any platform without fork;
+* otherwise contiguous batches of the grid go to a fork-based
   ``ProcessPoolExecutor`` through ``map``.  The parent builds the
   sequence's columnar view before forking, so workers inherit it - the
   int64 columns and posting lists, read copy-on-write and never
@@ -38,9 +40,6 @@ exactly, for any worker count or shard size.  A batch that fails
 raises in the parent - a worker exception with the worker's traceback
 as its ``__cause__``, a dead worker as ``BrokenProcessPool`` - and the
 batches not yet started are cancelled.
-
-Without fork, or with one task or one worker, the same task grid runs
-in-process, still bit-identical, with no pool overhead.
 """
 
 from __future__ import annotations
@@ -51,11 +50,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..automata.builder import build_tag
+from ..automata.builder import TagBuild, build_tag
 from ..automata.dense import BatchRuntime, DenseBatch, compile_dense_batch
 from ..constraints.structure import ComplexEventType, EventStructure
 from ..granularity.registry import GranularitySystem
 from ..mining.events import EventSequence
+from ..mining.pruning import candidate_requirements
 from ..obs import (
     Span,
     TraceContext,
@@ -67,20 +67,14 @@ from ..obs import (
     current_tracer,
     gauge,
     global_metrics,
-    obs_debug,
     span,
 )
 from ..store.columnar import Requirement
-from .shards import (
-    Shard,
-    check_shard_invariants,
-    plan_shards,
-    resolve_shard_size,
-)
+from .shards import Shard, plan_shards, resolve_shard_size
 
 _SHARDS_TOTAL = counter(
     "repro_mine_shards_total",
-    "Time shards planned by the parallel mining engine",
+    "Root chunks (shards) planned by the mining scan",
 )
 _TASKS_TOTAL = counter(
     "repro_parallel_tasks_total",
@@ -92,7 +86,7 @@ _FALLBACK_TOTAL = counter(
 )
 _WORKERS_GAUGE = gauge(
     "repro_parallel_workers",
-    "Worker processes used by the most recent parallel scan",
+    "Worker processes used by the most recent mining scan",
 )
 
 def resolve_workers(parallel: Union[int, str, None] = None) -> int:
@@ -116,40 +110,15 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def candidate_requirements(
-    assignment: Dict[str, str],
-    windows: Dict[str, Tuple[int, int]],
-    root: str,
-) -> Tuple[Requirement, ...]:
-    """The anchor-screen requirements of one candidate assignment.
-
-    For each non-root variable with a propagated window ``[lo, hi]``
-    (seconds from the root), any match must witness an event of the
-    *assigned* type inside the window - the per-candidate sharpening of
-    the step-3 any-allowed-type filter.
-    """
-    return tuple(
-        (assignment[variable], lo, hi)
-        for variable, (lo, hi) in sorted(windows.items())
-        if variable != root and variable in assignment
-    )
-
-
 def compile_groups(
-    structure: EventStructure,
-    candidates: Sequence[Dict[str, str]],
-    system: GranularitySystem,
+    builds: Sequence[TagBuild],
 ) -> List[Tuple[Tuple[int, ...], DenseBatch, str]]:
-    """The frontier's banks as ``(candidate positions, bank, root symbol)``.
+    """The frontier's banks as ``(build positions, bank, root symbol)``.
 
-    Candidates are grouped by root symbol first, so every bank anchors
-    on one event type, then by clock signature
+    Builds are grouped by root symbol first, so every bank anchors on
+    one event type, then by clock signature
     (:func:`~repro.automata.dense.compile_dense_batch`).
     """
-    builds = [
-        build_tag(ComplexEventType(structure, assignment), system=system)
-        for assignment in candidates
-    ]
     by_symbol: Dict[str, List[int]] = {}
     for position, build in enumerate(builds):
         by_symbol.setdefault(build.root_symbol, []).append(position)
@@ -165,15 +134,14 @@ def compile_groups(
 
 
 # ----------------------------------------------------------------------
-# Worker-side state
+# Task execution
 # ----------------------------------------------------------------------
 @dataclass
 class ScanContext:
-    """Everything a worker needs, inherited through fork.
+    """Everything a task needs; pool workers inherit it through fork.
 
-    Installed as the module-global :data:`_CTX` in the parent before
-    the pool is created; submitted tasks are two-integer tuples indexing
-    into ``groups`` and ``shards``.
+    Tasks are two-integer tuples indexing into ``groups`` and
+    ``shards``.
     """
 
     sequence: EventSequence
@@ -193,28 +161,15 @@ class ScanContext:
     trace_context: Optional[TraceContext] = None
 
 
+#: The pool's scan context, installed in the parent just before the
+#: fork and cleared after the pool shuts down.  The in-process
+#: executor never reads it.
 _CTX: Optional[ScanContext] = None
 
-#: Per-worker runtime memo (one per candidate group touched).  The
+#: A pool worker's runtime memo (one per candidate group touched).  The
 #: banked tables themselves arrive through fork; only the thin runtime
 #: wrapper (plan lookup, routing index seeds) is per-worker.
 _RUNTIMES: Dict[int, BatchRuntime] = {}
-
-
-def _runtime_for(ctx: ScanContext, group_index: int) -> BatchRuntime:
-    runtime = _RUNTIMES.get(group_index)
-    if runtime is None:
-        _positions, batch, root_symbol = ctx.groups[group_index]
-        runtime = BatchRuntime(
-            batch,
-            ctx.sequence.columnar(),
-            root_symbol,
-            ctx.structure.root,
-            strict=ctx.strict,
-            horizon_seconds=ctx.horizon,
-        )
-        _RUNTIMES[group_index] = runtime
-    return runtime
 
 
 def scan_group(
@@ -230,9 +185,7 @@ def scan_group(
     then one :meth:`~repro.automata.dense.BatchRuntime.scan_roots`
     traversal advances the whole group.  Returns ``(hits, starts)`` per
     member, where starts counts the roots that survived the screen
-    (each starts exactly one automaton run).  The serial engine calls
-    this over all roots and each parallel task over one shard's, so
-    both count identically.
+    (each starts exactly one automaton run).
     """
     view = runtime.store
     viable_lists = [
@@ -247,25 +200,63 @@ def scan_group(
 
 
 def _execute_task(
-    ctx: ScanContext, group_index: int, shard_index: int
-) -> List[Tuple[int, int, int, int]]:
-    """One task: :func:`scan_group` over one shard's owned roots.
+    ctx: ScanContext,
+    runtimes: Dict[int, BatchRuntime],
+    group_index: int,
+    shard_index: int,
+) -> List[Tuple[int, int, int]]:
+    """One task: :func:`scan_group` over one shard's roots.
 
-    Returns one ``(candidate, shard, hits, starts)`` entry per member.
+    ``runtimes`` memoises one runtime per group across the caller's
+    tasks.  Returns one ``(candidate, hits, starts)`` entry per member.
     """
-    members, _batch, _root_symbol = ctx.groups[group_index]
+    members, batch, root_symbol = ctx.groups[group_index]
+    runtime = runtimes.get(group_index)
+    if runtime is None:
+        runtime = runtimes[group_index] = BatchRuntime(
+            batch,
+            ctx.sequence.columnar(),
+            root_symbol,
+            ctx.structure.root,
+            strict=ctx.strict,
+            horizon_seconds=ctx.horizon,
+        )
     roots = ctx.shards[shard_index].roots
-    root_times = [ctx.sequence[root].time for root in roots]
     counts = scan_group(
-        _runtime_for(ctx, group_index),
+        runtime,
         roots,
-        root_times,
+        [ctx.sequence[root].time for root in roots],
         [ctx.requirements[candidate] for candidate in members],
     )
     return [
-        (candidate, shard_index, hits, starts)
+        (candidate, hits, starts)
         for candidate, (hits, starts) in zip(members, counts)
     ]
+
+
+def _run_tasks(
+    ctx: ScanContext,
+    runtimes: Dict[int, BatchRuntime],
+    tasks: Sequence[Tuple[int, int]],
+    **attributes: object,
+) -> List[Tuple[int, int, int]]:
+    """Run ``tasks`` in order, each under one ``mine.worker`` span."""
+    results: List[Tuple[int, int, int]] = []
+    for group, shard in tasks:
+        with span(
+            "mine.worker",
+            pid=os.getpid(),
+            group=group,
+            shard=shard,
+            **attributes,
+        ) as worker_span:
+            entries = _execute_task(ctx, runtimes, group, shard)
+            worker_span.set(
+                hits=sum(entry[1] for entry in entries),
+                starts=sum(entry[2] for entry in entries),
+            )
+        results.extend(entries)
+    return results
 
 
 def _pool_batch(batch: Sequence[Tuple[int, int]]) -> Dict[str, object]:
@@ -286,25 +277,11 @@ def _pool_batch(batch: Sequence[Tuple[int, int]]) -> Dict[str, object]:
     cache = ctx.system.conversion_cache
     cache_before = cache.snapshot()
     tracer = Tracer(parent=ctx.trace_context) if ctx.trace else None
-    results: List[Tuple[int, int, int, int]] = []
-
-    def run_tasks() -> None:
-        for group, shard in batch:
-            with span(
-                "mine.worker", pid=os.getpid(), group=group, shard=shard
-            ) as worker_span:
-                entries = _execute_task(ctx, group, shard)
-                worker_span.set(
-                    hits=sum(entry[2] for entry in entries),
-                    starts=sum(entry[3] for entry in entries),
-                )
-            results.extend(entries)
-
     if tracer is not None:
         with activate_tracer(tracer):
-            run_tasks()
+            results = _run_tasks(ctx, _RUNTIMES, batch)
     else:
-        run_tasks()
+        results = _run_tasks(ctx, _RUNTIMES, batch)
     cache_after = cache.snapshot()
     return {
         "results": results,
@@ -315,36 +292,6 @@ def _pool_batch(batch: Sequence[Tuple[int, int]]) -> Dict[str, object]:
             "evictions": cache_after.evictions - cache_before.evictions,
         },
         "spans": [root.to_dict() for root in tracer.roots] if tracer else [],
-    }
-
-
-def _inline_batch(batch: Sequence[Tuple[int, int]]) -> Dict[str, object]:
-    """:func:`_pool_batch` run in the parent (one worker or task, or
-    no fork).
-
-    Counters hit the parent registry directly and spans nest under the
-    already-active tracer, so nothing is captured for merging.
-    """
-    results: List[Tuple[int, int, int, int]] = []
-    for group, shard in batch:
-        with span(
-            "mine.worker",
-            pid=os.getpid(),
-            group=group,
-            shard=shard,
-            inline=True,
-        ) as worker_span:
-            entries = _execute_task(_CTX, group, shard)
-            worker_span.set(
-                hits=sum(entry[2] for entry in entries),
-                starts=sum(entry[3] for entry in entries),
-            )
-        results.extend(entries)
-    return {
-        "results": results,
-        "counter_deltas": {},
-        "cache_deltas": {},
-        "spans": [],
     }
 
 
@@ -363,6 +310,58 @@ def _plan_batches(
         list(tasks[start:start + target])
         for start in range(0, len(tasks), target)
     ]
+
+
+def _pool_scan(
+    ctx: ScanContext, tasks: Sequence[Tuple[int, int]], workers: int
+) -> List[Tuple[int, int, int]]:
+    """Map the grid's batches over a fork pool; merge their state back.
+
+    Returns the task entries in plan order.  Worker counter, cache and
+    span state is merged into the parent's registry, conversion cache
+    and tracer.
+    """
+    global _CTX
+    _CTX = ctx
+    try:
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+        )
+        try:
+            records = list(
+                pool.map(_pool_batch, _plan_batches(tasks, workers))
+            )
+        finally:
+            # After a failed batch, drop the batches not yet started,
+            # so the error surfaces without the rest of the grid
+            # running first.
+            pool.shutdown(cancel_futures=True)
+    finally:
+        _CTX = None
+
+    entries: List[Tuple[int, int, int]] = []
+    merged_counters: Dict[str, float] = {}
+    cache_hits = cache_misses = cache_evictions = 0
+    tracer = current_tracer()
+    for record in records:  # plan order, whichever worker ran the batch
+        entries.extend(record["results"])
+        for sample, delta in record["counter_deltas"].items():
+            merged_counters[sample] = merged_counters.get(sample, 0) + delta
+        deltas = record["cache_deltas"]
+        cache_hits += deltas["hits"]
+        cache_misses += deltas["misses"]
+        cache_evictions += deltas["evictions"]
+        if tracer is not None:
+            for payload in record["spans"]:
+                tracer.attach(Span.from_dict(payload))
+    if merged_counters:
+        global_metrics().merge_counter_deltas(merged_counters)
+    if cache_hits or cache_misses or cache_evictions:
+        ctx.system.conversion_cache.merge_counts(
+            hits=cache_hits, misses=cache_misses, evictions=cache_evictions
+        )
+    return entries
 
 
 # ----------------------------------------------------------------------
@@ -397,7 +396,6 @@ def parallel_scan(
     The grid runs on a fork pool when there are several workers and
     several tasks, and in-process otherwise.
     """
-    global _CTX, _RUNTIMES
     requirements = [
         candidate_requirements(assignment, windows, structure.root)
         if anchor_screen
@@ -405,19 +403,17 @@ def parallel_scan(
         for assignment in candidates
     ]
     # Compile the frontier into banked tables once, in the parent;
-    # workers inherit the compiled groups through fork and share one
-    # traversal per (group, shard) task.
-    groups = compile_groups(structure, candidates, system)
-    shards = plan_shards(
-        sequence,
-        list(roots),
-        horizon,
-        shard_size=resolve_shard_size(
-            shard_size, len(roots), workers, len(candidates)
-        ),
+    # pool workers inherit the compiled groups through fork.
+    groups = compile_groups(
+        [
+            build_tag(ComplexEventType(structure, assignment), system=system)
+            for assignment in candidates
+        ]
     )
-    if obs_debug():
-        check_shard_invariants(shards, sequence, list(roots), horizon)
+    shards = plan_shards(
+        roots,
+        resolve_shard_size(shard_size, len(roots), workers, len(candidates)),
+    )
     tasks = [
         (group_index, shard.index)
         for group_index in range(len(groups))
@@ -448,54 +444,18 @@ def parallel_scan(
         trace_context=current_context(),
         groups=groups,
     )
-    batches = _plan_batches(tasks, workers_used)
-    _CTX = ctx
-    _RUNTIMES = {}
-    try:
-        if mode == "pool":
-            pool = ProcessPoolExecutor(
-                max_workers=workers_used,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-            try:
-                raw = list(pool.map(_pool_batch, batches))
-            finally:
-                # After a failed batch, drop the batches not yet
-                # started, so the error surfaces without the rest of
-                # the grid running first.
-                pool.shutdown(cancel_futures=True)
-        else:
-            raw = [_inline_batch(batch) for batch in batches]
-    finally:
-        _CTX = None
-        _RUNTIMES = {}
+    if mode == "pool":
+        entries = _pool_scan(ctx, tasks, workers_used)
+    else:
+        entries = _run_tasks(ctx, {}, tasks, inline=True)
 
     results = [
         CandidateResult(assignment=assignment) for assignment in candidates
     ]
-    merged_counters: Dict[str, float] = {}
-    cache_hits = cache_misses = cache_evictions = 0
-    tracer = current_tracer()
-    for record in raw:  # plan order, whichever worker ran the batch
-        for candidate_index, _shard, hits, starts in record["results"]:
-            result = results[candidate_index]
-            result.hits += hits
-            result.starts += starts
-        for sample, delta in record["counter_deltas"].items():
-            merged_counters[sample] = merged_counters.get(sample, 0) + delta
-        deltas = record["cache_deltas"]
-        cache_hits += deltas.get("hits", 0)
-        cache_misses += deltas.get("misses", 0)
-        cache_evictions += deltas.get("evictions", 0)
-        if tracer is not None:
-            for payload in record["spans"]:
-                tracer.attach(Span.from_dict(payload))
-    if merged_counters:
-        global_metrics().merge_counter_deltas(merged_counters)
-    if cache_hits or cache_misses or cache_evictions:
-        system.conversion_cache.merge_counts(
-            hits=cache_hits, misses=cache_misses, evictions=cache_evictions
-        )
+    for candidate_index, hits, starts in entries:
+        result = results[candidate_index]
+        result.hits += hits
+        result.starts += starts
     report = {
         "workers": workers_used,
         "shards": len(shards),

@@ -27,13 +27,19 @@ so :meth:`sessions` can enumerate them back); and
 :class:`MemoryCheckpointStore` keeps the same generational structure
 in process memory - the default when no ``checkpoint_dir`` is
 configured, where eviction still works but nothing survives the
-process.
+process.  Since nothing leaves the process, the memory store keeps
+each generation as :mod:`marshal` bytes rather than JSON text: about
+as compact, several times cheaper to write and read back, and every
+load is a private copy.  Keeping the payload objects themselves would
+skip the encoding too, but holds about eight times the memory per
+generation, and the memory store holds every evicted session.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import marshal
 import os
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -238,17 +244,20 @@ class MemoryCheckpointStore(CheckpointStoreBase):
 
     def __init__(self, keep_generations: int = 2):
         super().__init__(keep_generations)
-        self._data: Dict[Tuple[str, str], Dict[int, str]] = {}
+        self._data: Dict[Tuple[str, str], Dict[int, bytes]] = {}
         self._wals: Dict[Tuple[str, str], List[WalEntry]] = {}
 
     def _generations(self, tenant, key):
         return sorted(self._data.get((tenant, key), ()))
 
     def _read_generation(self, tenant, key, gen):
-        return json.loads(self._data[(tenant, key)][gen])
+        try:
+            return marshal.loads(self._data[(tenant, key)][gen])
+        except (EOFError, TypeError, ValueError) as exc:
+            raise ValueError(str(exc) or type(exc).__name__)
 
     def _write_generation(self, tenant, key, gen, payload):
-        self._data.setdefault((tenant, key), {})[gen] = json.dumps(payload)
+        self._data.setdefault((tenant, key), {})[gen] = marshal.dumps(payload)
 
     def _drop_generation(self, tenant, key, gen):
         slot = self._data.get((tenant, key), {})
@@ -277,8 +286,8 @@ class MemoryCheckpointStore(CheckpointStoreBase):
         if not generations:
             raise KeyError((tenant, key))
         gen = generations[-1]
-        text = self._data[(tenant, key)][gen]
-        self._data[(tenant, key)][gen] = text[: len(text) // 2]
+        blob = self._data[(tenant, key)][gen]
+        self._data[(tenant, key)][gen] = blob[: len(blob) // 2]
 
 
 class DirectoryCheckpointStore(CheckpointStoreBase):

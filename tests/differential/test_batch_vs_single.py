@@ -4,8 +4,9 @@ The banked :class:`~repro.automata.dense.DenseBatch` tables and the
 :class:`~repro.automata.dense.BatchRuntime` sweep are the only
 stored-sequence matching runtime, so every production entry point -
 ``match_many`` on one-member and many-member banks, per-matcher
-``matching_roots``, ``batch_matching_roots``, ``discover`` and
-``parallel_scan`` - is held against the object NDFA simulation
+``matching_roots``, the frontier banks of ``compile_groups`` swept by
+``scan_roots``, ``discover`` and ``parallel_scan`` - is held against
+the object NDFA simulation
 (:meth:`~repro.automata.matching.TagMatcher.match_from`) root by root:
 same match sets, same bindings, same support counts, same solutions.
 Hypothesis generates candidate frontiers (one or several assignments of
@@ -38,7 +39,7 @@ from repro.automata.dense import (
     compile_dense,
     compile_dense_batch,
 )
-from repro.automata.matching import TagMatcher, batch_matching_roots
+from repro.automata.matching import TagMatcher
 from repro.constraints import TCG, ComplexEventType, EventStructure
 from repro.granularity import standard_system
 from repro.mining.discovery import EventDiscoveryProblem, discover
@@ -46,6 +47,7 @@ from repro.mining.events import EventSequence
 from repro.mining.pruning import consistency_gate, seconds_windows
 from repro.obs import global_metrics
 from repro.parallel import fork_available, parallel_scan
+from repro.parallel.engine import compile_groups
 
 from .reference import (
     reference_outcomes,
@@ -147,13 +149,31 @@ class TestMatchSets:
     @given(case=frontier_cases())
     @RELAXED
     def test_batched_match_sets_equal_single(self, kernel, case):
-        """batch_matching_roots and the per-matcher matching_roots
-        (one-member banks) both equal the reference, for any
-        frontier/store/kernel combination."""
+        """The frontier banks of compile_groups, swept by scan_roots,
+        and the per-matcher matching_roots (one-member banks) both
+        equal the reference, for any frontier/store/kernel
+        combination."""
         structure, frontier, sequence, horizon, strict = case
         matchers = _build_matchers(structure, frontier, horizon, strict)
         reference = [reference_roots(m, sequence) for m in matchers]
-        assert batch_matching_roots(matchers, sequence) == reference
+        banked = [None] * len(matchers)
+        for members, bank, root_symbol in compile_groups(
+            [m.build for m in matchers]
+        ):
+            runtime = BatchRuntime(
+                bank,
+                sequence.columnar(),
+                root_symbol,
+                structure.root,
+                strict=strict,
+                horizon_seconds=horizon,
+            )
+            hits = runtime.scan_roots(
+                [matchers[p].viable_root_positions(sequence) for p in members]
+            )
+            for p, roots in zip(members, hits):
+                banked[p] = roots
+        assert banked == reference
         assert [list(m.matching_roots(sequence)) for m in matchers] == (
             reference
         )
@@ -350,7 +370,7 @@ def _failure_within(seconds):
 )
 class TestWorkerCrashChaos:
     def test_worker_error_surfaces_in_parent(self, monkeypatch):
-        def fail(ctx, group_index, shard_index):
+        def fail(ctx, runtimes, group_index, shard_index):
             raise ValueError("task failed in pid %d" % os.getpid())
 
         monkeypatch.setattr(engine, "_execute_task", fail)
@@ -364,7 +384,7 @@ class TestWorkerCrashChaos:
         assert engine._RUNTIMES == {}
 
     def test_worker_exit_breaks_the_pool(self, monkeypatch):
-        def die(ctx, group_index, shard_index):
+        def die(ctx, runtimes, group_index, shard_index):
             os._exit(17)  # no cleanup, no result
 
         monkeypatch.setattr(engine, "_execute_task", die)

@@ -1,9 +1,15 @@
 """Tests for intersection granularities and business hours."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.constraints import TCG
 from repro.granularity import (
     BusinessDayType,
@@ -68,6 +74,42 @@ class TestIntersectionType:
             first, last = overlap.tick_bounds(index)
             assert first > previous_last
             previous_last = last
+
+
+class TestDisjointOperands:
+    def test_operands_that_never_meet_have_no_tick(self):
+        """Two six-hour patterns whose segments never overlap: one
+        joint period without an overlap ends the walk, so the type
+        fails loudly instead of scanning forever.  A fresh interpreter
+        runs the case under a timeout, so a walk that does not end
+        fails the test instead of hanging it."""
+        code = textwrap.dedent(
+            """
+            from repro.granularity import IntersectionType
+            from repro.granularity import PeriodicPatternType as P
+
+            never = IntersectionType(
+                P("p", 21600, [(900, 900)]), P("p", 21600, [(0, 900)])
+            )
+            try:
+                never.tick_bounds(0)
+            except ValueError:
+                pass
+            else:
+                raise SystemExit("tick_bounds(0) found a tick")
+            assert never.tick_of(1000) is None
+            assert never.period_info() is None
+            """
+        )
+        package_root = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=package_root),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr + done.stdout
 
 
 class TestBusinessHours:

@@ -7,6 +7,7 @@ import pytest
 from repro.automata.builder import build_tag
 from repro.automata.matching import TagMatcher
 from repro.constraints import TCG, ComplexEventType, EventStructure
+from repro.mining import EventDiscoveryProblem, discover
 from repro.mining.events import EventSequence
 from repro.obs import counter_deltas, metrics_snapshot
 from repro.parallel import (
@@ -235,3 +236,85 @@ class TestParallelScan:
         starts = sum(result.starts for result in results)
         assert report["executor"] == "pool"
         assert deltas.get("repro_tag_runs_total", 0) == starts
+
+
+def _discovery(system):
+    """A mining problem whose six roots all survive reduction, on a
+    sequence the first root's horizon (2 h) covers entirely."""
+    hour = system.get("hour")
+    structure = EventStructure(["R", "A"], {("R", "A"): [TCG(0, 1, hour)]})
+    events = []
+    for i in range(6):
+        events.append(("r", i * 120))
+        events.append(("a" if i % 2 else "b", i * 120 + 60))
+    problem = EventDiscoveryProblem(
+        structure, 0.2, "r", {"A": frozenset(["a", "b"])}
+    )
+    return problem, EventSequence(events)
+
+
+def _scan_deltas(run):
+    """``run()`` and the scan counters it moved."""
+    before = metrics_snapshot()
+    outcome = run()
+    deltas = counter_deltas(before, metrics_snapshot())
+    return outcome, {
+        name: deltas.get(name, 0)
+        for name in (
+            "repro_mine_shards_total",
+            "repro_parallel_tasks_total",
+            "repro_tag_batch_runs_total",
+        )
+    }
+
+
+class TestSerialPlan:
+    """Serial mining runs the task grid with one worker."""
+
+    def test_serial_discover_scans_one_shard_per_group(self, system, obs_on):
+        problem, sequence = _discovery(system)
+        outcome, deltas = _scan_deltas(
+            lambda: discover(problem, sequence, system)
+        )
+        assert outcome.candidates_evaluated == 2
+        assert outcome.parallelism is None
+        # Both candidates share a clock signature: one group, one
+        # shard, one task and one banked sweep.
+        assert deltas == {
+            "repro_mine_shards_total": 1,
+            "repro_parallel_tasks_total": 1,
+            "repro_tag_batch_runs_total": 1,
+        }
+
+    @pytest.mark.parametrize("parallel", [None, 1, 2, 3])
+    def test_explicit_shard_size_chunks_at_any_worker_count(
+        self, system, obs_on, parallel
+    ):
+        problem, sequence = _discovery(system)
+        serial = discover(problem, sequence, system)
+        with _no_fork():
+            outcome, deltas = _scan_deltas(
+                lambda: discover(
+                    problem,
+                    sequence,
+                    system,
+                    parallel=parallel,
+                    shard_size=4,
+                )
+            )
+        assert outcome == serial
+        assert outcome.frequencies == serial.frequencies
+        assert outcome.stats.roots_after == 6
+        assert deltas["repro_mine_shards_total"] == 2
+        assert deltas["repro_tag_batch_runs_total"] == 2
+
+    def test_covering_horizon_still_plans_one_shard_per_root(self, system):
+        problem, sequence = _discovery(system)
+        with _no_fork():
+            outcome = discover(
+                problem, sequence, system, parallel=2, shard_size=1
+            )
+        assert outcome.stats.roots_after == 6
+        assert outcome.parallelism["shards"] == 6
+        assert outcome.parallelism["tasks"] == 6
+        assert outcome == discover(problem, sequence, system)

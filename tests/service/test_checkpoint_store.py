@@ -5,11 +5,14 @@ import os
 
 import pytest
 
+from repro.automata import StreamingMatcher
 from repro.service import (
     CheckpointCorruptError,
     DirectoryCheckpointStore,
     MemoryCheckpointStore,
+    ServiceConfig,
     open_store,
+    serve_events,
 )
 
 
@@ -175,3 +178,48 @@ class TestDirectoryStore:
         assert isinstance(
             open_store(str(tmp_path / "d")), DirectoryCheckpointStore
         )
+
+
+class TestMemoryStorePayloads:
+    """The memory store keeps marshal bytes, which take tuples and
+    other non-JSON values as readily as JSON ones, so no save proves
+    that a checkpoint is JSON any more; this does."""
+
+    def test_churned_checkpoints_are_json_and_stay_as_saved(
+        self, chain_build
+    ):
+        store = MemoryCheckpointStore()
+        saved = {}
+        write = store._write_generation
+
+        def record(tenant, key, gen, payload):
+            as_json = json.loads(json.dumps(payload))
+            assert payload == as_json
+            saved[(tenant, key, gen)] = as_json
+            write(tenant, key, gen, payload)
+
+        store._write_generation = record
+        hour = 3600
+        # One resident session over four interleaved keys: every event
+        # evicts one session and rehydrates another, mid-chain.
+        events = [
+            ("t", key, etype, time + 60 * offset)
+            for etype, time in (("a", 0), ("b", hour), ("c", 2 * hour))
+            for offset, key in enumerate(("k1", "k2", "k3", "k4"))
+        ]
+        service = serve_events(
+            chain_build,
+            events,
+            config=ServiceConfig(max_resident_sessions=1, max_lateness=60),
+            store=store,
+        )
+        assert service.registry.rehydrations > 0
+        assert saved
+        for tenant, key in store.sessions():
+            newest = store._generations(tenant, key)[-1]
+            payload = store.load(tenant, key)
+            matcher = StreamingMatcher(chain_build, max_lateness=60)
+            matcher.restore(payload["matcher"])
+            matcher.feed("a", 3 * hour)
+            matcher.flush()
+            assert store.load(tenant, key) == saved[(tenant, key, newest)]
