@@ -23,72 +23,50 @@ Layers (each importable on its own):
   per-tenant circuit breakers, bounded ingress queues with shedding,
   and checkpoint-backed LRU session eviction with crash recovery;
 * :mod:`repro.core` - a small facade for the common path.
+
+The names re-exported here, and by each layer's package, are imported
+on first use, so ``import repro`` loads no layer.
 """
 
-from .automata import StreamingMatcher, TagMatcher, build_tag
-from .constraints import (
-    TCG,
-    ComplexEventType,
-    EventStructure,
-    StructureBuilder,
-    propagate,
-)
-from .core import (
-    check_consistency,
-    compile_pattern,
-    count_pattern,
-    mine,
-    pattern_frequency,
-    stream_pattern,
-)
-from .granularity import GranularitySystem, TemporalType, standard_system
-from .mining import Event, EventDiscoveryProblem, EventSequence, discover
-from .resilience import (
-    EventValidationError,
-    FaultInjector,
-    Quarantine,
-    ReorderBuffer,
-    StreamFeedError,
-)
-from .service import (
-    DetectionService,
-    ServiceConfig,
-    ServiceDetection,
-    serve_events,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "TCG",
-    "EventStructure",
-    "ComplexEventType",
-    "propagate",
-    "TemporalType",
-    "GranularitySystem",
-    "standard_system",
-    "build_tag",
-    "TagMatcher",
-    "StreamingMatcher",
-    "StructureBuilder",
-    "Event",
-    "EventSequence",
-    "EventDiscoveryProblem",
-    "discover",
-    "check_consistency",
-    "compile_pattern",
-    "count_pattern",
-    "pattern_frequency",
-    "mine",
-    "stream_pattern",
-    "EventValidationError",
-    "StreamFeedError",
-    "Quarantine",
-    "ReorderBuffer",
-    "FaultInjector",
-    "DetectionService",
-    "ServiceConfig",
-    "ServiceDetection",
-    "serve_events",
-]
+#: Each public name and the layer that defines it; a layer is imported
+#: the first time one of its names is read.
+_EXPORTS = {
+    "TCG": "constraints",
+    "EventStructure": "constraints",
+    "ComplexEventType": "constraints",
+    "propagate": "constraints",
+    "TemporalType": "granularity",
+    "GranularitySystem": "granularity",
+    "standard_system": "granularity",
+    "build_tag": "automata",
+    "TagMatcher": "automata",
+    "StreamingMatcher": "automata",
+    "StructureBuilder": "constraints",
+    "Event": "mining",
+    "EventSequence": "mining",
+    "EventDiscoveryProblem": "mining",
+    "discover": "mining",
+    "check_consistency": "core",
+    "compile_pattern": "core",
+    "count_pattern": "core",
+    "pattern_frequency": "core",
+    "mine": "core",
+    "stream_pattern": "core",
+    "EventValidationError": "resilience",
+    "StreamFeedError": "resilience",
+    "Quarantine": "resilience",
+    "ReorderBuffer": "resilience",
+    "FaultInjector": "resilience",
+    "DetectionService": "service",
+    "ServiceConfig": "service",
+    "ServiceDetection": "service",
+    "serve_events": "service",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -6,57 +6,39 @@ online matcher, and the exact reference matcher used to validate the
 construction.
 """
 
-from .builder import TagBuild, build_tag, clock_name
-from .dense import (
-    BatchRuntime,
-    DenseBatch,
-    DenseTAG,
-    compile_dense,
-    compile_dense_batch,
-)
-from .clocks import (
-    And,
-    Atom,
-    Clock,
-    ClockConstraint,
-    Not,
-    Or,
-    TrueConstraint,
-    evaluate_clocks,
-    within,
-)
-from .matching import MatchResult, TagMatcher
-from .streaming import Detection, StreamingMatcher
-from .structmatch import count_occurrences, find_occurrence, occurs_at
-from .tag import ANY, TAG, Configuration, Transition
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Clock",
-    "ClockConstraint",
-    "TrueConstraint",
-    "Atom",
-    "And",
-    "Or",
-    "Not",
-    "within",
-    "evaluate_clocks",
-    "TAG",
-    "Transition",
-    "Configuration",
-    "ANY",
-    "TagBuild",
-    "build_tag",
-    "clock_name",
-    "compile_dense",
-    "compile_dense_batch",
-    "DenseTAG",
-    "DenseBatch",
-    "BatchRuntime",
-    "TagMatcher",
-    "MatchResult",
-    "StreamingMatcher",
-    "Detection",
-    "find_occurrence",
-    "occurs_at",
-    "count_occurrences",
-]
+_EXPORTS = {
+    "Clock": "clocks",
+    "ClockConstraint": "clocks",
+    "TrueConstraint": "clocks",
+    "Atom": "clocks",
+    "And": "clocks",
+    "Or": "clocks",
+    "Not": "clocks",
+    "within": "clocks",
+    "evaluate_clocks": "clocks",
+    "TAG": "tag",
+    "Transition": "tag",
+    "Configuration": "tag",
+    "ANY": "tag",
+    "TagBuild": "builder",
+    "build_tag": "builder",
+    "clock_name": "builder",
+    "compile_dense": "dense",
+    "compile_dense_batch": "dense",
+    "DenseTAG": "dense",
+    "DenseBatch": "dense",
+    "BatchRuntime": "dense",
+    "TagMatcher": "matching",
+    "MatchResult": "matching",
+    "StreamingMatcher": "streaming",
+    "Detection": "streaming",
+    "find_occurrence": "structmatch",
+    "occurs_at": "structmatch",
+    "count_occurrences": "structmatch",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -4,28 +4,21 @@ See :mod:`repro.bench.harness` for the machinery and
 ``docs/PERFORMANCE.md`` for how to run it and read its reports.
 """
 
-from .harness import (
-    EXPERIMENT_NAMES,
-    PROFILES,
-    BenchmarkRegression,
-    assert_no_regressions,
-    compare_payloads,
-    comparison_delta_table,
-    format_comparison,
-    load_payload,
-    run_suite,
-    save_payload,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EXPERIMENT_NAMES",
-    "PROFILES",
-    "BenchmarkRegression",
-    "assert_no_regressions",
-    "compare_payloads",
-    "comparison_delta_table",
-    "format_comparison",
-    "load_payload",
-    "run_suite",
-    "save_payload",
-]
+_EXPORTS = {
+    "EXPERIMENT_NAMES": "harness",
+    "PROFILES": "harness",
+    "BenchmarkRegression": "harness",
+    "assert_no_regressions": "harness",
+    "compare_payloads": "harness",
+    "comparison_delta_table": "harness",
+    "format_comparison": "harness",
+    "load_payload": "harness",
+    "run_suite": "harness",
+    "save_payload": "harness",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

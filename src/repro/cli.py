@@ -46,21 +46,11 @@ import os
 import sys
 from typing import List, Optional
 
-from .automata.builder import build_tag
-from .automata.matching import TagMatcher
-from .constraints.propagation import ENGINES, propagate
-from .constraints.stp import EngineUnavailable
-from .granularity.parser import GranularityParseError, parse_type
-from .granularity.registry import standard_system
+# Each command imports the layers it runs inside its ``_cmd_*``
+# function, so a launch loads only those (docs/PERFORMANCE.md,
+# "Start-up").  ``read_events`` stays a module attribute, looked up by
+# ``_load_events`` at call time, so it can be wrapped in one place.
 from .io.csvlog import read_events
-from .io.dot import structure_to_dot
-from .io.serialize import (
-    complex_event_type_from_dict,
-    load_json,
-    problem_from_dict,
-    structure_from_dict,
-)
-from .mining.discovery import discover
 
 
 def _add_obs_options(subparser) -> None:
@@ -102,6 +92,8 @@ def _add_obs_options(subparser) -> None:
 
 
 def _add_engine_option(subparser) -> None:
+    from .constraints.propagation import ENGINES
+
     subparser.add_argument(
         "--engine",
         choices=ENGINES,
@@ -112,6 +104,10 @@ def _add_engine_option(subparser) -> None:
 
 
 def _cmd_check(args) -> int:
+    from .constraints.propagation import propagate
+    from .granularity.registry import standard_system
+    from .io.serialize import load_json, structure_from_dict
+
     system = standard_system()
     structure = structure_from_dict(load_json(args.structure), system)
     result = propagate(structure, system, engine=args.engine)
@@ -140,6 +136,11 @@ def _load_events(args):
 
 
 def _cmd_match(args) -> int:
+    from .automata.builder import build_tag
+    from .automata.matching import TagMatcher
+    from .granularity.registry import standard_system
+    from .io.serialize import complex_event_type_from_dict, load_json
+
     system = standard_system()
     cet = complex_event_type_from_dict(load_json(args.pattern), system)
     sequence = _load_events(args)
@@ -166,7 +167,13 @@ def _cmd_match(args) -> int:
 
 def _cmd_replay(args) -> int:
     from .core.api import stream_pattern
-    from .io.serialize import dump_json, streaming_matcher_from_checkpoint
+    from .granularity.registry import standard_system
+    from .io.serialize import (
+        complex_event_type_from_dict,
+        dump_json,
+        load_json,
+        streaming_matcher_from_checkpoint,
+    )
 
     system = standard_system()
     if args.resume:
@@ -218,7 +225,10 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from .automata.builder import build_tag
+    from .granularity.registry import standard_system
     from .io.csvlog import read_tenant_events
+    from .io.serialize import complex_event_type_from_dict, load_json
     from .resilience import Quarantine
     from .service import ServiceConfig, serve_events
 
@@ -291,6 +301,10 @@ def _parse_count(value: Optional[str], flag: str):
 
 
 def _cmd_mine(args) -> int:
+    from .granularity.registry import standard_system
+    from .io.serialize import load_json, problem_from_dict
+    from .mining.discovery import discover
+
     system = standard_system()
     problem = problem_from_dict(load_json(args.problem), system)
     sequence = _load_events(args)
@@ -414,7 +428,9 @@ def _cmd_bench(args) -> int:
 def _cmd_generate(args) -> int:
     import random
 
+    from .granularity.registry import standard_system
     from .io.csvlog import write_events
+    from .io.serialize import complex_event_type_from_dict, load_json
     from .mining.generator import planted_sequence
 
     system = standard_system()
@@ -440,6 +456,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    from .granularity.parser import GranularityParseError, parse_type
+    from .granularity.registry import standard_system
+
     system = standard_system()
     try:
         source = parse_type(args.source, system)
@@ -468,6 +487,8 @@ def _cmd_convert(args) -> int:
 
 def _cmd_gran_info(args) -> int:
     from .granularity.normalform import explain_normal_form
+    from .granularity.parser import GranularityParseError, parse_type
+    from .granularity.registry import standard_system
 
     system = standard_system()
     try:
@@ -509,6 +530,8 @@ def _cmd_gran_info(args) -> int:
 def _cmd_analyze(args) -> int:
     from .constraints.analysis import find_disjunctions, tightness_report
     from .granularity.gregorian import SECONDS_PER_DAY
+    from .granularity.registry import standard_system
+    from .io.serialize import load_json, structure_from_dict
     from .mining.reporting import tightness_table
 
     system = standard_system()
@@ -580,11 +603,20 @@ def _cmd_obs_flame(path: str) -> int:
 
 
 def _cmd_dot(args) -> int:
+    from .granularity.registry import standard_system
+    from .io.dot import structure_to_dot
+    from .io.serialize import (
+        complex_event_type_from_dict,
+        load_json,
+        structure_from_dict,
+    )
+
     system = standard_system()
     payload = load_json(args.structure)
     if "assignment" in payload:
         cet = complex_event_type_from_dict(payload, system)
         if args.tag:
+            from .automata.builder import build_tag
             from .io.dot import tag_to_dot
 
             print(tag_to_dot(build_tag(cet).tag), end="")
@@ -965,8 +997,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     granularities) exit with code 2 and a one-line message instead of a
     traceback.
     """
-    from .io.csvlog import CsvFormatError
-    from .io.serialize import SerializationError
+    from .constraints.stp import EngineUnavailable
     from .obs import (
         SamplingProfiler,
         Tracer,
@@ -999,9 +1030,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except EngineUnavailable as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (SerializationError, CsvFormatError, ValueError) as exc:
-        # json.JSONDecodeError and GranularityParseError are ValueError
-        # subclasses, so malformed inputs of every kind land here.
+    except ValueError as exc:
+        # SerializationError, CsvFormatError, json.JSONDecodeError and
+        # GranularityParseError are ValueError subclasses, so malformed
+        # inputs of every kind land here.
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except BrokenPipeError:

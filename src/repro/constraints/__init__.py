@@ -6,79 +6,50 @@ the single-granularity Simple Temporal Problem substrate, the sound
 polynomial approximate propagation, and the exact exponential check.
 """
 
-from .builder import (
-    StructureBuilder,
-    parse_tcg,
-    parse_tcg_conjunction,
-    structure_from_text,
-)
-from .analysis import (
-    Disjunction,
-    TightnessRow,
-    exact_distance_sets,
-    find_disjunctions,
-    minimal_intervals,
-    tightness_report,
-)
-from .consistency import (
-    ConsistencyReport,
-    candidate_instants,
-    check_consistency_exact,
-    distance_values,
-)
-from .entailment import entails, subsumes
-from .minimize import UnsatisfiableConjunction, dominates, minimal_tcg_set
-from .propagation import (
-    ENGINES,
-    PropagationResult,
-    check_consistency_approx,
-    propagate,
-    resolve_engine,
-)
-from .stp import (
-    INF,
-    STP,
-    EngineUnavailable,
-    InconsistentSTP,
-    have_numpy,
-    solve_intervals,
-)
-from .structure import ComplexEventType, EventStructure
-from .tcg import TCG, tcg
+from .._lazy import lazy_exports
 
-__all__ = [
-    "TCG",
-    "tcg",
-    "EventStructure",
-    "ComplexEventType",
-    "STP",
-    "InconsistentSTP",
-    "EngineUnavailable",
-    "INF",
-    "have_numpy",
-    "solve_intervals",
-    "propagate",
-    "ENGINES",
-    "resolve_engine",
-    "PropagationResult",
-    "check_consistency_approx",
-    "check_consistency_exact",
-    "ConsistencyReport",
-    "candidate_instants",
-    "distance_values",
-    "exact_distance_sets",
-    "minimal_intervals",
-    "find_disjunctions",
-    "Disjunction",
-    "tightness_report",
-    "TightnessRow",
-    "dominates",
-    "UnsatisfiableConjunction",
-    "minimal_tcg_set",
-    "StructureBuilder",
-    "parse_tcg",
-    "parse_tcg_conjunction",
-    "structure_from_text",
-    "entails",
-    "subsumes",
-]
+# ``tcg`` names both a submodule and the function it defines.  The first
+# import of a submodule binds it on the package, so the function is
+# bound here, before anything can import the submodule.
+from .tcg import tcg
+
+_EXPORTS = {
+    "TCG": "tcg",
+    "tcg": "tcg",
+    "EventStructure": "structure",
+    "ComplexEventType": "structure",
+    "STP": "stp",
+    "InconsistentSTP": "stp",
+    "EngineUnavailable": "stp",
+    "INF": "stp",
+    "have_numpy": "stp",
+    "solve_intervals": "stp",
+    "propagate": "propagation",
+    "ENGINES": "propagation",
+    "resolve_engine": "propagation",
+    "PropagationResult": "propagation",
+    "check_consistency_approx": "propagation",
+    "check_consistency_exact": "consistency",
+    "ConsistencyReport": "consistency",
+    "candidate_instants": "consistency",
+    "distance_values": "consistency",
+    "exact_distance_sets": "analysis",
+    "minimal_intervals": "analysis",
+    "find_disjunctions": "analysis",
+    "Disjunction": "analysis",
+    "tightness_report": "analysis",
+    "TightnessRow": "analysis",
+    "dominates": "minimize",
+    "UnsatisfiableConjunction": "minimize",
+    "minimal_tcg_set": "minimize",
+    "StructureBuilder": "builder",
+    "parse_tcg": "builder",
+    "parse_tcg_conjunction": "builder",
+    "structure_from_text": "builder",
+    "entails": "entailment",
+    "subsumes": "entailment",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

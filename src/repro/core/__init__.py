@@ -6,20 +6,17 @@ consistency, compile complex event types to TAGs, match them, and run
 discovery problems.
 """
 
-from .api import (
-    check_consistency,
-    compile_pattern,
-    count_pattern,
-    mine,
-    pattern_frequency,
-    stream_pattern,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "check_consistency",
-    "compile_pattern",
-    "count_pattern",
-    "pattern_frequency",
-    "mine",
-    "stream_pattern",
-]
+_EXPORTS = {
+    "check_consistency": "api",
+    "compile_pattern": "api",
+    "count_pattern": "api",
+    "pattern_frequency": "api",
+    "mine": "api",
+    "stream_pattern": "api",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -6,134 +6,74 @@ standard calendar and business-calendar types, size tables, and the
 constraint-conversion algorithm of Figure 3.
 """
 
-from .base import DayBasedType, TemporalType, UniformType
-from .business import (
-    BusinessDayType,
-    BusinessMonthType,
-    BusinessWeekType,
-    business_day,
-    business_month,
-    business_week,
-)
-from .calendar import (
-    MonthType,
-    YearType,
-    day,
-    hour,
-    minute,
-    month,
-    second,
-    week,
-    year,
-)
-from .algebra import (
-    FormBackedType,
-    eventually_periodic_form,
-    minimize_form,
-    nf_group,
-    nf_intersect,
-    nf_nth_within,
-    nf_select,
-    nf_shift,
-    nf_union,
-)
-from .combinators import (
-    FilteredType,
-    GroupedType,
-    NthSubgranuleType,
-    ShiftedType,
-    UnionType,
-)
-from .convcache import (
-    ConversionCache,
-    global_conversion_cache,
-    reset_global_conversion_cache,
-)
-from .conversion import ConversionOutcome, convert_interval, type_covers
-from .customcal import (
-    CustomCalendar,
-    CustomMonthType,
-    CustomYearType,
-    retail_445_calendar,
-    thirteen_period_calendar,
-)
-from .intersection import IntersectionType, business_hours
-from .normalform import (
-    CompiledSizeTable,
-    NormalFormError,
-    PeriodicNormalForm,
-    clock_ticks_of,
-    compile_normal_form,
-    explain_normal_form,
-)
-from .parser import GranularityParseError, parse_type
-from .periodic import PeriodicPatternType, shifts, weekly_slots
-from .registry import GranularitySystem, standard_system
-from .relations import finer_than, groups_into, partitions, subgranularity
-from .sizes import SizeTable
+from .._lazy import lazy_exports
 
-__all__ = [
-    "TemporalType",
-    "UniformType",
-    "DayBasedType",
-    "MonthType",
-    "YearType",
-    "BusinessDayType",
-    "BusinessWeekType",
-    "BusinessMonthType",
-    "GroupedType",
-    "FilteredType",
-    "ShiftedType",
-    "UnionType",
-    "NthSubgranuleType",
-    "FormBackedType",
-    "nf_group",
-    "nf_select",
-    "nf_shift",
-    "nf_union",
-    "nf_intersect",
-    "nf_nth_within",
-    "minimize_form",
-    "eventually_periodic_form",
-    "clock_ticks_of",
-    "explain_normal_form",
-    "SizeTable",
-    "CompiledSizeTable",
-    "PeriodicNormalForm",
-    "NormalFormError",
-    "compile_normal_form",
-    "ConversionOutcome",
-    "ConversionCache",
-    "global_conversion_cache",
-    "reset_global_conversion_cache",
-    "convert_interval",
-    "type_covers",
-    "GranularitySystem",
-    "standard_system",
-    "PeriodicPatternType",
-    "shifts",
-    "weekly_slots",
-    "parse_type",
-    "GranularityParseError",
-    "CustomCalendar",
-    "CustomMonthType",
-    "CustomYearType",
-    "thirteen_period_calendar",
-    "retail_445_calendar",
-    "IntersectionType",
-    "business_hours",
-    "finer_than",
-    "groups_into",
-    "partitions",
-    "subgranularity",
-    "second",
-    "minute",
-    "hour",
-    "day",
-    "week",
-    "month",
-    "year",
-    "business_day",
-    "business_week",
-    "business_month",
-]
+_EXPORTS = {
+    "TemporalType": "base",
+    "UniformType": "base",
+    "DayBasedType": "base",
+    "MonthType": "calendar",
+    "YearType": "calendar",
+    "BusinessDayType": "business",
+    "BusinessWeekType": "business",
+    "BusinessMonthType": "business",
+    "GroupedType": "combinators",
+    "FilteredType": "combinators",
+    "ShiftedType": "combinators",
+    "UnionType": "combinators",
+    "NthSubgranuleType": "combinators",
+    "FormBackedType": "algebra",
+    "nf_group": "algebra",
+    "nf_select": "algebra",
+    "nf_shift": "algebra",
+    "nf_union": "algebra",
+    "nf_intersect": "algebra",
+    "nf_nth_within": "algebra",
+    "minimize_form": "algebra",
+    "eventually_periodic_form": "algebra",
+    "clock_ticks_of": "normalform",
+    "explain_normal_form": "normalform",
+    "SizeTable": "sizes",
+    "CompiledSizeTable": "normalform",
+    "PeriodicNormalForm": "normalform",
+    "NormalFormError": "normalform",
+    "compile_normal_form": "normalform",
+    "ConversionOutcome": "conversion",
+    "ConversionCache": "convcache",
+    "global_conversion_cache": "convcache",
+    "reset_global_conversion_cache": "convcache",
+    "convert_interval": "conversion",
+    "type_covers": "conversion",
+    "GranularitySystem": "registry",
+    "standard_system": "registry",
+    "PeriodicPatternType": "periodic",
+    "shifts": "periodic",
+    "weekly_slots": "periodic",
+    "parse_type": "parser",
+    "GranularityParseError": "parser",
+    "CustomCalendar": "customcal",
+    "CustomMonthType": "customcal",
+    "CustomYearType": "customcal",
+    "thirteen_period_calendar": "customcal",
+    "retail_445_calendar": "customcal",
+    "IntersectionType": "intersection",
+    "business_hours": "intersection",
+    "finer_than": "relations",
+    "groups_into": "relations",
+    "partitions": "relations",
+    "subgranularity": "relations",
+    "second": "calendar",
+    "minute": "calendar",
+    "hour": "calendar",
+    "day": "calendar",
+    "week": "calendar",
+    "month": "calendar",
+    "year": "calendar",
+    "business_day": "business",
+    "business_week": "business",
+    "business_month": "business",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -18,6 +18,7 @@ from bisect import bisect_right
 from typing import List, Optional, Tuple
 
 from .base import TemporalType
+from .normalform import cached_normal_form
 from .periodic import PeriodicPatternType
 
 
@@ -104,35 +105,44 @@ class IntersectionType(TemporalType):
     # ------------------------------------------------------------------
     # Scanning
     # ------------------------------------------------------------------
-    def _joint_period(self) -> Optional[int]:
-        """``lcm`` of the operands' declared periods in seconds, or None
-        when either declares none."""
+    def _joint_period(self) -> Optional[Tuple[int, int, int]]:
+        """``(lcm of the operands' periods in seconds, index of a's
+        first periodic tick, index of b's)``, or None when an operand
+        has no period.
+
+        A declared ``period_info()`` repeats from tick 0.  Otherwise
+        the operand's normal form gives the period, which repeats from
+        the first tick after the form's aperiodic prefix.
+        """
         if self._joint_period_cache is False:
-            periods = []
-            for operand in (self.a, self.b):
-                info = getattr(operand, "period_info", None)
-                info = info() if callable(info) else None
-                periods.append(info[1] if info is not None else None)
-            seconds_a, seconds_b = periods
-            self._joint_period_cache = (
-                seconds_a * seconds_b // _gcd(seconds_a, seconds_b)
-                if seconds_a is not None and seconds_b is not None
-                else None
-            )
+            periods = [_period_of(self.a), _period_of(self.b)]
+            if None in periods:
+                self._joint_period_cache = None
+            else:
+                (seconds_a, skip_a), (seconds_b, skip_b) = periods
+                self._joint_period_cache = (
+                    seconds_a * seconds_b // _gcd(seconds_a, seconds_b),
+                    skip_a,
+                    skip_b,
+                )
         return self._joint_period_cache
 
     def _extend(self) -> bool:
         """Discover the next overlapping pair; False when exhausted.
 
-        The walk is bounded.  Both operands repeat every joint period
-        from where the walk starts, so with declared periods a whole
+        The walk is bounded.  Once it has passed both operands'
+        aperiodic prefixes, both repeat every joint period, so a whole
         joint period without an overlap means none will ever come;
-        otherwise the walk gives up after ``max_ticks`` operand ticks.
-        Either way the type is exhausted from then on.
+        without a period for both operands the walk gives up after
+        ``max_ticks`` operand ticks.  Either way the type is exhausted
+        from then on.
         """
         if self._exhausted or len(self._pairs) >= self.max_ticks:
             return False
-        window = self._joint_period()
+        joint = self._joint_period()
+        window = skip_a = skip_b = None
+        if joint is not None:
+            window, skip_a, skip_b = joint
         start = None
         for _ in range(self.max_ticks):
             try:
@@ -141,9 +151,14 @@ class IntersectionType(TemporalType):
             except ValueError:
                 break
             lo = max(first_a, first_b)
-            if start is None:
+            if (
+                start is None
+                and window is not None
+                and self._next_a >= skip_a
+                and self._next_b >= skip_b
+            ):
                 start = lo
-            if window is not None and min(first_a, first_b) >= start + window:
+            if start is not None and min(first_a, first_b) >= start + window:
                 break
             hi = min(last_a, last_b)
             advance_a = last_a <= last_b
@@ -203,6 +218,20 @@ class IntersectionType(TemporalType):
                 "disjoint, or max_ticks reached)" % (index, self.label)
             )
         return self._firsts[index], self._lasts[index]
+
+
+def _period_of(ttype: TemporalType) -> Optional[Tuple[int, int]]:
+    """``(period in seconds, index of the first periodic tick)`` of an
+    operand, or None when it declares no period and has no normal
+    form."""
+    info = getattr(ttype, "period_info", None)
+    info = info() if callable(info) else None
+    if info is not None:
+        return info[1], 0
+    form = cached_normal_form(ttype)
+    if form is None:
+        return None
+    return form.period_seconds, len(form.prefix_firsts)
 
 
 def _gcd(a: int, b: int) -> int:

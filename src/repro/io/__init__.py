@@ -1,62 +1,37 @@
 """Interchange formats: JSON payloads, CSV event logs, DOT graphs."""
 
-from .csvlog import (
-    CsvFormatError,
-    format_timestamp,
-    parse_timestamp,
-    read_events,
-    write_events,
-)
-from .dot import structure_to_dot, tag_to_dot
-from .serialize import (
-    SerializationError,
-    complex_event_type_from_dict,
-    complex_event_type_to_dict,
-    dump_json,
-    frontier_from_dicts,
-    frontier_to_dicts,
-    granularity_from_dict,
-    granularity_to_dict,
-    load_json,
-    problem_from_dict,
-    problem_to_dict,
-    restore_streaming_checkpoint,
-    sequence_from_dict,
-    sequence_to_dict,
-    streaming_checkpoint_to_dict,
-    streaming_matcher_from_checkpoint,
-    structure_from_dict,
-    structure_to_dict,
-    tcg_from_dict,
-    tcg_to_dict,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SerializationError",
-    "granularity_to_dict",
-    "granularity_from_dict",
-    "tcg_to_dict",
-    "tcg_from_dict",
-    "structure_to_dict",
-    "structure_from_dict",
-    "complex_event_type_to_dict",
-    "complex_event_type_from_dict",
-    "problem_to_dict",
-    "problem_from_dict",
-    "sequence_to_dict",
-    "sequence_from_dict",
-    "frontier_to_dicts",
-    "frontier_from_dicts",
-    "streaming_checkpoint_to_dict",
-    "restore_streaming_checkpoint",
-    "streaming_matcher_from_checkpoint",
-    "dump_json",
-    "load_json",
-    "CsvFormatError",
-    "parse_timestamp",
-    "format_timestamp",
-    "read_events",
-    "write_events",
-    "structure_to_dot",
-    "tag_to_dot",
-]
+_EXPORTS = {
+    "SerializationError": "serialize",
+    "granularity_to_dict": "serialize",
+    "granularity_from_dict": "serialize",
+    "tcg_to_dict": "serialize",
+    "tcg_from_dict": "serialize",
+    "structure_to_dict": "serialize",
+    "structure_from_dict": "serialize",
+    "complex_event_type_to_dict": "serialize",
+    "complex_event_type_from_dict": "serialize",
+    "problem_to_dict": "serialize",
+    "problem_from_dict": "serialize",
+    "sequence_to_dict": "serialize",
+    "sequence_from_dict": "serialize",
+    "frontier_to_dicts": "serialize",
+    "frontier_from_dicts": "serialize",
+    "streaming_checkpoint_to_dict": "serialize",
+    "restore_streaming_checkpoint": "serialize",
+    "streaming_matcher_from_checkpoint": "serialize",
+    "dump_json": "serialize",
+    "load_json": "serialize",
+    "CsvFormatError": "csvlog",
+    "parse_timestamp": "csvlog",
+    "format_timestamp": "csvlog",
+    "read_events": "csvlog",
+    "write_events": "csvlog",
+    "structure_to_dot": "dot",
+    "tag_to_dot": "dot",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

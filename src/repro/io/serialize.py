@@ -16,7 +16,16 @@ from __future__ import annotations
 import json
 import marshal
 from contextlib import contextmanager
-from typing import Any, Dict, IO, List, Mapping, Optional, Union
+from typing import (
+    IO,
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Union,
+)
 
 from ..constraints.structure import ComplexEventType, EventStructure
 from ..constraints.tcg import TCG
@@ -32,8 +41,10 @@ from ..granularity.intersection import IntersectionType
 from ..granularity.normalform import clock_tick_of
 from ..granularity.periodic import PeriodicPatternType
 from ..granularity.registry import GranularitySystem
-from ..mining.discovery import EventDiscoveryProblem, TypeConstraint
 from ..mining.events import Event, EventSequence
+
+if TYPE_CHECKING:
+    from ..mining.discovery import EventDiscoveryProblem
 
 
 class SerializationError(ValueError):
@@ -273,6 +284,8 @@ def problem_from_dict(
     payload: Mapping[str, Any], system: GranularitySystem
 ) -> EventDiscoveryProblem:
     """Decode an event-discovery problem."""
+    from ..mining.discovery import EventDiscoveryProblem, TypeConstraint
+
     structure = structure_from_dict(payload["structure"], system)
     candidates = {
         variable: frozenset(pool) if pool is not None else None

@@ -5,102 +5,55 @@ solvers, the pruning steps, the MTV95-style baseline, and synthetic
 workload generators.
 """
 
-from .discovery import (
-    DiscoveryOutcome,
-    EventDiscoveryProblem,
-    TypeConstraint,
-    candidate_assignments,
-    discover,
-    naive_discover,
-)
-from .episodes import (
-    SerialEpisode,
-    episode_frequency,
-    frequent_serial_episodes,
-    occurs_within,
-)
-from .evaluation import Evaluation, evaluate_anchors, labelled_planted_workload
-from .events import Event, EventSequence
-from .extensions import (
-    constrained_assignments,
-    discover_any_reference,
-    tick_anchor_events,
-    unroll,
-    unrolled_assignment,
-    with_anchors,
-)
-from .incremental import CandidateState, IncrementalDiscovery
-from .generator import (
-    ATM_TYPES,
-    PLANT_TYPES,
-    STOCK_TYPES,
-    atm_sequence,
-    instance_windows,
-    plant_log_sequence,
-    planted_sequence,
-    random_noise,
-    sample_instance,
-    stock_sequence,
-)
-from .windows import (
-    frequent_episodes_sliding,
-    sliding_window_count,
-    sliding_window_frequency,
-)
-from .pruning import (
-    PruningStats,
-    consistency_gate,
-    filter_reference_occurrences,
-    reduce_sequence,
-    required_granularities,
-    screen_candidate_pairs,
-    screen_candidates,
-    seconds_windows,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventSequence",
-    "EventDiscoveryProblem",
-    "DiscoveryOutcome",
-    "discover",
-    "naive_discover",
-    "candidate_assignments",
-    "PruningStats",
-    "consistency_gate",
-    "reduce_sequence",
-    "required_granularities",
-    "filter_reference_occurrences",
-    "screen_candidates",
-    "screen_candidate_pairs",
-    "seconds_windows",
-    "SerialEpisode",
-    "occurs_within",
-    "episode_frequency",
-    "frequent_serial_episodes",
-    "IncrementalDiscovery",
-    "CandidateState",
-    "Evaluation",
-    "evaluate_anchors",
-    "labelled_planted_workload",
-    "sliding_window_count",
-    "sliding_window_frequency",
-    "frequent_episodes_sliding",
-    "random_noise",
-    "sample_instance",
-    "instance_windows",
-    "planted_sequence",
-    "stock_sequence",
-    "atm_sequence",
-    "plant_log_sequence",
-    "TypeConstraint",
-    "constrained_assignments",
-    "discover_any_reference",
-    "tick_anchor_events",
-    "with_anchors",
-    "unroll",
-    "unrolled_assignment",
-    "STOCK_TYPES",
-    "ATM_TYPES",
-    "PLANT_TYPES",
-]
+_EXPORTS = {
+    "Event": "events",
+    "EventSequence": "events",
+    "EventDiscoveryProblem": "discovery",
+    "DiscoveryOutcome": "discovery",
+    "discover": "discovery",
+    "naive_discover": "discovery",
+    "candidate_assignments": "discovery",
+    "PruningStats": "pruning",
+    "consistency_gate": "pruning",
+    "reduce_sequence": "pruning",
+    "required_granularities": "pruning",
+    "filter_reference_occurrences": "pruning",
+    "screen_candidates": "pruning",
+    "screen_candidate_pairs": "pruning",
+    "seconds_windows": "pruning",
+    "SerialEpisode": "episodes",
+    "occurs_within": "episodes",
+    "episode_frequency": "episodes",
+    "frequent_serial_episodes": "episodes",
+    "IncrementalDiscovery": "incremental",
+    "CandidateState": "incremental",
+    "Evaluation": "evaluation",
+    "evaluate_anchors": "evaluation",
+    "labelled_planted_workload": "evaluation",
+    "sliding_window_count": "windows",
+    "sliding_window_frequency": "windows",
+    "frequent_episodes_sliding": "windows",
+    "random_noise": "generator",
+    "sample_instance": "generator",
+    "instance_windows": "generator",
+    "planted_sequence": "generator",
+    "stock_sequence": "generator",
+    "atm_sequence": "generator",
+    "plant_log_sequence": "generator",
+    "TypeConstraint": "discovery",
+    "constrained_assignments": "extensions",
+    "discover_any_reference": "extensions",
+    "tick_anchor_events": "extensions",
+    "with_anchors": "extensions",
+    "unroll": "extensions",
+    "unrolled_assignment": "extensions",
+    "STOCK_TYPES": "generator",
+    "ATM_TYPES": "generator",
+    "PLANT_TYPES": "generator",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

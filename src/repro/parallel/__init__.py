@@ -10,24 +10,20 @@ the ``parallel=`` argument of :func:`~repro.mining.discover` (``repro
 mine --parallel``) picks the worker count.  See docs/PERFORMANCE.md.
 """
 
-from .engine import (
-    CandidateResult,
-    ScanContext,
-    candidate_requirements,
-    fork_available,
-    parallel_scan,
-    resolve_workers,
-)
-from .shards import Shard, plan_shards, resolve_shard_size
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CandidateResult",
-    "ScanContext",
-    "Shard",
-    "candidate_requirements",
-    "fork_available",
-    "parallel_scan",
-    "plan_shards",
-    "resolve_shard_size",
-    "resolve_workers",
-]
+_EXPORTS = {
+    "CandidateResult": "engine",
+    "ScanContext": "engine",
+    "Shard": "shards",
+    "candidate_requirements": "engine",
+    "fork_available": "engine",
+    "parallel_scan": "engine",
+    "plan_shards": "shards",
+    "resolve_shard_size": "shards",
+    "resolve_workers": "engine",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

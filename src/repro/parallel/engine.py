@@ -44,9 +44,7 @@ batches not yet started are cancelled.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -107,6 +105,8 @@ def resolve_workers(parallel: Union[int, str, None] = None) -> int:
 
 def fork_available() -> bool:
     """Can this platform run the fork-based worker pool?"""
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -321,6 +321,10 @@ def _pool_scan(
     span state is merged into the parent's registry, conversion cache
     and tracer.
     """
+    # Only the pool needs these; a serial scan never loads them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     global _CTX
     _CTX = ctx
     try:

@@ -20,32 +20,23 @@ malformed records:
 See docs/RESILIENCE.md for the operational guide.
 """
 
-from .errors import (
-    EventValidationError,
-    StreamFeedError,
-    describe_invalid,
-    validate_event,
-)
-from .faults import FaultInjector, InjectionResult
-from .policies import (
-    OVERFLOW_POLICIES,
-    apply_overflow,
-    normalize_overflow_policy,
-)
-from .quarantine import Quarantine, QuarantinedRecord
-from .reorder import ReorderBuffer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EventValidationError",
-    "StreamFeedError",
-    "validate_event",
-    "describe_invalid",
-    "ReorderBuffer",
-    "OVERFLOW_POLICIES",
-    "normalize_overflow_policy",
-    "apply_overflow",
-    "Quarantine",
-    "QuarantinedRecord",
-    "FaultInjector",
-    "InjectionResult",
-]
+_EXPORTS = {
+    "EventValidationError": "errors",
+    "StreamFeedError": "errors",
+    "validate_event": "errors",
+    "describe_invalid": "errors",
+    "ReorderBuffer": "reorder",
+    "OVERFLOW_POLICIES": "policies",
+    "normalize_overflow_policy": "policies",
+    "apply_overflow": "policies",
+    "Quarantine": "quarantine",
+    "QuarantinedRecord": "quarantine",
+    "FaultInjector": "faults",
+    "InjectionResult": "faults",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -12,44 +12,28 @@ outside this package imports it - and is configured only through
 the operational guide.
 """
 
-from .breaker import BREAKER_STATES, CircuitBreaker
-from .checkpoints import (
-    CheckpointStoreBase,
-    DirectoryCheckpointStore,
-    MemoryCheckpointStore,
-    SESSION_CHECKPOINT_VERSION,
-    open_store,
-)
-from .errors import (
-    CheckpointCorruptError,
-    ServiceClosedError,
-    ServiceError,
-    TenantOverloadError,
-)
-from .registry import Session, SessionRegistry
-from .service import (
-    DetectionService,
-    ServiceConfig,
-    ServiceDetection,
-    serve_events,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DetectionService",
-    "ServiceConfig",
-    "ServiceDetection",
-    "serve_events",
-    "CircuitBreaker",
-    "BREAKER_STATES",
-    "SessionRegistry",
-    "Session",
-    "CheckpointStoreBase",
-    "MemoryCheckpointStore",
-    "DirectoryCheckpointStore",
-    "SESSION_CHECKPOINT_VERSION",
-    "open_store",
-    "ServiceError",
-    "ServiceClosedError",
-    "TenantOverloadError",
-    "CheckpointCorruptError",
-]
+_EXPORTS = {
+    "DetectionService": "service",
+    "ServiceConfig": "service",
+    "ServiceDetection": "service",
+    "serve_events": "service",
+    "CircuitBreaker": "breaker",
+    "BREAKER_STATES": "breaker",
+    "SessionRegistry": "registry",
+    "Session": "registry",
+    "CheckpointStoreBase": "checkpoints",
+    "MemoryCheckpointStore": "checkpoints",
+    "DirectoryCheckpointStore": "checkpoints",
+    "SESSION_CHECKPOINT_VERSION": "checkpoints",
+    "open_store": "checkpoints",
+    "ServiceError": "errors",
+    "ServiceClosedError": "errors",
+    "TenantOverloadError": "errors",
+    "CheckpointCorruptError": "errors",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

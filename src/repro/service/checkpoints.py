@@ -130,7 +130,12 @@ class CheckpointStoreBase:
 
     # -- the contract ---------------------------------------------------
     def _generation_seq(self, tenant: str, key: str, gen: int):
-        """The ``seq`` a generation covers, or None if unreadable."""
+        """The ``seq`` a generation covers, or None if unreadable.
+
+        Read back from the generation itself, because stored bytes can
+        be corrupted behind the store's back (a file on disk);
+        :class:`MemoryCheckpointStore` keeps each seq beside its bytes.
+        """
         try:
             return int(
                 _validate_payload(
@@ -165,8 +170,8 @@ class CheckpointStoreBase:
         dropped = max(0, len(generations) + 1 - self.keep_generations)
         for old in generations[:dropped]:
             self._drop_generation(tenant, key, old)
-        # The new generation covers ``seq``; only the older retained
-        # ones are read back, and an unreadable one is skipped.
+        # The new generation covers ``seq``; the older retained ones
+        # say which seq they cover, and an unreadable one is skipped.
         covered = [seq] + [
             cover for cover in (
                 self._generation_seq(tenant, key, g)
@@ -244,20 +249,30 @@ class MemoryCheckpointStore(CheckpointStoreBase):
 
     def __init__(self, keep_generations: int = 2):
         super().__init__(keep_generations)
-        self._data: Dict[Tuple[str, str], Dict[int, bytes]] = {}
+        # Each generation is ``(seq, marshal bytes)``.  The store wrote
+        # every generation itself, so it knows each seq without reading
+        # the bytes back; the seq is None once the bytes are unreadable.
+        self._data: Dict[
+            Tuple[str, str], Dict[int, Tuple[Optional[int], bytes]]
+        ] = {}
         self._wals: Dict[Tuple[str, str], List[WalEntry]] = {}
 
     def _generations(self, tenant, key):
         return sorted(self._data.get((tenant, key), ()))
 
+    def _generation_seq(self, tenant, key, gen):
+        return self._data[(tenant, key)][gen][0]
+
     def _read_generation(self, tenant, key, gen):
         try:
-            return marshal.loads(self._data[(tenant, key)][gen])
+            return marshal.loads(self._data[(tenant, key)][gen][1])
         except (EOFError, TypeError, ValueError) as exc:
             raise ValueError(str(exc) or type(exc).__name__)
 
     def _write_generation(self, tenant, key, gen, payload):
-        self._data.setdefault((tenant, key), {})[gen] = marshal.dumps(payload)
+        self._data.setdefault((tenant, key), {})[gen] = (
+            payload["seq"], marshal.dumps(payload),
+        )
 
     def _drop_generation(self, tenant, key, gen):
         slot = self._data.get((tenant, key), {})
@@ -286,8 +301,8 @@ class MemoryCheckpointStore(CheckpointStoreBase):
         if not generations:
             raise KeyError((tenant, key))
         gen = generations[-1]
-        blob = self._data[(tenant, key)][gen]
-        self._data[(tenant, key)][gen] = blob[: len(blob) // 2]
+        _, blob = self._data[(tenant, key)][gen]
+        self._data[(tenant, key)][gen] = (None, blob[: len(blob) // 2])
 
 
 class DirectoryCheckpointStore(CheckpointStoreBase):

@@ -1,27 +1,19 @@
 """Stochastic workload simulation: processes and causal trigger rules."""
 
-from .processes import (
-    CompositeProcess,
-    PoissonProcess,
-    RenewalProcess,
-    uniform_interarrival,
-)
-from .rules import (
-    RuleSimulator,
-    SimulationResult,
-    TriggerRule,
-    fixed_delay,
-    uniform_delay,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PoissonProcess",
-    "RenewalProcess",
-    "CompositeProcess",
-    "uniform_interarrival",
-    "TriggerRule",
-    "RuleSimulator",
-    "SimulationResult",
-    "fixed_delay",
-    "uniform_delay",
-]
+_EXPORTS = {
+    "PoissonProcess": "processes",
+    "RenewalProcess": "processes",
+    "CompositeProcess": "processes",
+    "uniform_interarrival": "processes",
+    "TriggerRule": "rules",
+    "RuleSimulator": "rules",
+    "SimulationResult": "rules",
+    "fixed_delay": "rules",
+    "uniform_delay": "rules",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

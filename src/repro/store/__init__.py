@@ -1,11 +1,14 @@
 """An in-memory temporal event store (the paper's data substrate)."""
 
-from .columnar import ColumnarEventStore, columnar_kernel
-from .eventstore import EventRecord, EventStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EventStore",
-    "EventRecord",
-    "ColumnarEventStore",
-    "columnar_kernel",
-]
+_EXPORTS = {
+    "EventStore": "eventstore",
+    "EventRecord": "eventstore",
+    "ColumnarEventStore": "columnar",
+    "columnar_kernel": "columnar",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

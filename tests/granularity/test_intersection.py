@@ -14,6 +14,7 @@ from repro.constraints import TCG
 from repro.granularity import (
     BusinessDayType,
     IntersectionType,
+    PeriodicPatternType,
     business_hours,
     day,
     hour,
@@ -21,6 +22,7 @@ from repro.granularity import (
     standard_system,
     week,
 )
+from repro.granularity import normalform
 from repro.granularity.gregorian import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 D, H = SECONDS_PER_DAY, SECONDS_PER_HOUR
@@ -110,6 +112,30 @@ class TestDisjointOperands:
             timeout=60,
         )
         assert done.returncode == 0, done.stderr + done.stdout
+
+    def test_operand_without_declared_period_bounds_the_walk(
+        self, monkeypatch
+    ):
+        """A b-day with holidays declares no period, but its normal form
+        is weekly after a short prefix: the walk counts one joint week
+        from there and gives up, instead of walking all ``max_ticks``
+        pairs (two million operand calls)."""
+        bday = BusinessDayType(holidays=[3])
+        weekend = PeriodicPatternType("weekend", 7 * D, [(5 * D, 2 * D)])
+        assert bday.period_info() is None
+        form = normalform.cached_normal_form(bday)
+        assert form.period_seconds == 7 * D
+        calls = []
+        tick_bounds = bday.tick_bounds
+        monkeypatch.setattr(
+            bday, "tick_bounds", lambda i: calls.append(i) or tick_bounds(i)
+        )
+        never = IntersectionType(bday, weekend)
+        with pytest.raises(ValueError):
+            never.tick_bounds(0)
+        # The prefix, then a week of b-days; each step of the walk reads
+        # the b-day once, and a step advances one operand or both.
+        assert len(calls) <= 2 * (len(form.prefix_firsts) + form.period_ticks)
 
 
 class TestBusinessHours:

@@ -1,6 +1,7 @@
 """Generational checkpoint stores: durability, fallback, WAL."""
 
 import json
+import marshal
 import os
 
 import pytest
@@ -36,6 +37,23 @@ def corrupt_latest(store, tenant, key):
 
 
 MATCHER = {"fake": "matcher-state"}
+HOUR = 3600
+
+
+def churn(chain_build, store):
+    """One resident session over four interleaved keys: every event
+    evicts one session and rehydrates another, mid-chain."""
+    events = [
+        ("t", key, etype, time + 60 * offset)
+        for etype, time in (("a", 0), ("b", HOUR), ("c", 2 * HOUR))
+        for offset, key in enumerate(("k1", "k2", "k3", "k4"))
+    ]
+    return serve_events(
+        chain_build,
+        events,
+        config=ServiceConfig(max_resident_sessions=1, max_lateness=60),
+        store=store,
+    )
 
 
 class TestRoundTrip:
@@ -117,7 +135,9 @@ class TestCorruption:
         store.save("t", "k", 6, MATCHER)
         if isinstance(store, MemoryCheckpointStore):
             gen = store._generations("t", "k")[-1]
-            store._data[("t", "k")][gen] = json.dumps(["not", "a", "dict"])
+            store._data[("t", "k")][gen] = (
+                6, marshal.dumps(["not", "a", "dict"]),
+            )
         else:
             gen = store._generations("t", "k")[-1]
             with open(store._gen_path("t", "k", gen), "w") as handle:
@@ -199,20 +219,7 @@ class TestMemoryStorePayloads:
             write(tenant, key, gen, payload)
 
         store._write_generation = record
-        hour = 3600
-        # One resident session over four interleaved keys: every event
-        # evicts one session and rehydrates another, mid-chain.
-        events = [
-            ("t", key, etype, time + 60 * offset)
-            for etype, time in (("a", 0), ("b", hour), ("c", 2 * hour))
-            for offset, key in enumerate(("k1", "k2", "k3", "k4"))
-        ]
-        service = serve_events(
-            chain_build,
-            events,
-            config=ServiceConfig(max_resident_sessions=1, max_lateness=60),
-            store=store,
-        )
+        service = churn(chain_build, store)
         assert service.registry.rehydrations > 0
         assert saved
         for tenant, key in store.sessions():
@@ -220,6 +227,45 @@ class TestMemoryStorePayloads:
             payload = store.load(tenant, key)
             matcher = StreamingMatcher(chain_build, max_lateness=60)
             matcher.restore(payload["matcher"])
-            matcher.feed("a", 3 * hour)
+            matcher.feed("a", 3 * HOUR)
             matcher.flush()
             assert store.load(tenant, key) == saved[(tenant, key, newest)]
+
+    def test_save_knows_older_seqs_without_reading_them_back(
+        self, chain_build
+    ):
+        """Each save truncates the WAL through the lowest seq of its
+        retained generations.  The memory store wrote them all, so it
+        takes their seqs from the slots: no generation is decoded during
+        a save, and the WAL after every save is the one that reading
+        the generations back gives."""
+        store = MemoryCheckpointStore()
+        saving, reads, older = [], [], []
+        read, save = store._read_generation, store.save
+
+        def counted_read(tenant, key, gen):
+            if saving:
+                reads.append((tenant, key, gen))
+            return read(tenant, key, gen)
+
+        def checked_save(tenant, key, seq, matcher_checkpoint):
+            wal = store._read_wal(tenant, key)
+            older.append(len(store._generations(tenant, key)))
+            saving.append(True)
+            try:
+                save(tenant, key, seq, matcher_checkpoint)
+            finally:
+                saving.pop()
+            floor = min(
+                read(tenant, key, gen)["seq"]
+                for gen in store._generations(tenant, key)
+            )
+            assert store._read_wal(tenant, key) == [
+                entry for entry in wal if entry[0] > floor
+            ]
+
+        store._read_generation = counted_read
+        store.save = checked_save
+        churn(chain_build, store)
+        assert any(older), "no save found an older generation"
+        assert reads == []

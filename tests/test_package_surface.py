@@ -21,8 +21,16 @@ SUBPACKAGES = [
     "repro.store",
     "repro.io",
     "repro.core",
+    "repro.parallel",
+    "repro.service",
+    "repro.bench",
+    "repro.obs",
     "repro.cli",
 ]
+
+#: Every package: each resolves its exports on first use (except
+#: ``repro.obs``, which every layer imports anyway).
+PACKAGES = ["repro"] + [m for m in SUBPACKAGES if m != "repro.cli"]
 
 
 class TestTopLevel:
@@ -69,6 +77,19 @@ class TestSubpackages:
             assert hasattr(module, name), (
                 "%s.__all__ advertises missing %r" % (module_name, name)
             )
+
+    @pytest.mark.parametrize("module_name", PACKAGES)
+    def test_dir_lists_every_export(self, module_name):
+        module = importlib.import_module(module_name)
+        assert set(module.__all__) <= set(dir(module))
+
+    @pytest.mark.parametrize("module_name", PACKAGES)
+    def test_star_import_binds_every_export(self, module_name):
+        namespace = {}
+        exec("from %s import *" % module_name, namespace)
+        module = importlib.import_module(module_name)
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name)
 
     def test_py_typed_marker_present(self):
         import os
