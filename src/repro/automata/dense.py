@@ -389,9 +389,9 @@ class ColumnPlan:
     is truncated at the first such position after its anchor, exactly
     where the object path kills every configuration.  Both come from
     one :func:`~repro.granularity.normalform.clock_ticks_of` column
-    conversion per clock (a vectorized bisection when the type lowers
-    with exact cover, the type's own ``tick_of`` per distinct time
-    otherwise).
+    conversion per clock (arithmetic or a forward walk over the
+    compiled form when the type lowers with exact cover, the type's own
+    ``tick_of`` per distinct time otherwise).
     """
 
     __slots__ = (

@@ -942,10 +942,9 @@ def _x18(system, engine, scale) -> _Workload:
     * **clock columns**: one month-tick column over a pinned 40-year
       event spread through ``clock_ticks_of``, the converter
       :class:`~repro.automata.dense.ColumnPlan` builds its tick
-      columns with - the vectorized
-      ``PeriodicNormalForm.ticks_of_instants`` kernel for a type that
-      lowers vs the per-timestamp ``tick_of`` route it takes for one
-      that does not (month wrapped in
+      columns with - the ``PeriodicNormalForm.ticks_of_instants`` walk
+      for a type that lowers vs the per-timestamp ``tick_of`` route it
+      takes for one that does not (month wrapped in
       :class:`~repro.bench.reference.Unlowered`), outputs asserted
       bit-identical.
 

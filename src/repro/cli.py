@@ -92,13 +92,14 @@ def _add_obs_options(subparser) -> None:
 
 
 def _add_engine_option(subparser) -> None:
-    from .constraints.propagation import ENGINES
+    from .constraints.stp import ENGINES
 
     subparser.add_argument(
         "--engine",
         choices=ENGINES,
         default="auto",
-        help="propagation engine (auto picks numpy when available; "
+        help="propagation engine (auto runs numpy closures only on "
+        "structures of 10 or more variables, when numpy is available; "
         "every engine derives identical constraints)",
     )
 

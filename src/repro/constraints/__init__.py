@@ -25,7 +25,7 @@ _EXPORTS = {
     "have_numpy": "stp",
     "solve_intervals": "stp",
     "propagate": "propagation",
-    "ENGINES": "propagation",
+    "ENGINES": "stp",
     "resolve_engine": "propagation",
     "PropagationResult": "propagation",
     "check_consistency_approx": "propagation",

@@ -26,10 +26,12 @@ Two interchangeable engines implement the loop (``engine=`` parameter):
     iterations, groups whose arcs did not tighten since their last
     closure are skipped outright, and tightened arcs are relaxed
     incrementally in ``O(n^2)`` per arc instead of a full ``O(n^3)``
-    re-closure (``numpy`` additionally vectorises the initial full
-    closures; ``fallback`` is the same fast path on pure Python);
+    re-closure (``numpy`` additionally vectorises the full closures;
+    ``fallback`` is the same fast path on pure Python);
 ``auto``
-    ``numpy`` when importable, ``fallback`` otherwise.
+    the fast path whose full closures use numpy only where it is
+    faster, on structures of at least ten variables (the STP ``auto``
+    kernel); ``fallback`` when numpy is not importable.
 
 The engines produce exactly equal derived intervals and consistency
 verdicts - the invariant enforced case-by-case by the differential
@@ -47,10 +49,10 @@ from ..granularity.base import TemporalType
 from ..granularity.registry import GranularitySystem
 from ..obs import counter, histogram, span
 from .stp import (
+    ENGINES,
     STP,
     EngineUnavailable,
     InconsistentSTP,
-    have_numpy,
     resolve_kernel,
 )
 from .structure import EventStructure
@@ -58,9 +60,6 @@ from .tcg import TCG
 
 Arc = Tuple[str, str]
 Interval = Tuple[int, int]
-
-#: Engine names accepted by :func:`propagate` (and the CLI ``--engine``).
-ENGINES = ("auto", "python", "numpy", "fallback")
 
 # Process-wide propagation metrics (docs/OBSERVABILITY.md catalog).
 # The per-call counters are added once per propagate() call, from the
@@ -101,13 +100,17 @@ _SECONDS = histogram(
 
 
 def resolve_engine(engine: str) -> str:
-    """Normalise an engine name; ``auto`` prefers numpy.
+    """Normalise an engine name from :data:`~repro.constraints.stp.
+    ENGINES`; ``auto`` becomes ``fallback`` when numpy is not
+    importable.
 
     Raises :class:`~repro.constraints.stp.EngineUnavailable` when
     ``numpy`` is requested explicitly but not importable.
     """
     if engine == "auto":
-        return "numpy" if have_numpy() else "fallback"
+        # The fast path over the STP ``auto`` kernel, which resolves to
+        # plain ``python`` - the ``fallback`` engine - without numpy.
+        return "fallback" if resolve_kernel("auto") == "python" else "auto"
     if engine not in ENGINES:
         raise ValueError(
             "unknown propagation engine %r (expected one of %r)"
@@ -499,7 +502,7 @@ def propagate(
             if resolved == "python":
                 result = _propagate_reference(setup, system, max_iterations)
             else:
-                kernel = "numpy" if resolved == "numpy" else "python"
+                kernel = "python" if resolved == "fallback" else resolved
                 result = _propagate_fast(
                     setup, system, max_iterations, kernel
                 )

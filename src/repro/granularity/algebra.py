@@ -14,11 +14,11 @@ same authors as the source paper) on top of
 
 * **Direct lowerings** for the stock types whose representation is
   not an operator: Gregorian months/years via the 400-year
-  (146097-day) cycle - numpy-vectorized boundary generation with a
-  pure-python fallback under ``REPRO_NO_NUMPY`` - custom calendars via
-  their (declared or inferred) leap cycle, and the business calendars
-  as week-periodic forms overlaid with the finite holiday exception
-  set (possibly empty) folded into the aperiodic prefix.
+  (146097-day) cycle of :mod:`repro.granularity.gregorian`'s length
+  tables, custom calendars via their (declared or inferred) leap
+  cycle, and the business calendars as week-periodic forms overlaid
+  with the finite holiday exception set (possibly empty) folded into
+  the aperiodic prefix.
 
 * A **minimization pass** (:func:`minimize_form`): the smallest period
   divisor that reproduces the boundary arrays, then the shortest
@@ -41,7 +41,6 @@ from __future__ import annotations
 from math import gcd
 from typing import Callable, List, Optional, Tuple
 
-from .._numpy import np as _np
 from ..obs import counter, span
 from . import gregorian as greg
 from . import normalform
@@ -113,21 +112,11 @@ def _reduce_period(
         if (S * d) % P:
             continue
         Sd = S * d // P
-        if _np is not None and P >= 64:
-            nf = _np.asarray(firsts, dtype=object if max(
-                abs(firsts[0]), lasts[-1]
-            ) >= 2 ** 62 else _np.int64)
-            nl = _np.asarray(lasts, dtype=nf.dtype)
-            ok = bool(
-                (nf[d:] == nf[:-d] + Sd).all()
-                and (nl[d:] == nl[:-d] + Sd).all()
-            )
-        else:
-            ok = all(
-                firsts[i + d] == firsts[i] + Sd
-                and lasts[i + d] == lasts[i] + Sd
-                for i in range(P - d)
-            )
+        ok = all(
+            firsts[i + d] == firsts[i] + Sd
+            and lasts[i + d] == lasts[i] + Sd
+            for i in range(P - d)
+        )
         if ok:
             return d, Sd, firsts[:d], lasts[:d]
     return P, S, firsts, lasts
@@ -287,40 +276,16 @@ def _form_is_contiguous(form: PeriodicNormalForm) -> bool:
 # ----------------------------------------------------------------------
 # Gregorian 400-year-cycle lowerings
 # ----------------------------------------------------------------------
-def _cycle_lengths(kind: str):
-    """Vectorized month/year day-length arrays for one 400-year cycle.
-
-    numpy builds the table by tiling the common-year lengths and adding
-    the leap-day mask; the pure-python fallback (and the differential
-    reference for the vectorized path) is
-    :func:`repro.granularity.gregorian.cycle_month_lengths`.
-    """
-    if _np is None:
-        if kind == "months":
-            return list(greg.cycle_month_lengths())
-        return list(greg.cycle_year_lengths())
-    years = _np.arange(
-        greg.EPOCH_YEAR, greg.EPOCH_YEAR + 400, dtype=_np.int64
-    )
-    leap = (years % 4 == 0) & ((years % 100 != 0) | (years % 400 == 0))
-    if kind == "months":
-        lengths = _np.tile(
-            _np.asarray(greg.DAYS_IN_MONTH_COMMON, dtype=_np.int64),
-            (400, 1),
-        )
-        lengths[:, 1] += leap
-        return lengths.reshape(-1)
-    return 365 + leap.astype(_np.int64)
-
-
 def _cycle_bounds(kind: str, label: str) -> List[Bounds]:
     """Second-domain tick bounds of one full cycle plus the wrap tick."""
-    lengths = _cycle_lengths(kind)
+    if kind == "months":
+        lengths = greg.cycle_month_lengths()
+    else:
+        lengths = greg.cycle_year_lengths()
     day = greg.SECONDS_PER_DAY
     total = 0
     bounds: List[Bounds] = []
     for length in lengths:
-        length = int(length)
         bounds.append((total * day, (total + length) * day - 1))
         total += length
     if total != greg.DAYS_PER_400_YEARS:
@@ -529,9 +494,8 @@ def _lower_business_month(ttype: BusinessMonthType) -> PeriodicNormalForm:
             reason="over-budget",
         )
     day = greg.SECONDS_PER_DAY
-    cycle = [int(v) for v in _cycle_lengths("months")]
     starts = [0]
-    for length in cycle:
+    for length in greg.cycle_month_lengths():
         starts.append(starts[-1] + length)
     holidays = ttype.bday.holidays
     prefix_months = (

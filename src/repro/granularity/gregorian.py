@@ -41,8 +41,7 @@ DAYS_PER_4_YEARS = 1461
 #: Months in a full 400-year Gregorian cycle.
 MONTHS_PER_400_YEARS = 4800
 
-#: Days in each month of a non-leap year (public: the calendar-algebra
-#: boundary generator vectorizes over this table).
+#: Days in each month of a non-leap year.
 DAYS_IN_MONTH_COMMON = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 _DAYS_IN_MONTH = DAYS_IN_MONTH_COMMON
@@ -164,9 +163,8 @@ def year_bounds(year_index: int) -> Tuple[int, int]:
 # The epoch year 2000 is divisible by 400, so day 0 starts a full
 # Gregorian cycle: months and years are exactly periodic with period
 # MONTHS_PER_400_YEARS / 400 ticks over DAYS_PER_400_YEARS days, with
-# no aperiodic prefix.  These pure-python generators are the reference
-# the numpy-vectorized boundary generator in
-# :mod:`repro.granularity.algebra` is checked against.
+# no aperiodic prefix.  The month and year lowerings of
+# :mod:`repro.granularity.algebra` build their cycles from these tables.
 
 _CYCLE_CACHE: dict = {}
 

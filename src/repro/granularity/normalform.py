@@ -44,10 +44,12 @@ PAPERS.md).  This module implements that lowering:
   use the compiled form when the type certifies exact instant coverage
   and fall back to the type's own ``tick_of`` otherwise;
   :func:`clock_ticks_of` converts whole timestamp columns at once
-  through :meth:`~PeriodicNormalForm.ticks_of_instants` (vectorized
-  under numpy, memoized per-element otherwise) - the converter the
-  columnar matcher's :class:`~repro.automata.dense.ColumnPlan` builds
-  its tick columns and strict-kill positions with.
+  through :meth:`~PeriodicNormalForm.ticks_of_instants` (one floor
+  division per instant for a gapless one-granule period, a forward
+  walk over the column otherwise; memoized per element for types that
+  do not lower) - the converter the columnar matcher's
+  :class:`~repro.automata.dense.ColumnPlan` builds its tick columns
+  and strict-kill positions with.
 
 * :func:`form_covers` decides the appendix A.1 coverage relation
   between two :func:`covered_set_form` results exactly, per residue
@@ -64,9 +66,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import gcd
+from operator import sub
 from typing import Optional, Tuple
 
-from .._numpy import np as _np
 from ..obs import counter, span
 from .base import TemporalType, UniformType
 from .periodic import PeriodicPatternType
@@ -300,58 +302,69 @@ class PeriodicNormalForm:
         return self.instant_of_tick(index - 1)[1]
 
     # ------------------------------------------------------------------
-    # Batched conversion (whole event columns in one numpy pass)
+    # Batched conversion (whole event columns)
     # ------------------------------------------------------------------
     def ticks_of_instants(self, seconds):
-        """``tick_of_instant`` over a whole sequence.
+        """``tick_of_instant`` over a whole column of instants.
 
         Returns ``(ticks, defined)`` parallel lists: ``ticks[i]`` is the
         covering tick index (0 where undefined) and ``defined[i]`` is
-        1/0 coverage.  The periodic part vectorizes to one divmod plus
-        one ``searchsorted`` over the period arrays (int64 arithmetic,
-        bit-identical to the scalar bisection); instants before the
-        periodic start fall back to the scalar path per element.
+        1/0 coverage, exactly the scalar bisection's answers.  A
+        one-granule period without gaps, over instants none of which
+        precedes its periodic part, is one floor division per instant.
+        Otherwise the column is walked forward, tracking the current
+        tick and the next one, so a sorted column costs O(n + ticks):
+        only an instant past the next tick (a jump) or before the
+        current one (out of order) is bisected.
         """
-        arrays = self._batch_arrays()
-        if arrays is None:
-            ticks, defined = [], []
-            for t in seconds:
-                z = self.tick_of_instant(int(t))
-                ticks.append(0 if z is None else z)
-                defined.append(0 if z is None else 1)
-            return ticks, defined
-        np_firsts, np_lasts = arrays
-        t = _np.asarray(seconds, dtype=_np.int64)
         f0 = self.firsts[0]
-        B = len(self.prefix_firsts)
-        q, w = _np.divmod(t - f0, self.period_seconds)
-        slot = _np.searchsorted(np_firsts, w + f0, side="right") - 1
-        defined = (w + f0) <= np_lasts[slot]
-        ticks = B + q * self.period_ticks + slot
-        pre = t < f0
-        if bool(pre.any()):
-            for i in _np.flatnonzero(pre):
-                z = self.tick_of_instant(int(t[i]))
-                ticks[i] = 0 if z is None else z
-                defined[i] = z is not None
-        ticks = _np.where(defined, ticks, 0)
-        return ticks.tolist(), defined.astype(_np.int64).tolist()
-
-    def _batch_arrays(self):
-        """Cached int64 period arrays, or None when numpy can't apply."""
-        cached = getattr(self, "_batch_cache", False)
-        if cached is not False:
-            return cached
-        arrays = None
-        if _np is not None and -(2 ** 62) < self.firsts[0] and (
-            self.lasts[-1] + self.period_seconds < 2 ** 62
+        S = self.period_seconds
+        if (
+            self.period_ticks == 1
+            and self.lasts[0] - f0 == S - 1
+            and (not seconds or min(seconds) >= f0)
         ):
-            arrays = (
-                _np.asarray(self.firsts, dtype=_np.int64),
-                _np.asarray(self.lasts, dtype=_np.int64),
-            )
-        object.__setattr__(self, "_batch_cache", arrays)
-        return arrays
+            B = len(self.prefix_firsts)
+            return [B + (t - f0) // S for t in seconds], [1] * len(seconds)
+        bounds = self.instant_of_tick
+        ticks, defined = [], []
+        # The current tick (-1: before tick 0) and the next one; the
+        # sentinel bounds route the first instant through a bisection.
+        index = -1
+        first = last = float("inf")
+        next_first, next_last = bounds(0)
+        for t in seconds:
+            if t > last:
+                if t < next_first:
+                    ticks.append(0)
+                    defined.append(0)
+                    continue
+                if t <= next_last:
+                    index += 1
+                    first, last = next_first, next_last
+                    next_first, next_last = bounds(index + 1)
+                    ticks.append(index)
+                    defined.append(1)
+                    continue
+            elif t >= first:
+                ticks.append(index)
+                defined.append(1)
+                continue
+            # A jump or an out-of-order instant: re-seat on the last
+            # tick starting at or before ``t``.
+            index = self.tick_starting_at_or_after(t + 1) - 1
+            if index < 0:
+                first = last = float("-inf")
+            else:
+                first, last = bounds(index)
+            next_first, next_last = bounds(index + 1)
+            if t <= last:
+                ticks.append(index)
+                defined.append(1)
+            else:
+                ticks.append(0)
+                defined.append(0)
+        return ticks, defined
 
     def describe(self) -> dict:
         """JSON-friendly summary (the ``repro gran info`` payload)."""
@@ -420,24 +433,28 @@ def compile_normal_form(ttype: TemporalType) -> PeriodicNormalForm:
        calendar cycles, combinator operators on the operands' compiled
        forms).
 
+    A one-granule structural form (a uniform type) is minimal by
+    construction, so it skips the pass and never loads the algebra.
+
     Raises :class:`NormalFormError` (with a machine-readable
     ``reason``) when no rule applies, a derived recurrence fails
     verification, or the form would exceed the :data:`MAX_PERIOD_TICKS`
     budget.  The compilation is recorded under a ``sizetable.compile``
     span and counts into ``repro_sizetable_compiles_total``.
     """
-    from .algebra import lower_algebraic, minimize_form
-
     with span("sizetable.compile", label=ttype.label) as compile_span:
         _COMPILES.inc()
         form = _structural_form(ttype)
-        if form is None:
-            form = lower_algebraic(ttype)
-        if form is None:
-            raise NormalFormError(
-                "no lowering rule applies to type %r" % (ttype.label,)
-            )
-        form = minimize_form(form)
+        if form is None or form.period_ticks > 1:
+            from .algebra import lower_algebraic, minimize_form
+
+            if form is None:
+                form = lower_algebraic(ttype)
+            if form is None:
+                raise NormalFormError(
+                    "no lowering rule applies to type %r" % (ttype.label,)
+                )
+            form = minimize_form(form)
         compile_span.set(
             source=form.source, rule=form.rule, period=form.period_ticks
         )
@@ -553,17 +570,6 @@ class CompiledSizeTable(TableSearches):
         # one period starting anywhere in a period stays in range.
         self._firsts_ext = form.firsts + tuple(f + S for f in form.firsts)
         self._lasts_ext = form.lasts + tuple(l + S for l in form.lasts)
-        if _np is not None and self._lasts_ext[-1] < 2 ** 62:
-            # int64 subtraction and extrema are exact, so the
-            # vectorized residue probe stays bit-identical to python.
-            self._np_firsts = _np.asarray(self._firsts, dtype=_np.int64)
-            self._np_lasts = _np.asarray(self._lasts, dtype=_np.int64)
-            self._np_firsts_ext = _np.asarray(
-                self._firsts_ext, dtype=_np.int64
-            )
-            self._np_lasts_ext = _np.asarray(self._lasts_ext, dtype=_np.int64)
-        else:
-            self._np_firsts = None
         # Mirror the sweep backend's virtual horizon *exactly*: the
         # sweep widens to 3 * declared-period + 2 only for types that
         # declare period_info() themselves.  Types that declare none
@@ -633,30 +639,19 @@ class CompiledSizeTable(TableSearches):
 
         The window end for phase ``a`` is tick ``a + r - 1`` of the
         doubled array, so one pass over an aligned slice visits every
-        phase - this is the hot loop of a residue's first probe
-        (vectorized when numpy is importable, zip over tuple slices
-        otherwise; int64 arithmetic keeps both paths bit-identical).
+        phase - this is the hot loop of a residue's first probe.
         """
-        if self._np_firsts is not None:
-            ends = self._np_lasts_ext[r - 1 : r - 1 + self._P]
-            return int((ends - self._np_firsts).min()) + 1
         ends = self._lasts_ext[r - 1 : r - 1 + self._P]
-        return min(e - f for e, f in zip(ends, self._firsts)) + 1
+        return min(map(sub, ends, self._firsts)) + 1
 
     def _max_span_base(self, r: int) -> int:
-        if self._np_firsts is not None:
-            ends = self._np_lasts_ext[r - 1 : r - 1 + self._P]
-            return int((ends - self._np_firsts).max()) + 1
         ends = self._lasts_ext[r - 1 : r - 1 + self._P]
-        return max(e - f for e, f in zip(ends, self._firsts)) + 1
+        return max(map(sub, ends, self._firsts)) + 1
 
     def _gap_base_value(self, r: int) -> int:
         """``min first(a + r) - last(a)`` over periodic phases, r in [0, P)."""
-        if self._np_firsts is not None:
-            starts = self._np_firsts_ext[r : r + self._P]
-            return int((starts - self._np_lasts).min())
         starts = self._firsts_ext[r : r + self._P]
-        return min(f - l for f, l in zip(starts, self._lasts))
+        return min(map(sub, starts, self._lasts))
 
     def _prefix_spans(self, k: int):
         """Spans of the k-windows starting inside the aperiodic prefix."""
@@ -888,11 +883,10 @@ def clock_ticks_of(ttype: TemporalType, seconds):
     """Batched ``clock_tick_of`` over a whole timestamp column.
 
     Returns ``(ticks, defined)`` parallel lists (tick 0 where
-    undefined).  With a compiled exact-cover form the whole column
-    reduces to one vectorized divmod + ``searchsorted`` pass
-    (:meth:`PeriodicNormalForm.ticks_of_instants`); for types that do
-    not lower each element goes through the type's own ``tick_of`` with
-    a per-value memo - the path the vectorized kernel is differentially
+    undefined).  With a compiled exact-cover form the column goes
+    through :meth:`PeriodicNormalForm.ticks_of_instants`; for types that
+    do not lower each element goes through the type's own ``tick_of``
+    with a per-value memo - the path the compiled one is differentially
     tested against (through :class:`repro.bench.reference.Unlowered`).
     """
     form = clock_form(ttype)

@@ -14,7 +14,6 @@ from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 from ..constraints.structure import ComplexEventType
 from ..granularity.registry import GranularitySystem
 from .events import EventSequence
-from .generator import planted_sequence
 
 
 @dataclass(frozen=True)
@@ -125,6 +124,7 @@ def labelled_planted_workload(
     evaluating matchers).
     """
     from ..automata.structmatch import occurs_at
+    from .generator import planted_sequence
 
     rng = random.Random(seed)
     sequence, _ = planted_sequence(

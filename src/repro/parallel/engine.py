@@ -12,7 +12,7 @@ the scan, serial or parallel, as one task grid:
   one chunk's roots for one group in a single banked traversal
   (:func:`scan_group`);
 * before any TAG starts, the chunk's roots are screened through
-  :meth:`~repro.store.columnar.ColumnarEventStore.viable_positions`
+  :meth:`~repro.store.columnar.ColumnarEventStore.viable_position_sets`
   against each member's propagated windows - the *anchor screen* - so
   only viable anchors pay for an automaton run;
 * a serial scan (one worker) plans one chunk, so its grid is one task
@@ -21,7 +21,7 @@ the scan, serial or parallel, as one task grid:
 * otherwise contiguous batches of the grid go to a fork-based
   ``ProcessPoolExecutor`` through ``map``.  The parent builds the
   sequence's columnar view before forking, so workers inherit it - the
-  int64 columns and posting lists, read copy-on-write and never
+  columns and posting lists, read copy-on-write and never
   written - together with the compiled groups, the granularity system
   and the warmed conversion cache.  Nothing large is pickled (tasks
   are two-integer tuples).  Each batch returns per-member hit counts
@@ -181,17 +181,17 @@ def scan_group(
     """The step-5 scan of one candidate group over ``roots``.
 
     Each member's roots are screened against its own requirements
-    (:meth:`~repro.store.columnar.ColumnarEventStore.viable_positions`),
-    then one :meth:`~repro.automata.dense.BatchRuntime.scan_roots`
-    traversal advances the whole group.  Returns ``(hits, starts)`` per
-    member, where starts counts the roots that survived the screen
-    (each starts exactly one automaton run).
+    (:meth:`~repro.store.columnar.ColumnarEventStore.viable_position_sets`,
+    which evaluates each distinct requirement once for the whole group:
+    the members of a frontier share most of theirs), then one
+    :meth:`~repro.automata.dense.BatchRuntime.scan_roots` traversal
+    advances the whole group.  Returns ``(hits, starts)`` per member,
+    where starts counts the roots that survived the screen (each starts
+    exactly one automaton run).
     """
-    view = runtime.store
-    viable_lists = [
-        view.viable_positions(roots, root_times, member_requirements)
-        for member_requirements in requirements
-    ]
+    viable_lists = runtime.store.viable_position_sets(
+        roots, root_times, requirements
+    )
     matched = runtime.scan_roots(viable_lists)
     return [
         (len(hits), len(viable))

@@ -6,7 +6,6 @@ _EXPORTS = {
     "EventStore": "eventstore",
     "EventRecord": "eventstore",
     "ColumnarEventStore": "columnar",
-    "columnar_kernel": "columnar",
 }
 
 __all__ = list(_EXPORTS)

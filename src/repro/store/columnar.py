@@ -1,9 +1,9 @@
-"""Columnar event storage: the int64 columns stored-sequence matching runs on.
+"""Columnar event storage: the columns stored-sequence matching runs on.
 
 The object-based :class:`~repro.store.eventstore.EventStore` keeps one
 Python object per event, which caps matching throughput around 10^5
 events.  This module stores the ``(type, time)`` projection of the same
-events as two parallel int64 columns - times and type ids - plus the
+events as two parallel integer columns - times and type ids - plus the
 anchor-screening structures as *column offsets*: per-type posting
 lists (positions into the time-sorted columns) and their times.  The
 TAG runtime (:mod:`repro.automata.dense`) sweeps these
@@ -12,11 +12,13 @@ Python dispatch; it is the only runtime that matches over a stored
 sequence, with the object NDFA simulation in
 :mod:`repro.automata.matching` kept as the reference.
 
-``REPRO_NO_NUMPY`` (or a missing numpy) selects the ``fallback``
-kernel: ``array('q')`` columns and bisect scans instead of vectorized
-searchsorted.  Both kernels are bit-identical;
-``tests/differential/test_columnar_vs_object.py`` holds them against
-the reference.
+The time and type-id columns are lists and each type's posting
+positions an ``array('q')``, all built in one pass; anchor screening
+bisects a requirement's posting times at most once per anchor.  No
+vector library is involved (at mining sizes numpy's import and
+per-call overhead cost more than its vector kernels saved).
+``tests/differential/test_columnar_vs_object.py`` holds the view
+against the reference.
 
 A view is immutable and built in memory from its source
 (:meth:`~repro.mining.events.EventSequence.columnar`,
@@ -27,7 +29,10 @@ with the address space.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
+from itertools import compress
+from operator import and_
 from typing import (
     Dict,
     Iterable,
@@ -37,7 +42,6 @@ from typing import (
     Tuple,
 )
 
-from .._numpy import np as _np
 from ..obs import counter
 
 #: One anchor requirement: an event of ``etype`` must exist with a
@@ -52,20 +56,6 @@ _BATCH_SCREENS = counter(
     "repro_columnar_screens_total",
     "Batched anchor-viability screens over whole columns",
 )
-
-
-def columnar_kernel() -> str:
-    """The kernel the columns use: ``numpy`` or ``fallback``."""
-    return "numpy" if _np is not None else "fallback"
-
-
-def _column(values: Sequence[int]):
-    """An int64 column from a list of Python ints."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.int64)
-    from array import array
-
-    return array("q", values)
 
 
 class ColumnarEventStore:
@@ -85,7 +75,6 @@ class ColumnarEventStore:
         "_postings",
         "_posting_times",
         "_plan_cache",
-        "kernel",
     )
 
     def __init__(
@@ -97,45 +86,28 @@ class ColumnarEventStore:
         n = len(times)
         if len(type_ids) != n:
             raise ValueError("times and type_ids must have equal length")
-        self._times = _column(times)
-        self._type_ids = _column(type_ids)
-        if _np is not None:
-            if n and bool(_np.any(self._times[1:] < self._times[:-1])):
-                raise ValueError("times column must be non-decreasing")
-        else:
-            for i in range(1, n):
-                if times[i] < times[i - 1]:
-                    raise ValueError("times column must be non-decreasing")
+        self._times: List[int] = list(times)
+        self._type_ids: List[int] = list(type_ids)
+        if self._times != sorted(self._times):
+            raise ValueError("times column must be non-decreasing")
         self._type_vocab: Tuple[str, ...] = tuple(type_vocab)
         self._type_index: Dict[str, int] = {
             name: tid for tid, name in enumerate(self._type_vocab)
         }
-        self.kernel = columnar_kernel()
         # Posting lists as column offsets (per-type positions into the
-        # time-sorted columns): one vectorized group-by under numpy,
-        # one pass under the fallback kernel.
-        self._postings: Dict[int, object] = {}
-        self._posting_times: Dict[int, object] = {}
-        if _np is not None:
-            for tid in _np.unique(self._type_ids):
-                tid = int(tid)
-                positions = _np.nonzero(self._type_ids == tid)[0].astype(
-                    _np.int64
-                )
-                self._postings[tid] = positions
-                self._posting_times[tid] = self._times[positions]
-        else:
-            positions: Dict[int, List[int]] = {}
-            ptimes: Dict[int, List[int]] = {}
-            for position in range(n):
-                tid = self._type_ids[position]
-                positions.setdefault(tid, []).append(position)
-                ptimes.setdefault(tid, []).append(
-                    int(self._times[position])
-                )
-            for tid, values in positions.items():
-                self._postings[tid] = _column(values)
-                self._posting_times[tid] = _column(ptimes[tid])
+        # time-sorted columns), indexed by type id: one pass over the
+        # type ids, then one gather of each list's times.  Positions
+        # are packed 8 bytes each rather than one int object apiece;
+        # the posting times share the time column's objects.
+        self._postings: List[array] = [array("q") for _ in self._type_vocab]
+        append = [positions.append for positions in self._postings]
+        for position, tid in enumerate(self._type_ids):
+            append[tid](position)
+        times = self._times
+        self._posting_times: List[List[int]] = [
+            [times[position] for position in positions]
+            for positions in self._postings
+        ]
         self._plan_cache: Dict[object, object] = {}
         _BUILDS.inc()
         _EVENTS.add(n)
@@ -175,10 +147,11 @@ class ColumnarEventStore:
         return len(self._times)
 
     def time_at(self, position: int) -> int:
-        return int(self._times[position])
+        return self._times[position]
 
-    def time_column(self):
-        """The whole int64 time column, indexed by global position."""
+    def time_column(self) -> List[int]:
+        """The whole time column, indexed by global position (the
+        view's own list: read it, do not mutate it)."""
         return self._times
 
     def type_at(self, position: int) -> str:
@@ -200,9 +173,9 @@ class ColumnarEventStore:
         return len(self._postings[tid])
 
     def span(self) -> Tuple[int, int]:
-        if not len(self._times):
+        if not self._times:
             raise ValueError("empty store has no span")
-        return int(self._times[0]), int(self._times[-1])
+        return self._times[0], self._times[-1]
 
     def postings(self, etype: str) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """(positions, times) of one type - the posting list as column
@@ -210,10 +183,7 @@ class ColumnarEventStore:
         tid = self._type_index.get(etype)
         if tid is None:
             return (), ()
-        return (
-            tuple(int(p) for p in self._postings[tid]),
-            tuple(int(t) for t in self._posting_times[tid]),
-        )
+        return tuple(self._postings[tid]), tuple(self._posting_times[tid])
 
     # ------------------------------------------------------------------
     # Batched anchor screening (whole columns at once)
@@ -222,6 +192,8 @@ class ColumnarEventStore:
         self,
         anchor_times: Sequence[int],
         requirements: Sequence[Requirement],
+        *,
+        _masks: Optional[Dict[Requirement, List[bool]]] = None,
     ) -> List[bool]:
         """Anchor viability for a whole anchor column in one sweep.
 
@@ -229,43 +201,55 @@ class ColumnarEventStore:
         requirement ``(etype, lo, hi)`` is witnessed by an event of that
         type in ``[anchor + lo, anchor + hi]``.  Requirements come from
         sound over-approximations (propagated windows), so False proves
-        no match anchored there; True proves nothing.  Evaluated as
-        vectorized searchsorted over the posting columns instead of one
-        probe per (anchor, requirement).
+        no match anchored there; True proves nothing.  Each requirement
+        is one pass over the anchors against its type's posting times.
+        ``_masks`` is :meth:`viable_position_sets`' memo of requirement
+        masks over this one anchor column.
         """
         n = len(anchor_times)
         if not requirements:
             return [True] * n
         _BATCH_SCREENS.inc()
-        if _np is not None:
-            anchors = _np.asarray(anchor_times, dtype=_np.int64)
-            ok = _np.ones(n, dtype=bool)
-            for etype, lo, hi in requirements:
-                tid = self._type_index.get(etype)
-                if tid is None:
-                    ok[:] = False
-                    break
-                times = self._posting_times[tid]
-                idx = _np.searchsorted(times, anchors + lo, side="left")
-                hit = idx < len(times)
-                witness = _np.where(hit, times[_np.minimum(
-                    idx, len(times) - 1
-                )], 0)
-                ok &= hit & (witness <= anchors + hi)
-            return ok.tolist()
-        ok = [True] * n
-        for etype, lo, hi in requirements:
-            tid = self._type_index.get(etype)
-            if tid is None:
-                return [False] * n
-            times = self._posting_times[tid]
-            size = len(times)
-            for i in range(n):
-                if not ok[i]:
-                    continue
-                j = bisect_left(times, anchor_times[i] + lo)
-                ok[i] = j < size and times[j] <= anchor_times[i] + hi
-        return ok
+        if _masks is None:
+            _masks = {}
+        ok = None
+        for requirement in requirements:
+            mask = _masks.get(requirement)
+            if mask is None:
+                mask = _masks[requirement] = self._witnessed(
+                    anchor_times, requirement
+                )
+            ok = mask if ok is None else map(and_, ok, mask)
+        return list(ok)
+
+    def _witnessed(
+        self, anchor_times: Sequence[int], requirement: Requirement
+    ) -> List[bool]:
+        """Per anchor: is ``requirement`` witnessed in its window?
+
+        At most one bisection per anchor finds the first posting at or
+        after the window start.  On a time-sorted anchor column it
+        starts from the previous anchor's answer, and is skipped while
+        that answer is not before the new start.
+        """
+        etype, lo, hi = requirement
+        tid = self._type_index.get(etype)
+        times = self._posting_times[tid] if tid is not None else ()
+        if not times:
+            return [False] * len(anchor_times)
+        size = len(times)
+        mask = []
+        j = 0
+        previous = float("inf")
+        for anchor in anchor_times:
+            start = anchor + lo
+            if start < previous:
+                j = bisect_left(times, start)
+            elif j < size and times[j] < start:
+                j = bisect_left(times, start, j)
+            previous = start
+            mask.append(j < size and times[j] <= anchor + hi)
+        return mask
 
     def viable_positions(
         self,
@@ -279,10 +263,32 @@ class ColumnarEventStore:
         their input order, and with no requirements every anchor is
         viable (nothing to refute, no screen runs).
         """
-        if not requirements:
-            return list(positions)
-        mask = self.screen_anchors(times, requirements)
-        return [position for position, keep in zip(positions, mask) if keep]
+        (viable,) = self.viable_position_sets(
+            positions, times, (requirements,)
+        )
+        return viable
+
+    def viable_position_sets(
+        self,
+        positions: Sequence[int],
+        times: Sequence[int],
+        requirement_sets: Sequence[Sequence[Requirement]],
+    ) -> List[List[int]]:
+        """:meth:`viable_positions` for each requirement set, over one
+        anchor column: a requirement the sets share is evaluated once.
+        """
+        masks: Dict[Requirement, List[bool]] = {}
+        return [
+            list(
+                compress(
+                    positions,
+                    self.screen_anchors(times, requirements, _masks=masks),
+                )
+            )
+            if requirements
+            else list(positions)
+            for requirements in requirement_sets
+        ]
 
     def plan_cache(self) -> Dict[object, object]:
         """Per-store memo used by the TAG runtime (keyed per plan)."""

@@ -49,3 +49,24 @@ def figure_1b(system):
             ("X2", "X3"): [TCG(11, 11, month), TCG(0, 0, year)],
         },
     )
+
+
+@pytest.fixture(params=["numpy", "fallback"])
+def closure_kernel(request, monkeypatch):
+    """Run the test with numpy present or hidden.
+
+    The STP closure is the only code that consults numpy.  ``numpy``
+    drops the ``auto`` crossover to zero variables, so every closure the
+    test reaches runs numpy; ``fallback`` nulls the closure module's
+    numpy binding, as ``REPRO_NO_NUMPY`` does, so every closure runs the
+    python loop.  Columnar answers must not move between the two.
+    """
+    from repro.constraints import stp
+
+    if request.param == "numpy":
+        if stp._np is None:
+            pytest.skip("numpy unavailable")
+        monkeypatch.setattr(stp, "_NUMPY_MIN_VARIABLES", 0)
+    else:
+        monkeypatch.setattr(stp, "_np", None)
+    return request.param

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.constraints import INF, STP, InconsistentSTP, solve_intervals
+import repro.constraints.stp as stp_module
+from repro.constraints import (
+    INF,
+    STP,
+    EngineUnavailable,
+    InconsistentSTP,
+    have_numpy,
+    solve_intervals,
+)
+from repro.obs import configure, global_metrics, obs_enabled
 
 
 class TestBasics:
@@ -123,3 +132,56 @@ class TestProperties:
         for (x, y), (lo, hi) in stp.finite_intervals().items():
             diff = assignment[y] - assignment[x]
             assert lo <= diff <= hi
+
+
+@pytest.fixture
+def obs_on():
+    previous = obs_enabled()
+    configure(True)
+    yield
+    configure(previous)
+
+
+def _full_closures():
+    """``repro_stp_closures_total{kind="full"}`` by kernel."""
+    counts = {}
+    for name in ("python", "numpy"):
+        metric = global_metrics().get(
+            "repro_stp_closures_total", {"kind": "full", "kernel": name}
+        )
+        counts[name] = 0 if metric is None else metric.value()
+    return counts
+
+
+def _closures_by_kernel(kernel, n):
+    """Close an ``n``-variable chain; the full closures each kernel ran."""
+    before = _full_closures()
+    stp = STP(range(n), kernel=kernel)
+    for i in range(n - 1):
+        stp.add(i, i + 1, 1, 2)
+    stp.closure()
+    assert stp.interval(0, n - 1) == (n - 1, 2 * (n - 1))
+    after = _full_closures()
+    return {name: after[name] - before[name] for name in after}
+
+
+class TestKernelChoice:
+    @pytest.mark.skipif(not have_numpy(), reason="numpy not importable")
+    def test_auto_runs_numpy_from_the_crossover_and_numpy_forces_it(
+        self, obs_on
+    ):
+        n = stp_module._NUMPY_MIN_VARIABLES
+        assert _closures_by_kernel("auto", n - 1) == {"python": 1, "numpy": 0}
+        assert _closures_by_kernel("auto", n) == {"python": 0, "numpy": 1}
+        assert _closures_by_kernel("numpy", 3) == {"python": 0, "numpy": 1}
+        assert _closures_by_kernel("python", n) == {"python": 1, "numpy": 0}
+
+    def test_without_numpy_auto_is_python_and_numpy_refused(
+        self, obs_on, monkeypatch
+    ):
+        monkeypatch.setattr(stp_module, "_np", None)
+        n = stp_module._NUMPY_MIN_VARIABLES
+        assert STP(["a"], kernel="auto").kernel == "python"
+        assert _closures_by_kernel("auto", n) == {"python": 1, "numpy": 0}
+        with pytest.raises(EngineUnavailable):
+            STP(["a"], kernel="numpy")

@@ -11,8 +11,8 @@ the object NDFA simulation
 same match sets, same bindings, same support counts, same solutions.
 Hypothesis generates candidate frontiers (one or several assignments of
 one structure, mixed granularities, duplicate timestamps) and shrinks
-any disagreement; the ``kernel`` fixture replays every property under
-both the numpy and the pure-Python ``array`` columnar kernels.
+any disagreement; the ``closure_kernel`` fixture replays every property
+with every STP closure on numpy and on the python loop.
 
 The chaos half of the suite covers worker failures on the pool path:
 a worker exception surfaces in the parent with the worker's traceback,
@@ -31,7 +31,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.parallel.engine as engine
-import repro.store.columnar as columnar_module
 from repro.automata.builder import build_tag
 from repro.automata.dense import (
     BatchRuntime,
@@ -58,24 +57,11 @@ from .reference import (
 
 SYSTEM = standard_system()
 
-KERNELS = ["numpy", "fallback"]
-
 RELAXED = settings(
     max_examples=100,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-
-
-@pytest.fixture(params=KERNELS)
-def kernel(request, monkeypatch):
-    """Run the test under one columnar kernel (numpy or ``array``)."""
-    if request.param == "numpy":
-        if columnar_module._np is None:
-            pytest.skip("numpy unavailable")
-    else:
-        monkeypatch.setattr(columnar_module, "_np", None)
-    return request.param
 
 
 # ----------------------------------------------------------------------
@@ -148,10 +134,10 @@ def _build_matchers(structure, frontier, horizon, strict):
 class TestMatchSets:
     @given(case=frontier_cases())
     @RELAXED
-    def test_batched_match_sets_equal_single(self, kernel, case):
+    def test_batched_match_sets_equal_single(self, closure_kernel, case):
         """The frontier banks of compile_groups, swept by scan_roots,
         and the per-matcher matching_roots (one-member banks) both
-        equal the reference, for any frontier/store/kernel
+        equal the reference, for any frontier/store
         combination."""
         structure, frontier, sequence, horizon, strict = case
         matchers = _build_matchers(structure, frontier, horizon, strict)
@@ -180,7 +166,9 @@ class TestMatchSets:
 
     @given(case=frontier_cases())
     @RELAXED
-    def test_match_many_bindings_equal_reference(self, kernel, case):
+    def test_match_many_bindings_equal_reference(
+        self, closure_kernel, case
+    ):
         """Per-root outcomes - including variable bindings - from
         many-member and one-member banks equal each member's
         match_from."""
@@ -209,7 +197,9 @@ class TestMatchSets:
 
     @given(case=frontier_cases())
     @RELAXED
-    def test_bank_work_counters_equal_member_sum(self, kernel, case):
+    def test_bank_work_counters_equal_member_sum(
+        self, closure_kernel, case
+    ):
         """A bank reports the transitions, skips and guard rejections
         of its members' runs exactly: members that share a frontier
         replay one wake's outcome, and the replay adds that wake's
@@ -284,7 +274,7 @@ def mining_cases(draw):
 class TestMiningFingerprints:
     @given(case=mining_cases())
     @RELAXED
-    def test_discover_equals_reference(self, kernel, case):
+    def test_discover_equals_reference(self, closure_kernel, case):
         problem, sequence = case
         outcome = discover(problem, sequence, SYSTEM)
         assert solution_map(outcome) == reference_solutions(
@@ -293,7 +283,9 @@ class TestMiningFingerprints:
 
     @given(case=frontier_cases(), shard_size=st.sampled_from([1, 3, "auto"]))
     @RELAXED
-    def test_parallel_scan_equals_reference(self, kernel, case, shard_size):
+    def test_parallel_scan_equals_reference(
+        self, closure_kernel, case, shard_size
+    ):
         """Per-candidate hits of the (group, shard) task grid, screened
         through the propagated windows, equal the reference's."""
         structure, frontier, sequence, horizon, strict = case

@@ -8,8 +8,9 @@ forms are **bit-identical** to the ground truth: the types' own
 sweep is exact.  Hypothesis drives random workday and holiday sets,
 random instants, random ``k`` and random operator expressions (over
 Gregorian, business, uniform, periodic-pattern and custom-calendar
-operands) through both paths; a second pass pins the pure-python batch
-kernel against the numpy one.
+operands) through both paths; a second pass pins the column converter
+(:meth:`~repro.granularity.normalform.PeriodicNormalForm.
+ticks_of_instants`) against the scalar bisection.
 """
 
 import pytest
@@ -382,7 +383,7 @@ def test_disjoint_patterns_do_not_lower():
 
 
 # ----------------------------------------------------------------------
-# Batch kernel: numpy vs pure-python fallback, both vs scalar
+# Column conversion vs the scalar bisection
 # ----------------------------------------------------------------------
 @given(
     ttype=st.one_of(
@@ -403,21 +404,77 @@ def test_batch_kernels_bit_identical(ttype, data):
         ),
         label="seconds",
     )
-    vec_ticks, vec_defined = form.ticks_of_instants(seconds)
-    # Scalar reference.
-    for second, tick, ok in zip(seconds, vec_ticks, vec_defined):
+    ticks, defined = form.ticks_of_instants(seconds)
+    for second, tick, ok in zip(seconds, ticks, defined):
         z = form.tick_of_instant(second)
-        assert int(ok) == (0 if z is None else 1)
-        assert int(tick) == (0 if z is None else z)
-    # Pure-python fallback kernel must agree exactly; _batch_arrays
-    # returning None routes ticks_of_instants down the scalar loop.
-    object.__setattr__(form, "_batch_cache", None)
-    try:
-        py_ticks, py_defined = form.ticks_of_instants(seconds)
-    finally:
-        object.__setattr__(form, "_batch_cache", False)
-    assert [int(v) for v in py_ticks] == [int(v) for v in vec_ticks]
-    assert [int(v) for v in py_defined] == [int(v) for v in vec_defined]
+        assert ok == (0 if z is None else 1)
+        assert tick == (0 if z is None else z)
+
+
+def _exact_cover_stock_types():
+    """Every stock type whose form certifies exact cover, plus a
+    b-day with holidays (an aperiodic prefix before the period)."""
+    system = standard_system(cache=ConversionCache())
+    types = [
+        system.get(label)
+        for label in system.labels()
+        if compile_normal_form(system.get(label)).exact_cover
+    ]
+    return types + [
+        BusinessDayType(label="b-day-holidays", holidays=[3, 11, 12, 40])
+    ]
+
+
+@st.composite
+def instant_columns(draw, form):
+    """Instants at tick edges, inside gaps and before the periodic
+    start, in drawn, sorted or tied-and-sorted order."""
+    span = form.prefix_ticks + 3 * form.period_ticks
+    instants = []
+    for tick, where, delta in draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, span),
+                st.sampled_from(["first", "last", "gap"]),
+                st.integers(-2, 2),
+            ),
+            max_size=50,
+        ),
+        label="picks",
+    ):
+        first, last = form.instant_of_tick(tick)
+        if where == "gap":
+            instants.append((last + form.instant_of_tick(tick + 1)[0]) // 2)
+        else:
+            instants.append((first if where == "first" else last) + delta)
+    start = form.instant_of_tick(0)[0]
+    instants += draw(
+        st.lists(st.integers(start - 3 * DAY, start - 1), max_size=5),
+        label="before tick 0",
+    )
+    order = draw(st.sampled_from(["drawn", "sorted", "tied"]))
+    if order == "tied" and instants:
+        instants += draw(st.lists(st.sampled_from(instants), max_size=10))
+    if order != "drawn":
+        instants.sort()
+    return instants
+
+
+@pytest.mark.parametrize(
+    "ttype", _exact_cover_stock_types(), ids=lambda ttype: ttype.label
+)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_walked_ticks_equal_per_instant_bisection(ttype, data):
+    """The column walk (and the gapless one-granule division) answers
+    every instant exactly as the scalar ``tick_of_instant`` does."""
+    form = compile_normal_form(ttype)
+    assert form.exact_cover
+    instants = data.draw(instant_columns(form), label="instants")
+    ticks, defined = form.ticks_of_instants(instants)
+    expected = [form.tick_of_instant(t) for t in instants]
+    assert defined == [0 if z is None else 1 for z in expected]
+    assert ticks == [0 if z is None else z for z in expected]
 
 
 @given(data=st.data())
@@ -438,30 +495,34 @@ def test_clock_ticks_of_matches_type_path(data):
 
 
 # ----------------------------------------------------------------------
-# The numpy cycle generator vs the pure-python reference
+# The cycle generator vs calendar arithmetic
 # ----------------------------------------------------------------------
 def test_cycle_generator_matches_python_reference():
+    """One generated 400-year cycle of month and year bounds equals the
+    day arithmetic of :mod:`repro.granularity.gregorian` tick by tick."""
     from repro.granularity import algebra
-    from repro.granularity.gregorian import (
-        cycle_month_lengths,
-        cycle_year_lengths,
-    )
+    from repro.granularity.gregorian import month_bounds, year_bounds
 
-    months = [int(v) for v in algebra._cycle_lengths("months")]
-    years = [int(v) for v in algebra._cycle_lengths("years")]
-    assert months == list(cycle_month_lengths())
-    assert years == list(cycle_year_lengths())
-    assert sum(months) == DAYS_PER_400_YEARS
-    assert sum(years) == DAYS_PER_400_YEARS
-    assert len(months) == MONTHS_PER_400_YEARS
+    for kind, count, reference in (
+        ("months", MONTHS_PER_400_YEARS, month_bounds),
+        ("years", 400, year_bounds),
+    ):
+        bounds = algebra._cycle_bounds(kind, kind)
+        assert len(bounds) >= count
+        for index in range(count):
+            first_day, last_day = reference(index)
+            assert bounds[index] == (
+                first_day * DAY, (last_day + 1) * DAY - 1
+            )
+        assert bounds[count - 1][1] + 1 == CYCLE_SECONDS
 
 
-def test_cycle_generator_fallback_matches(monkeypatch):
-    """Force the pure-python branch and compare the compiled form."""
+def test_cycle_generator_fallback_matches():
+    """The compiled month form equals the month type's own tick bounds
+    over two whole cycles."""
     from repro.granularity import algebra
 
-    reference = algebra._lower_month(month())
-    monkeypatch.setattr(algebra, "_np", None)
-    fallback = algebra._lower_month(month())
-    assert fallback.firsts == reference.firsts
-    assert fallback.lasts == reference.lasts
+    ttype = month()
+    form = algebra._lower_month(ttype)
+    for index in range(2 * MONTHS_PER_400_YEARS):
+        assert form.instant_of_tick(index) == ttype.tick_bounds(index)

@@ -9,10 +9,10 @@ screen's posting-list answers are held against brute force over the
 sequence, and the plan's clock columns (tick columns and strict-kill
 positions) against the scalar clock, element by element.  Hypothesis
 generates the stores and the patterns and shrinks any disagreement to
-a minimal counterexample; the ``kernel`` fixture runs every property
-under both the numpy and the pure-Python ``array`` kernels in one
-process (CI additionally runs the whole suite under
-``REPRO_NO_NUMPY=1``).
+a minimal counterexample; the ``closure_kernel`` fixture runs the
+matching and mining properties with numpy present and hidden (CI
+additionally runs the whole suite under ``REPRO_NO_NUMPY=1``), and the
+anchor-screen properties, pure column arithmetic, run once.
 
 Duplicate timestamps are generated on purpose (times are drawn with
 replacement) and horizons are drawn from *realised event-time
@@ -25,12 +25,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.store.columnar as columnar_module
 from repro.automata import TagMatcher, build_tag
 from repro.automata.dense import ColumnPlan, DenseBatch, compile_dense
 from repro.bench.reference import Unlowered
 from repro.constraints import TCG, ComplexEventType, EventStructure
-from repro.granularity import ConversionCache, normalform, standard_system
+from repro.granularity import ConversionCache, standard_system
 from repro.granularity.normalform import clock_tick_of
 from repro.granularity.periodic import PeriodicPatternType
 from repro.mining.discovery import EventDiscoveryProblem, discover
@@ -47,29 +46,11 @@ from .reference import (
 
 SYSTEM = standard_system()
 
-KERNELS = ["numpy", "fallback"]
-
 RELAXED = settings(
     max_examples=200,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-
-
-@pytest.fixture(params=KERNELS)
-def kernel(request, monkeypatch):
-    """Run the test under one columnar kernel.
-
-    ``fallback`` nulls the module's numpy binding, which every kernel
-    branch consults dynamically - fresh views built under the patch use
-    ``array('q')`` columns and bisect scans.
-    """
-    if request.param == "numpy":
-        if columnar_module._np is None:
-            pytest.skip("numpy unavailable")
-    else:
-        monkeypatch.setattr(columnar_module, "_np", None)
-    return request.param
 
 
 # ----------------------------------------------------------------------
@@ -113,7 +94,7 @@ def stores_and_patterns(draw):
 class TestMatchSets:
     @given(case=stores_and_patterns())
     @RELAXED
-    def test_match_sets_and_bindings_identical(self, kernel, case):
+    def test_match_sets_and_bindings_identical(self, closure_kernel, case):
         cet, sequence, horizon, strict = case
         matcher = TagMatcher(
             build_tag(cet, system=SYSTEM),
@@ -133,7 +114,7 @@ class TestMatchSets:
 
     @given(case=stores_and_patterns())
     @RELAXED
-    def test_anchor_screen_preserves_match_set(self, kernel, case):
+    def test_anchor_screen_preserves_match_set(self, closure_kernel, case):
         """Sound requirements must not drop roots: the screened
         matching_roots equals the unscreened reference (here with the
         trivially sound whole-span window for each non-root
@@ -197,7 +178,7 @@ def _brute_positions(sequence, etype, start, stop):
 class TestAnchorScreen:
     @given(case=stores_and_windows())
     @RELAXED
-    def test_postings_and_window_queries_identical(self, kernel, case):
+    def test_postings_and_window_queries_identical(self, case):
         sequence, windows = case
         view = ColumnarEventStore.from_sequence(sequence)
         assert sorted(view.types()) == sorted(sequence.types())
@@ -217,26 +198,46 @@ class TestAnchorScreen:
 
     @given(case=stores_and_windows())
     @RELAXED
-    def test_screen_anchors_equals_per_anchor_viability(
-        self, kernel, case
-    ):
+    def test_screen_anchors_equals_per_anchor_viability(self, case):
         sequence, windows = case
         if not len(sequence):
             return
         view = ColumnarEventStore.from_sequence(sequence)
-        anchor_times = [e.time for e in sequence]
+        times = [e.time for e in sequence]
         requirements = [
             (etype, min(lo, hi), max(lo, hi))
             for etype, lo, hi in windows[:3]
         ]
-        mask = view.screen_anchors(anchor_times, requirements)
-        assert mask == [
-            all(
-                sequence.has_type_in_window(etype, time + lo, time + hi)
-                for etype, lo, hi in requirements
-            )
-            for time in anchor_times
-        ]
+        # Sorted anchors walk the postings; reversed and interleaved
+        # ones step backwards and must re-bisect.
+        for anchor_times in (times, times[::-1], times[1::2] + times[::2]):
+            expected = [
+                all(
+                    sequence.has_type_in_window(etype, time + lo, time + hi)
+                    for etype, lo, hi in requirements
+                )
+                for time in anchor_times
+            ]
+            assert view.screen_anchors(anchor_times, requirements) == expected
+            # Sets sharing requirements (and so their masks) still get
+            # each set's own survivors.
+            prefixes = [requirements[:count] for count in range(4)]
+            positions = range(len(anchor_times))
+            assert view.viable_position_sets(
+                positions, anchor_times, prefixes
+            ) == [
+                [
+                    i
+                    for i in positions
+                    if all(
+                        sequence.has_type_in_window(
+                            etype, anchor_times[i] + lo, anchor_times[i] + hi
+                        )
+                        for etype, lo, hi in prefix
+                    )
+                ]
+                for prefix in prefixes
+            ]
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +277,7 @@ def mining_cases(draw):
 class TestMiningParity:
     @given(case=mining_cases())
     @RELAXED
-    def test_mining_outcomes_identical(self, kernel, case):
+    def test_mining_outcomes_identical(self, closure_kernel, case):
         structure, sequence, confidence, pools = case
         problem = EventDiscoveryProblem(
             structure=structure,
@@ -293,29 +294,17 @@ class TestMiningParity:
 # ----------------------------------------------------------------------
 # Property 4: clock columns over calendar granularities
 # ----------------------------------------------------------------------
-_CLOCK_TYPES = {}
-
-
-@pytest.fixture
-def clock_types(kernel, monkeypatch):
-    """Clock granularities with different coverage, one set per kernel:
-    ``b-day`` and ``month`` (exact cover, with and without gaps),
-    ``business-month`` (lowers without exact cover) and a 09:00-17:00
-    daily shift wrapped in :class:`Unlowered` (no form).  Under
-    ``fallback`` the normal-form module's numpy binding is nulled too,
-    so the forms compiled for that set convert columns with the
-    pure-python kernel."""
-    if kernel == "fallback":
-        monkeypatch.setattr(normalform, "_np", None)
-    types = _CLOCK_TYPES.get(kernel)
-    if types is None:
-        system = standard_system(cache=ConversionCache())
-        shift = PeriodicPatternType("shift", 86400, [(9 * 3600, 8 * 3600)])
-        types = tuple(
-            system.get(label) for label in ("b-day", "month", "business-month")
-        ) + (Unlowered(shift),)
-        _CLOCK_TYPES[kernel] = types
-    return types
+@pytest.fixture(scope="module")
+def clock_types():
+    """Clock granularities with different coverage: ``b-day`` and
+    ``month`` (exact cover, with and without gaps), ``business-month``
+    (lowers without exact cover) and a 09:00-17:00 daily shift wrapped
+    in :class:`Unlowered` (no form)."""
+    system = standard_system(cache=ConversionCache())
+    shift = PeriodicPatternType("shift", 86400, [(9 * 3600, 8 * 3600)])
+    return tuple(
+        system.get(label) for label in ("b-day", "month", "business-month")
+    ) + (Unlowered(shift),)
 
 
 @st.composite
@@ -343,7 +332,7 @@ class TestClockColumns:
     @given(case=clock_cases())
     @RELAXED
     def test_plan_columns_equal_scalar_clock(
-        self, kernel, clock_types, case
+        self, closure_kernel, clock_types, case
     ):
         arcs, events, strict = case
         (g1, m1, w1), (g2, m2, w2) = arcs
@@ -394,7 +383,7 @@ class TestTargetedEdges:
         assert list(matcher.matching_roots(sequence)) == expected
         return expected
 
-    def test_deadline_exactly_on_match_event(self, kernel):
+    def test_deadline_exactly_on_match_event(self, closure_kernel):
         cet = _chain_cet(0, 2)
         sequence = EventSequence(
             [Event("A", 0), Event("B", 7200)]
@@ -410,7 +399,7 @@ class TestTargetedEdges:
         )
         assert self.assert_parity(matcher, sequence) == []
 
-    def test_duplicate_timestamps_at_deadline(self, kernel):
+    def test_duplicate_timestamps_at_deadline(self, closure_kernel):
         cet = _chain_cet(1, 1)
         sequence = EventSequence(
             [
@@ -428,7 +417,7 @@ class TestTargetedEdges:
             self.assert_parity(matcher, sequence)
 
     def test_strict_granularity_gap_kills_runs_on_both_paths(
-        self, kernel
+        self, closure_kernel
     ):
         """b-day gaps: a weekend event kills strict runs (even though
         nothing consumes it) and is ignored by lazy runs."""
@@ -448,7 +437,9 @@ class TestTargetedEdges:
             roots = self.assert_parity(matcher, sequence)
             assert roots == ([] if strict else [0])
 
-    def test_strict_uncovered_root_rejected_on_both_paths(self, kernel):
+    def test_strict_uncovered_root_rejected_on_both_paths(
+        self, closure_kernel
+    ):
         day = 86400
         cet = _chain_cet(1, 5, granularity="b-day")
         sequence = EventSequence(
@@ -460,7 +451,9 @@ class TestTargetedEdges:
             )
             self.assert_parity(matcher, sequence)
 
-    def test_eventstore_columnar_view_and_invalidation(self, kernel):
+    def test_eventstore_columnar_view_and_invalidation(
+        self, closure_kernel
+    ):
         from repro.store import EventStore
 
         store = EventStore()

@@ -200,7 +200,7 @@ def test_resolve_engine_rejects_unknown():
 
 def test_auto_resolves_to_an_available_engine():
     resolved = resolve_engine("auto")
-    assert resolved == ("numpy" if have_numpy() else "fallback")
+    assert resolved == ("auto" if have_numpy() else "fallback")
 
 
 def test_counters_reported(system):

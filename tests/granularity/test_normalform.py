@@ -114,6 +114,21 @@ class TestCompiler:
             compile_normal_form(system.get("month"))
         assert excinfo.value.reason == "over-budget"
 
+    def test_stock_forms_equal_their_minimized_lowering(self):
+        """Skipping the minimization pass for one-granule structural
+        forms changes no stock type's form in any field."""
+        from repro.granularity.algebra import lower_algebraic, minimize_form
+
+        system = standard_system(cache=ConversionCache())
+        for label in system.labels():
+            ttype = system.get(label)
+            lowered = normalform._structural_form(ttype)
+            if lowered is None:
+                lowered = lower_algebraic(ttype)
+            assert compile_normal_form(ttype) == minimize_form(lowered)
+        pattern = PeriodicPatternType("p", 100, [(0, 10), (50, 10)])
+        assert compile_normal_form(pattern).period_ticks == 1
+
     def test_forms_are_picklable(self):
         form = compile_normal_form(
             PeriodicPatternType("p", 60, [(0, 20), (30, 10)])

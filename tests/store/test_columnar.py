@@ -1,27 +1,14 @@
-"""Columnar store unit tests: construction, reads, kernels.
+"""Columnar store unit tests: construction, reads, screening.
 
-A view holds the ``(type, time)`` projection of its source as int64
-columns; positions are the source's time-sorted positions, under both
-the numpy and the pure-Python ``array`` kernel.
+A view holds the ``(type, time)`` projection of its source as integer
+columns; positions are the source's time-sorted positions, with numpy
+present or hidden.
 """
 
 import pytest
 
-import repro.store.columnar as columnar_module
 from repro.mining.events import Event, EventSequence
-from repro.store import ColumnarEventStore, EventStore, columnar_kernel
-
-KERNELS = ["numpy", "fallback"]
-
-
-@pytest.fixture(params=KERNELS)
-def kernel(request, monkeypatch):
-    if request.param == "numpy":
-        if columnar_module._np is None:
-            pytest.skip("numpy unavailable")
-    else:
-        monkeypatch.setattr(columnar_module, "_np", None)
-    return request.param
+from repro.store import ColumnarEventStore, EventStore
 
 
 def _sample_store():
@@ -34,19 +21,10 @@ def _sample_store():
 
 
 # ----------------------------------------------------------------------
-# Kernel resolution
-# ----------------------------------------------------------------------
-class TestResolution:
-    def test_kernel_names(self, kernel):
-        assert columnar_kernel() == kernel
-        assert ColumnarEventStore.from_events([]).kernel == kernel
-
-
-# ----------------------------------------------------------------------
 # Construction and reads
 # ----------------------------------------------------------------------
 class TestConstruction:
-    def test_round_trip_from_store(self, kernel):
+    def test_round_trip_from_store(self, closure_kernel):
         store = _sample_store()
         view = store.columnar()
         assert len(view) == 4
@@ -61,7 +39,7 @@ class TestConstruction:
         ]
         assert view.event_at(2) == (store.get(2).etype, store.get(2).time)
 
-    def test_sequence_positions_align(self, kernel):
+    def test_sequence_positions_align(self, closure_kernel):
         sequence = EventSequence(
             [Event("a", 5), Event("b", 5), Event("a", 9)]
         )
@@ -71,11 +49,11 @@ class TestConstruction:
                 sequence[position]
             )
 
-    def test_unsorted_times_rejected(self, kernel):
+    def test_unsorted_times_rejected(self, closure_kernel):
         with pytest.raises(ValueError):
             ColumnarEventStore([5, 3], [0, 0], ["a"])
 
-    def test_zero_event_store(self, kernel):
+    def test_zero_event_store(self, closure_kernel):
         view = ColumnarEventStore.from_events([])
         assert len(view) == 0
         assert view.types() == []
@@ -84,3 +62,31 @@ class TestConstruction:
         assert view.screen_anchors([], [("a", 0, 1)]) == []
         with pytest.raises(ValueError):
             view.span()
+
+
+class TestScreening:
+    def test_position_sets_evaluate_each_requirement_once(self, monkeypatch):
+        view = ColumnarEventStore.from_events(
+            [("a", 0), ("b", 30), ("c", 95), ("a", 100), ("b", 160)]
+        )
+        anchors = [0, 100, 200]
+        sets = [
+            [("b", 0, 60)],
+            [("b", 0, 60), ("c", -10, 0)],
+            [("c", -10, 0), ("z", 0, 1)],
+            [],
+        ]
+        witnessed = []
+        original = ColumnarEventStore._witnessed
+
+        def counting(self, anchor_times, requirement):
+            witnessed.append(requirement)
+            return original(self, anchor_times, requirement)
+
+        monkeypatch.setattr(ColumnarEventStore, "_witnessed", counting)
+        shared = view.viable_position_sets([7, 8, 9], anchors, sets)
+        assert shared == [[7, 8], [8], [], [7, 8, 9]]
+        assert sorted(witnessed) == sorted({r for rs in sets for r in rs})
+        assert shared == [
+            view.viable_positions([7, 8, 9], anchors, r) for r in sets
+        ]

@@ -21,12 +21,9 @@ MINE = [
     os.path.join(EXAMPLES, "problem.json"),
     os.path.join(EXAMPLES, "events.csv"),
 ]
-KERNELS = (
-    "repro.constraints.stp",
-    "repro.granularity.normalform",
-    "repro.granularity.algebra",
-    "repro.store.columnar",
-)
+#: The modules that bind numpy (``repro._numpy``'s ``np``): only the
+#: STP closure kernel.
+KERNELS = ("repro.constraints.stp",)
 
 #: Makes numpy unfindable: the meta-path finder raises before any other
 #: finder is asked.
@@ -88,6 +85,12 @@ def layers(modules, *names):
     )
 
 
+@pytest.fixture(scope="module")
+def mine_launch():
+    """``repro mine`` on ``examples/data``: (stdout lines, modules)."""
+    return run_cli(MINE)
+
+
 class TestCommandImports:
     def test_bare_import_loads_no_layer(self):
         _, modules = fresh("import repro")
@@ -105,12 +108,20 @@ class TestCommandImports:
         )
         assert not numpy_ran(modules)
 
-    def test_mine_loads_no_service_harness_or_pool(self):
-        lines, modules = run_cli(MINE)
+    def test_mine_loads_no_service_harness_or_pool(self, mine_launch):
+        lines, modules = mine_launch
         assert lines
         assert "asyncio" not in modules
         assert "concurrent.futures.process" not in modules
-        assert layers(modules, "repro.service", "repro.bench") == []
+        assert layers(
+            modules, "repro.service", "repro.bench", "repro.mining.generator"
+        ) == []
+
+    def test_mine_runs_no_numpy(self, mine_launch):
+        """Mining-size structures close below the numpy crossover, and
+        the columnar and clock kernels are pure Python."""
+        _, modules = mine_launch
+        assert not numpy_ran(modules)
 
     def test_serve_runs_no_numpy_and_loads_no_mining(self, tmp_path):
         pattern = {
@@ -144,23 +155,23 @@ class TestCommandImports:
         ]
         assert not numpy_ran(modules)
         assert layers(
-            modules, "repro.mining.discovery", "repro.store", "repro.bench"
+            modules,
+            "repro.mining.discovery",
+            "repro.store",
+            "repro.bench",
+            "repro.constraints.propagation",
+            "repro.granularity.algebra",
         ) == []
 
 
 class TestWithoutNumpy:
-    @pytest.fixture(scope="class")
-    def with_numpy(self):
-        lines, _ = run_cli(MINE)
-        return lines
-
     @pytest.mark.parametrize(
         "prelude, env",
         [(BLOCK_NUMPY, None), ("", {"REPRO_NO_NUMPY": "1"})],
         ids=["unfindable", "REPRO_NO_NUMPY"],
     )
     def test_kernels_fall_back_and_mine_prints_the_same(
-        self, with_numpy, prelude, env
+        self, mine_launch, prelude, env
     ):
         check = "".join(
             "import %s\nassert %s._np is None\n" % (name, name)
@@ -171,5 +182,5 @@ class TestWithoutNumpy:
             "assert main(%r) == 0\n" % (MINE,) + check,
             env,
         )
-        assert lines == with_numpy
+        assert lines == mine_launch[0]
         assert "numpy" not in modules
