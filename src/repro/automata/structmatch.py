@@ -56,8 +56,7 @@ def find_occurrence(
     """
     structure = complex_event_type.structure
     root = structure.root
-    root_event = sequence[root_index]
-    if root_event.etype != complex_event_type.event_type(root):
+    if sequence.type_at(root_index) != complex_event_type.event_type(root):
         return None
     order = structure.topological_order()
     assert order is not None
@@ -75,7 +74,7 @@ def find_occurrence(
         limits = []
         for pred in structure.predecessors(variable):
             if pred in binding:
-                t_pred = sequence[binding[pred]].time
+                t_pred = sequence.time_at(binding[pred])
                 earliest = max(earliest, t_pred)
                 for tcg in structure.tcgs(pred, variable):
                     tick = tcg.granularity.tick_of(t_pred)
@@ -94,16 +93,16 @@ def find_occurrence(
                 yield positions[k]
 
     def consistent(variable: str, index: int) -> bool:
-        t = sequence[index].time
+        t = sequence.time_at(index)
         for pred in structure.predecessors(variable):
             if pred in binding:
-                t_pred = sequence[binding[pred]].time
+                t_pred = sequence.time_at(binding[pred])
                 for tcg in structure.tcgs(pred, variable):
                     if not tcg.is_satisfied(t_pred, t):
                         return False
         for succ in structure.successors(variable):
             if succ in binding:  # possible only with exotic orders
-                t_succ = sequence[binding[succ]].time
+                t_succ = sequence.time_at(binding[succ])
                 for tcg in structure.tcgs(variable, succ):
                     if not tcg.is_satisfied(t, t_succ):
                         return False

@@ -156,7 +156,7 @@ def _cmd_match(args) -> int:
         matched += 1
         print(
             "match at t=%d: %s"
-            % (sequence[index].time, json.dumps(bindings, sort_keys=True))
+            % (sequence.time_at(index), json.dumps(bindings, sort_keys=True))
         )
     frequency = matched / total if total else 0.0
     print(

@@ -66,7 +66,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import gcd
-from operator import sub
+from operator import mul, sub
 from typing import Optional, Tuple
 
 from ..obs import counter, span
@@ -884,14 +884,25 @@ def clock_ticks_of(ttype: TemporalType, seconds):
 
     Returns ``(ticks, defined)`` parallel lists (tick 0 where
     undefined).  With a compiled exact-cover form the column goes
-    through :meth:`PeriodicNormalForm.ticks_of_instants`; for types that
-    do not lower each element goes through the type's own ``tick_of``
-    with a per-value memo - the path the compiled one is differentially
-    tested against (through :class:`repro.bench.reference.Unlowered`).
+    through :meth:`PeriodicNormalForm.ticks_of_instants`.  A business
+    week or month lowers without exact cover but has a covered-set form
+    (:func:`covered_set_form`): an instant it covers lies inside exactly
+    one tick's bounds, so the tick comes from the type's own form and
+    the coverage from its business day's, each one walk.  For types
+    that do not lower each element goes through the type's own
+    ``tick_of`` with a per-value memo - the path the compiled one is
+    differentially tested against (through
+    :class:`repro.bench.reference.Unlowered`).
     """
     form = clock_form(ttype)
     if form is not None:
         return form.ticks_of_instants(seconds)
+    form = cached_normal_form(ttype)
+    cover = covered_set_form(ttype) if form is not None else None
+    if cover is not None:
+        ticks, _ = form.ticks_of_instants(seconds)
+        _, defined = cover.ticks_of_instants(seconds)
+        return list(map(mul, ticks, defined)), defined
     ticks, defined = [], []
     memo: dict = {}
     for t in seconds:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import csv
 import re
-from typing import IO, Iterable, List, Optional, Tuple, Union
+from itertools import chain
+from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..granularity import gregorian as greg
 from ..mining.events import Event, EventSequence
@@ -32,7 +33,7 @@ class CsvFormatError(ValueError):
 def parse_timestamp(text: str) -> int:
     """Parse an integer or calendar timestamp into absolute seconds."""
     text = text.strip()
-    if re.fullmatch(r"\d+", text):
+    if text.isdecimal():
         return int(text)
     match = _STAMP.match(text)
     if match is None:
@@ -99,18 +100,32 @@ def read_events(
             return read_events(
                 handle, has_header=has_header, quarantine=quarantine
             )
-    rows = list(csv.reader(source))
-    events: List[Event] = []
-    start = 0
-    if rows and has_header is None:
-        try:
-            _require_two(rows[0])
-            parse_timestamp(rows[0][1])
-        except CsvFormatError:
-            start = 1
+    reader = csv.reader(source)
+    number = 1
+    if has_header is None:
+        first = next(reader, None)
+        if first is not None and _is_header(first):
+            number = 2
+        elif first is not None:
+            reader = chain((first,), reader)
     elif has_header:
-        start = 1
-    for number, row in enumerate(rows[start:], start=start + 1):
+        next(reader, None)
+        number = 2
+    # The columns, and one string per distinct (stripped) type.
+    vocab: List[str] = []
+    type_index: Dict[str, int] = {}
+    type_ids: List[int] = []
+    times: List[int] = []
+    for number, row in enumerate(reader, start=number):
+        if len(row) == 2:
+            # The common row, ``type,seconds`` with no padding: the
+            # type is already known and the stamp is all digits.
+            etype, stamp = row
+            tid = type_index.get(etype)
+            if tid is not None and stamp.isdecimal():
+                type_ids.append(tid)
+                times.append(int(stamp))
+                continue
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # blank line
         try:
@@ -118,12 +133,30 @@ def read_events(
             etype = row[0].strip()
             if not etype:
                 raise CsvFormatError("line %d: empty event type" % number)
-            events.append(Event(etype, parse_timestamp(row[1])))
+            time = parse_timestamp(row[1])
         except CsvFormatError as exc:
             if quarantine is None:
                 raise
             quarantine.add(str(exc), raw=list(row), line=number)
-    return EventSequence(events)
+            continue
+        tid = type_index.get(etype)
+        if tid is None:
+            tid = type_index[etype] = len(vocab)
+            vocab.append(etype)
+        type_ids.append(tid)
+        times.append(time)
+    return EventSequence.from_columns(type_ids, times, vocab)
+
+
+def _is_header(row: List[str]) -> bool:
+    """Is this first row a header (not an ``event_type,timestamp``
+    record)?"""
+    try:
+        _require_two(row)
+        parse_timestamp(row[1])
+    except CsvFormatError:
+        return True
+    return False
 
 
 def read_tenant_events(

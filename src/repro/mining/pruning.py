@@ -18,11 +18,13 @@ bookkeeping for the benchmarks to report its effect:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..constraints.propagation import PropagationResult, propagate
 from ..constraints.structure import ComplexEventType, EventStructure
 from ..granularity.calendar import second
+from ..granularity.normalform import clock_ticks_of
 from ..granularity.registry import GranularitySystem
 from ..automata.structmatch import find_occurrence
 from .events import EventSequence
@@ -134,22 +136,40 @@ def reduce_sequence(
     Sound with the matcher's lazy clock semantics: skipped events never
     influence guards, so removing non-instantiable ones cannot change
     any match.
+
+    Decided per event type: a type no variable allows is dropped whole,
+    and otherwise each granularity some allowing variable requires is
+    read once over the type's posting times
+    (:func:`~repro.granularity.normalform.clock_ticks_of`; a ``total``
+    granularity covers every instant and needs no pass).  An event is
+    kept when, for some allowing variable, all its required
+    granularities cover the event's timestamp.
     """
     required = required_granularities(structure)
-
-    def keep(event) -> bool:
-        for variable in structure.variables:
-            allowed = allowed_types.get(variable)
-            if allowed is not None and event.etype not in allowed:
-                continue
-            if all(
-                ttype.tick_of(event.time) is not None
-                for ttype in required[variable]
-            ):
-                return True
-        return False
-
-    return sequence.filtered(keep)
+    kept: List[Sequence[int]] = []
+    for etype in sequence.types():
+        needs = [
+            [ttype for ttype in required[variable] if not ttype.total]
+            for variable in structure.variables
+            if allowed_types.get(variable) is None
+            or etype in allowed_types[variable]
+        ]
+        if not needs:
+            continue  # no variable allows the type
+        positions, times = sequence.postings(etype)
+        if not all(needs):
+            kept.append(positions)  # some variable needs no coverage
+            continue
+        covered: Dict[int, List[int]] = {}
+        for ttype in chain.from_iterable(needs):
+            if id(ttype) not in covered:
+                covered[id(ttype)] = clock_ticks_of(ttype, times)[1]
+        masks = [
+            map(all, zip(*(covered[id(ttype)] for ttype in need)))
+            for need in needs
+        ]
+        kept.append(list(compress(positions, map(any, zip(*masks)))))
+    return sequence.gathered(sorted(chain.from_iterable(kept)))
 
 
 def filter_reference_occurrences(
@@ -170,7 +190,7 @@ def filter_reference_occurrences(
     all_types = sequence.types()
     survivors = []
     for index in root_indices:
-        t0 = sequence[index].time
+        t0 = sequence.time_at(index)
         viable = True
         for variable, (lo, hi) in windows.items():
             allowed = allowed_types.get(variable)
@@ -218,15 +238,12 @@ def screen_candidates(
         lo, hi = window
         kept = set()
         threshold = min_confidence * total_roots
+        root_times = [sequence.time_at(index) for index in root_indices]
         for etype in pool:
             hits = sum(
                 1
-                for index in root_indices
-                if sequence.has_type_in_window(
-                    etype,
-                    sequence[index].time + lo,
-                    sequence[index].time + hi,
-                )
+                for t0 in root_times
+                if sequence.has_type_in_window(etype, t0 + lo, t0 + hi)
             )
             if hits > threshold:
                 kept.add(etype)

@@ -225,7 +225,7 @@ def _execute_task(
     counts = scan_group(
         runtime,
         roots,
-        [ctx.sequence[root].time for root in roots],
+        list(map(ctx.sequence.time_at, roots)),
         [ctx.requirements[candidate] for candidate in members],
     )
     return [

@@ -12,24 +12,26 @@ Python dispatch; it is the only runtime that matches over a stored
 sequence, with the object NDFA simulation in
 :mod:`repro.automata.matching` kept as the reference.
 
-The time and type-id columns are lists and each type's posting
-positions an ``array('q')``, all built in one pass; anchor screening
-bisects a requirement's posting times at most once per anchor.  No
-vector library is involved (at mining sizes numpy's import and
-per-call overhead cost more than its vector kernels saved).
+The time and type-id columns are lists and each type's postings a
+pair of tuples, grouped in one pass by
+:func:`~repro.mining.events.group_postings`; anchor screening bisects
+a requirement's posting times at most once per anchor.  No vector
+library is involved (at mining sizes numpy's import and per-call
+overhead cost more than its vector kernels saved).
 ``tests/differential/test_columnar_vs_object.py`` holds the view
 against the reference.
 
-A view is immutable and built in memory from its source
-(:meth:`~repro.mining.events.EventSequence.columnar`,
-:meth:`~repro.store.eventstore.EventStore.columnar`); the parallel
+A view is immutable and built in memory from its source.  A
+sequence's view (:meth:`~repro.mining.events.EventSequence.columnar`)
+adopts the columns and postings the sequence already holds; an event
+store's (:meth:`~repro.store.eventstore.EventStore.columnar`) groups
+its records' columns once.  The parallel
 engine's forked workers read the parent's view, which they inherit
 with the address space.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from itertools import compress
 from operator import and_
@@ -42,11 +44,17 @@ from typing import (
     Tuple,
 )
 
+from ..mining.events import Postings, group_postings
 from ..obs import counter
 
 #: One anchor requirement: an event of ``etype`` must exist with a
 #: timestamp in ``[anchor_time + lo, anchor_time + hi]``.
 Requirement = Tuple[str, int, int]
+
+#: A source's own grouping of its columns: type name -> type id for the
+#: types present, and per type id its postings (see
+#: :func:`~repro.mining.events.group_postings`).
+PostingIndex = Tuple[Dict[str, int], List[Postings]]
 
 _BUILDS = counter("repro_columnar_builds_total", "Columnar views built")
 _EVENTS = counter(
@@ -82,32 +90,32 @@ class ColumnarEventStore:
         times: Sequence[int],
         type_ids: Sequence[int],
         type_vocab: Sequence[str],
+        postings: Optional[PostingIndex] = None,
     ) -> None:
+        """A view of time-sorted columns: ``times[i]`` and
+        ``type_vocab[type_ids[i]]`` are event ``i``.  Without
+        ``postings`` the columns are copied, checked and grouped here;
+        with a source's own grouping they are adopted as they are."""
         n = len(times)
         if len(type_ids) != n:
             raise ValueError("times and type_ids must have equal length")
-        self._times: List[int] = list(times)
-        self._type_ids: List[int] = list(type_ids)
-        if self._times != sorted(self._times):
-            raise ValueError("times column must be non-decreasing")
         self._type_vocab: Tuple[str, ...] = tuple(type_vocab)
-        self._type_index: Dict[str, int] = {
-            name: tid for tid, name in enumerate(self._type_vocab)
-        }
+        if postings is not None:
+            self._times = times
+            self._type_ids = type_ids
+        else:
+            self._times = list(times)
+            self._type_ids = list(type_ids)
+            if self._times != sorted(self._times):
+                raise ValueError("times column must be non-decreasing")
+            postings = group_postings(
+                self._type_ids, self._times, self._type_vocab
+            )
         # Posting lists as column offsets (per-type positions into the
-        # time-sorted columns), indexed by type id: one pass over the
-        # type ids, then one gather of each list's times.  Positions
-        # are packed 8 bytes each rather than one int object apiece;
-        # the posting times share the time column's objects.
-        self._postings: List[array] = [array("q") for _ in self._type_vocab]
-        append = [positions.append for positions in self._postings]
-        for position, tid in enumerate(self._type_ids):
-            append[tid](position)
-        times = self._times
-        self._posting_times: List[List[int]] = [
-            [times[position] for position in positions]
-            for positions in self._postings
-        ]
+        # time-sorted columns) and their times, indexed by type id.
+        self._type_index, by_type = postings
+        self._postings = [positions for positions, _ in by_type]
+        self._posting_times = [stamps for _, stamps in by_type]
         self._plan_cache: Dict[object, object] = {}
         _BUILDS.inc()
         _EVENTS.add(n)
@@ -136,9 +144,11 @@ class ColumnarEventStore:
 
     @classmethod
     def from_sequence(cls, sequence) -> "ColumnarEventStore":
-        """Build from an :class:`~repro.mining.events.EventSequence`
-        (positions match the sequence's indices)."""
-        return cls.from_events((e.etype, e.time) for e in sequence)
+        """The view of an :class:`~repro.mining.events.EventSequence`:
+        its cached :meth:`~repro.mining.events.EventSequence.columnar`,
+        which adopts the sequence's columns and postings (positions
+        match the sequence's indices)."""
+        return sequence.columnar()
 
     # ------------------------------------------------------------------
     # Reads
@@ -177,13 +187,13 @@ class ColumnarEventStore:
             raise ValueError("empty store has no span")
         return self._times[0], self._times[-1]
 
-    def postings(self, etype: str) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    def postings(self, etype: str) -> Postings:
         """(positions, times) of one type - the posting list as column
         offsets (positions equal the source sequence's indices)."""
         tid = self._type_index.get(etype)
         if tid is None:
             return (), ()
-        return tuple(self._postings[tid]), tuple(self._posting_times[tid])
+        return self._postings[tid], self._posting_times[tid]
 
     # ------------------------------------------------------------------
     # Batched anchor screening (whole columns at once)

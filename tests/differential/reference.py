@@ -13,14 +13,24 @@ find_occurrence` bounds each variable's candidates by a tick window;
 :func:`naive_find_occurrence` is the matcher before that window, which
 lists every event of the variable's type from the latest predecessor's
 timestamp onward and tests the TCGs of each.
+
+Stored-log ingest reads a CSV log straight into columns and reduces it
+per event type.  :func:`reference_read_events` is the per-row reader
+(every row listed first, one :class:`Event` per row),
+:func:`reference_sequence` sorts and indexes its events one by one,
+and :func:`reference_reduce` is the paper's step-2 rule decided event
+by event with each granularity's own ``tick_of``.
 """
 
+import csv
+import re
 from typing import Dict, List, Optional
 
 from repro.automata import TagMatcher, build_tag
 from repro.constraints import ComplexEventType
 from repro.mining.discovery import candidate_assignments
-from repro.mining.events import EventSequence
+from repro.io.csvlog import CsvFormatError, parse_timestamp
+from repro.mining.events import Event, EventSequence
 
 
 def reference_outcomes(matcher, sequence):
@@ -157,3 +167,96 @@ def naive_find_occurrence(
     if not search(1):
         return None
     return dict(binding)
+
+
+def reference_read_events(source, has_header=None, quarantine=None):
+    """The rows of a CSV log as events, in file order.
+
+    Lists every ``csv.reader`` row, detects a header on the first one,
+    and makes one :class:`Event` per good row; a bad row raises
+    :class:`CsvFormatError`, or with a ``quarantine`` is recorded there
+    (line, reason, raw row).
+    """
+    rows = list(csv.reader(source))
+    events = []
+    start = 0
+    if rows and has_header is None:
+        try:
+            _require_two(rows[0], line=1)
+            reference_parse_timestamp(rows[0][1])
+        except CsvFormatError:
+            start = 1
+    elif has_header:
+        start = 1
+    for number, row in enumerate(rows[start:], start=start + 1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        try:
+            _require_two(row, line=number)
+            etype = row[0].strip()
+            if not etype:
+                raise CsvFormatError("line %d: empty event type" % number)
+            events.append(Event(etype, reference_parse_timestamp(row[1])))
+        except CsvFormatError as exc:
+            if quarantine is None:
+                raise
+            quarantine.add(str(exc), raw=list(row), line=number)
+    return events
+
+
+def reference_parse_timestamp(text):
+    """Integer stamps by the ``\\d+`` regex; calendar stamps as
+    :func:`~repro.io.csvlog.parse_timestamp` reads them."""
+    if re.fullmatch(r"\d+", text.strip()):
+        return int(text.strip())
+    return parse_timestamp(text)
+
+
+def _require_two(row, line):
+    if len(row) < 2:
+        raise CsvFormatError(
+            "line %d: expected 'event_type,timestamp', got %r" % (line, row)
+        )
+
+
+def reference_sequence(events):
+    """``(ordered, postings)``: the events sorted stably by time (ties
+    in input order), and per type the ``(positions, times)`` of its
+    events in that order."""
+    ordered = sorted(events, key=lambda event: event.time)
+    postings = {}
+    for position, event in enumerate(ordered):
+        positions, times = postings.setdefault(event.etype, ([], []))
+        positions.append(position)
+        times.append(event.time)
+    return ordered, {
+        etype: (tuple(positions), tuple(times))
+        for etype, (positions, times) in postings.items()
+    }
+
+
+def reference_reduce(structure, events, allowed_types):
+    """Step 2 event by event: an event stays when some variable allowing
+    its type has every granularity of its incident TCGs defined at the
+    event's timestamp (``tick_of`` is not None)."""
+    def required(variable):
+        return [
+            tcg.granularity
+            for (src, dst), tcgs in structure.constraints.items()
+            if variable in (src, dst)
+            for tcg in tcgs
+        ]
+
+    kept = []
+    for event in events:
+        for variable in structure.variables:
+            allowed = allowed_types.get(variable)
+            if allowed is not None and event.etype not in allowed:
+                continue
+            if all(
+                ttype.tick_of(event.time) is not None
+                for ttype in required(variable)
+            ):
+                kept.append(event)
+                break
+    return kept

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from repro.granularity import (
     BusinessDayType,
+    BusinessMonthType,
+    BusinessWeekType,
     CompiledSizeTable,
     ConversionCache,
     SizeTable,
@@ -478,20 +480,40 @@ def test_walked_ticks_equal_per_instant_bisection(ttype, data):
 
 
 @given(data=st.data())
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_clock_ticks_of_matches_type_path(data):
-    """The routed batch API vs the per-element reference loop."""
-    ttype = fresh("month")
+    """The routed batch API vs the per-element reference loop: months
+    (an exact-cover form) and business weeks and months over a holiday
+    business day (the type's own form for ticks, the business day's for
+    coverage)."""
+    kind = data.draw(
+        st.sampled_from(["month", "business-month", "b-week"]), label="kind"
+    )
+    if kind == "month":
+        ttype = fresh("month")
+    else:
+        bday = data.draw(holiday_bdays(), label="bday")
+        ttype = (
+            BusinessMonthType(bday=bday)
+            if kind == "business-month"
+            else BusinessWeekType(bday=bday)
+        )
     seconds = data.draw(
         st.lists(
-            st.integers(min_value=0, max_value=2 * CYCLE_SECONDS),
+            st.one_of(
+                st.integers(min_value=0, max_value=3200 * DAY),
+                st.integers(min_value=0, max_value=2 * CYCLE_SECONDS),
+            ),
             max_size=30,
         ),
         label="seconds",
     )
+    if data.draw(st.booleans(), label="sorted"):
+        seconds.sort()
     ticks, defined = clock_ticks_of(ttype, seconds)
-    assert [int(v) for v in defined] == [1] * len(seconds)
-    assert [int(v) for v in ticks] == [ttype.tick_of(s) for s in seconds]
+    expected = [ttype.tick_of(s) for s in seconds]
+    assert defined == [0 if z is None else 1 for z in expected]
+    assert ticks == [0 if z is None else z for z in expected]
 
 
 # ----------------------------------------------------------------------
