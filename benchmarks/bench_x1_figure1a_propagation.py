@@ -13,6 +13,8 @@ specified (see EXPERIMENTS.md and the DESIGN.md errata note).
 from repro.constraints import propagate
 from repro.granularity import standard_system
 
+from benchmarks import harness
+
 
 def test_x1_derived_constraints_direct(benchmark, figure_1a, system):
     result = benchmark(propagate, figure_1a, system)
@@ -34,22 +36,8 @@ def test_x1_six_day_week_reproduces_paper_exactly(benchmark):
     the quoted [0,1]week is the true hull (verified by exact
     enumeration in the test suite; pairwise propagation soundly derives
     the convex [0,2])."""
-    from repro.constraints import TCG, EventStructure
-
     system = standard_system(workdays=(0, 1, 2, 3, 4, 5))
-    bday = system.get("b-day")
-    hour = system.get("hour")
-    week = system.get("week")
-    structure = EventStructure(
-        ["X0", "X1", "X2", "X3"],
-        {
-            ("X0", "X1"): [TCG(1, 1, bday)],
-            ("X1", "X3"): [TCG(0, 1, week)],
-            ("X0", "X2"): [TCG(0, 5, bday)],
-            ("X2", "X3"): [TCG(0, 8, hour)],
-        },
-    )
-    result = benchmark(propagate, structure, system)
+    result = benchmark(propagate, harness.figure_1a(system), system)
     derived = result.intervals("X0", "X3")
     print(
         "\nX1 [six-day b-week] Gamma'(X0,X3): %s  (paper: hour [1,175], "
@@ -62,18 +50,10 @@ def test_x1_six_day_week_reproduces_paper_exactly(benchmark):
 def test_x1_exact_week_hull_is_paper_value(benchmark):
     """Exact enumeration confirms the abstract's [0,1]week is the true
     minimal hull (pairwise propagation soundly stops at [0,2])."""
-    from repro.constraints import TCG, EventStructure, distance_values
+    from repro.constraints import distance_values
 
     system = standard_system(workdays=(0, 1, 2, 3, 4, 5))
-    structure = EventStructure(
-        ["X0", "X1", "X2", "X3"],
-        {
-            ("X0", "X1"): [TCG(1, 1, system.get("b-day"))],
-            ("X1", "X3"): [TCG(0, 1, system.get("week"))],
-            ("X0", "X2"): [TCG(0, 5, system.get("b-day"))],
-            ("X2", "X3"): [TCG(0, 8, system.get("hour"))],
-        },
-    )
+    structure = harness.figure_1a(system)
     values = benchmark.pedantic(
         distance_values,
         args=(structure, system, "X0", "X3", system.get("week")),
@@ -86,21 +66,9 @@ def test_x1_exact_week_hull_is_paper_value(benchmark):
 
 
 def test_x1_derived_constraints_figure3(benchmark, system_fig3):
-    from repro.constraints import TCG, EventStructure
-
-    bday = system_fig3.get("b-day")
-    hour = system_fig3.get("hour")
-    week = system_fig3.get("week")
-    structure = EventStructure(
-        ["X0", "X1", "X2", "X3"],
-        {
-            ("X0", "X1"): [TCG(1, 1, bday)],
-            ("X1", "X3"): [TCG(0, 1, week)],
-            ("X0", "X2"): [TCG(0, 5, bday)],
-            ("X2", "X3"): [TCG(0, 8, hour)],
-        },
+    result = benchmark(
+        propagate, harness.figure_1a(system_fig3), system_fig3
     )
-    result = benchmark(propagate, structure, system_fig3)
     assert result.consistent
     derived = result.intervals("X0", "X3")
     print("\nX1 Gamma'(X0,X3) [figure3 tables]: %s" % derived)

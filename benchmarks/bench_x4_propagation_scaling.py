@@ -14,39 +14,15 @@ import pytest
 from repro.constraints import TCG, EventStructure, propagate
 from repro.granularity.gregorian import SECONDS_PER_DAY
 
-LABELS = ["hour", "day", "week", "b-day"]
-
-
-def random_dag_structure(n, system, rng, label_pool=LABELS):
-    """A random rooted DAG with ~1.5 n arcs and random TCGs."""
-    names = ["V%d" % i for i in range(n)]
-    constraints = {}
-    for i in range(1, n):
-        parent = names[rng.randrange(0, i)]
-        m = rng.randrange(0, 3)
-        constraints[(parent, names[i])] = [
-            TCG(m, m + rng.randrange(0, 4), system.get(rng.choice(label_pool)))
-        ]
-    for _ in range(n // 2):
-        a, b = sorted(rng.sample(range(n), 2))
-        arc = (names[a], names[b])
-        if arc not in constraints:
-            # Loose day-granularity cross arcs: they add propagation
-            # work without making the random structure inconsistent.
-            constraints[arc] = [TCG(0, 30 * n, system.get("day"))]
-    return EventStructure(names, constraints)
+from benchmarks.harness import consistent_random_dag, random_dag
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 24])
 def test_x4_runtime_scaling(benchmark, system, n):
-    rng = random.Random(n)
-    # Pre-filter to a consistent instance so every timed run performs
-    # the full fixpoint computation (inconsistent structures return
-    # early and would skew the scaling curve).
-    for _ in range(50):
-        structure = random_dag_structure(n, system, rng)
-        if propagate(structure, system).consistent:
-            break
+    # A consistent instance, so every timed run performs the full
+    # fixpoint computation (inconsistent structures return early and
+    # would skew the scaling curve).
+    structure = consistent_random_dag(n, system, random.Random(n))
     result = benchmark(propagate, structure, system)
     print(
         "\nX4 n=%d: iterations=%d conversions=%d consistent=%s"
@@ -84,7 +60,7 @@ def test_x4_soundness_on_random_structures(benchmark, system):
 def _soundness_sweep(system, rng):
     checked = 0
     for trial in range(15):
-        structure = random_dag_structure(5, system, rng)
+        structure = random_dag(5, system, rng)
         order = structure.topological_order()
         assignment = None
         for _ in range(2000):
@@ -120,7 +96,7 @@ def test_x4_termination_iterations_bounded(benchmark, system):
         rng = random.Random(5)
         worst = 0
         for n in (4, 8, 12, 16, 20):
-            structure = random_dag_structure(n, system, rng)
+            structure = random_dag(n, system, rng)
             result = propagate(structure, system)
             worst = max(worst, result.iterations)
         return worst

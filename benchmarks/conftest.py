@@ -2,16 +2,16 @@
 
 Each ``bench_x*.py`` regenerates one artifact of the paper (figure,
 worked number, or theorem-level claim); see DESIGN.md's experiment
-index and EXPERIMENTS.md for the paper-vs-measured record.
+index and EXPERIMENTS.md for the paper-vs-measured record.  The
+workloads come from :mod:`benchmarks.harness`, whose X1-X18 runner
+builds them the same way.
 """
-
-import random
 
 import pytest
 
-from repro.constraints import TCG, ComplexEventType, EventStructure
 from repro.granularity import standard_system
-from repro.mining import planted_sequence
+
+from benchmarks import harness
 
 
 @pytest.fixture(scope="session")
@@ -26,58 +26,22 @@ def system_fig3():
 
 @pytest.fixture(scope="session")
 def figure_1a(system):
-    bday = system.get("b-day")
-    hour = system.get("hour")
-    week = system.get("week")
-    return EventStructure(
-        ["X0", "X1", "X2", "X3"],
-        {
-            ("X0", "X1"): [TCG(1, 1, bday)],
-            ("X1", "X3"): [TCG(0, 1, week)],
-            ("X0", "X2"): [TCG(0, 5, bday)],
-            ("X2", "X3"): [TCG(0, 8, hour)],
-        },
-    )
+    return harness.figure_1a(system)
 
 
 @pytest.fixture(scope="session")
 def figure_1b(system):
-    month = system.get("month")
-    year = system.get("year")
-    return EventStructure(
-        ["X0", "X1", "X2", "X3"],
-        {
-            ("X0", "X1"): [TCG(11, 11, month), TCG(0, 0, year)],
-            ("X0", "X2"): [TCG(0, 12, month)],
-            ("X2", "X3"): [TCG(11, 11, month), TCG(0, 0, year)],
-        },
-    )
+    return harness.figure_1b(system)
 
 
 @pytest.fixture(scope="session")
-def example1_cet(figure_1a):
-    return ComplexEventType(
-        figure_1a,
-        {
-            "X0": "IBM-rise",
-            "X1": "IBM-earnings-report",
-            "X2": "HP-rise",
-            "X3": "IBM-fall",
-        },
-    )
+def example1_cet(system):
+    return harness.example1_cet(system)
 
 
 @pytest.fixture(scope="session")
-def stock_workload(system, example1_cet):
+def stock_workload(system):
     """The planted stock feed used by X7/X9/X10 (40 anchors, 90%)."""
-    rng = random.Random(1996)
-    sequence, planted = planted_sequence(
-        example1_cet,
-        system,
-        n_roots=40,
-        confidence=0.9,
-        rng=rng,
-        noise_types=["HP-fall", "DEC-rise", "DEC-fall", "SUN-rise"],
-        noise_events_per_root=8,
+    return harness.stock_feed(
+        system, n_roots=40, seed=1996, noise_events_per_root=8
     )
-    return sequence, planted

@@ -11,14 +11,8 @@ import random
 import sys
 import time
 
-from repro.constraints import (
-    TCG,
-    ComplexEventType,
-    EventStructure,
-    distance_values,
-    propagate,
-)
-from repro.granularity import second, standard_system
+from repro.constraints import TCG, EventStructure, distance_values, propagate
+from repro.granularity import standard_system
 from repro.granularity.gregorian import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.hardness import (
     SubsetSumInstance,
@@ -26,39 +20,12 @@ from repro.hardness import (
     decide_via_reduction,
     has_subset_sum,
 )
-from repro.mining import (
-    EventDiscoveryProblem,
-    discover,
-    naive_discover,
-    planted_sequence,
-)
+from repro.mining import EventDiscoveryProblem, discover, naive_discover
+
+# Run as a script, this file's directory is on sys.path.
+from harness import figure_1a, figure_1b, stock_feed
 
 D, H = SECONDS_PER_DAY, SECONDS_PER_HOUR
-
-
-def figure_1a(system):
-    return EventStructure(
-        ["X0", "X1", "X2", "X3"],
-        {
-            ("X0", "X1"): [TCG(1, 1, system.get("b-day"))],
-            ("X1", "X3"): [TCG(0, 1, system.get("week"))],
-            ("X0", "X2"): [TCG(0, 5, system.get("b-day"))],
-            ("X2", "X3"): [TCG(0, 8, system.get("hour"))],
-        },
-    )
-
-
-def figure_1b(system):
-    month = system.get("month")
-    year = system.get("year")
-    return EventStructure(
-        ["X0", "X1", "X2", "X3"],
-        {
-            ("X0", "X1"): [TCG(11, 11, month), TCG(0, 0, year)],
-            ("X0", "X2"): [TCG(0, 12, month)],
-            ("X2", "X3"): [TCG(11, 11, month), TCG(0, 0, year)],
-        },
-    )
 
 
 def x1(system):
@@ -108,28 +75,11 @@ def x3(system):
 
 def x7_x9(system):
     print("\n== X7/X9: Example 2 discovery, naive vs optimised ==")
-    structure = figure_1a(system)
-    target = ComplexEventType(
-        structure,
-        {
-            "X0": "IBM-rise",
-            "X1": "IBM-earnings-report",
-            "X2": "HP-rise",
-            "X3": "IBM-fall",
-        },
-    )
-    rng = random.Random(1996)
-    sequence, planted = planted_sequence(
-        target,
-        system,
-        n_roots=40,
-        confidence=0.9,
-        rng=rng,
-        noise_types=["HP-fall", "DEC-rise", "DEC-fall", "SUN-rise"],
-        noise_events_per_root=8,
+    sequence, planted = stock_feed(
+        system, n_roots=40, seed=1996, noise_events_per_root=8
     )
     problem = EventDiscoveryProblem(
-        structure, 0.8, "IBM-rise", {"X3": frozenset(["IBM-fall"])}
+        figure_1a(system), 0.8, "IBM-rise", {"X3": frozenset(["IBM-fall"])}
     )
     t0 = time.perf_counter()
     naive = naive_discover(problem, sequence, system)

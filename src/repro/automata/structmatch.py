@@ -33,6 +33,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..mining.events import EventSequence
 
 
+class SearchBudgetExhausted(RuntimeError):
+    """:func:`find_occurrence` tried ``max_nodes`` candidates without
+    deciding whether an occurrence exists."""
+
+
 def find_occurrence(
     complex_event_type: ComplexEventType,
     sequence: "EventSequence",
@@ -49,10 +54,10 @@ def find_occurrence(
     uncovered by that TCG's granularity.  Every event cut off this way
     fails a TCG (ticks never decrease over covered instants), so the
     binding is the one an unwindowed search in the same candidate order
-    would return.  Raises :class:`RuntimeError` when the search budget
-    - ``max_nodes`` candidates tried inside the windows - is exhausted
-    (practically unreachable for realistic structures; exists to bound
-    adversarial inputs).
+    would return.  Raises :class:`SearchBudgetExhausted` when the search
+    budget - ``max_nodes`` candidates tried inside the windows - is
+    exhausted: it bounds adversarial inputs, and a burst of same-type
+    events inside one window can reach it.
     """
     structure = complex_event_type.structure
     root = structure.root
@@ -115,7 +120,9 @@ def find_occurrence(
         for index in candidates(variable):
             nodes[0] += 1
             if nodes[0] > max_nodes:
-                raise RuntimeError("structmatch search budget exhausted")
+                raise SearchBudgetExhausted(
+                    "structmatch search budget exhausted"
+                )
             if index in used:
                 continue
             if not consistent(variable, index):

@@ -8,7 +8,6 @@ Usage (also available as ``python -m repro.cli``)::
     repro serve PATTERN.json TENANTS.csv  # multi-tenant detection service
     repro mine PROBLEM.json EVENTS.csv    # optimised discovery pipeline
     repro convert M N SRC DST             # implied-interval conversion
-    repro bench --output BENCH.json       # X1-X18 regression harness
     repro dot STRUCTURE.json              # Graphviz export
     repro obs TRACE.json                  # pretty-print a --trace file
     repro obs flame TRACE.json            # render an embedded profile
@@ -27,9 +26,9 @@ Every command accepts ``--trace FILE`` (write the span tree of the run
 as JSON; inspect with ``repro obs``), ``--metrics`` (print the metrics
 registry in Prometheus text format after the command),
 ``--metrics-out FILE`` and ``--profile-stacks`` (run the sampling
-wall-clock profiler and embed its folded stacks into the trace/bench
-payload; render with ``repro obs flame``); the flags work both before
-and after the subcommand name.  See docs/OBSERVABILITY.md.
+wall-clock profiler and embed its folded stacks into the trace; render
+with ``repro obs flame``); the flags work both before and after the
+subcommand name.  See docs/OBSERVABILITY.md.
 
 Structures/patterns/problems are the JSON payloads of
 :mod:`repro.io.serialize`; event logs are two-column CSV
@@ -86,7 +85,7 @@ def _add_obs_options(subparser) -> None:
         action="store_true",
         default=argparse.SUPPRESS,
         help="sample the command with the wall-clock profiler and embed "
-        "folded stacks into the --trace / bench payload "
+        "folded stacks into the --trace payload "
         "(render with 'repro obs flame FILE')",
     )
 
@@ -351,81 +350,6 @@ def _cmd_mine(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from .bench import (
-        compare_payloads,
-        comparison_delta_table,
-        load_payload,
-        run_suite,
-        save_payload,
-    )
-    from .obs import format_tree
-
-    experiments = (
-        [name.strip() for name in args.experiments.split(",") if name.strip()]
-        if args.experiments
-        else None
-    )
-    payload = run_suite(
-        engine=args.engine, profile=args.profile, experiments=experiments,
-        trace_dir=args.trace_dir,
-    )
-    profiler = getattr(args, "profiler", None)
-    if profiler is not None:
-        # Snapshot the still-running profiler into the payload (main()
-        # owns its lifecycle and stops it after the command returns).
-        payload["profile_stacks"] = profiler.to_dict()
-    summary = {
-        name: dict(
-            {"median_seconds": "%.4f" % record["median_seconds"]},
-            **record["counters"],
-        )
-        for name, record in payload["experiments"].items()
-    }
-    print(format_tree(summary, title="bench (%s, %s engine)"
-                      % (args.profile, payload["engine"])))
-    if args.trace_dir:
-        slowest = {
-            name: {
-                row["name"]: "%sms" % row["duration_ms"]
-                for row in record.get("slowest_spans", ())
-            }
-            for name, record in payload["experiments"].items()
-            if record.get("slowest_spans")
-        }
-        if slowest:
-            print(format_tree(
-                slowest, title="slowest spans (traces in %s)"
-                % args.trace_dir,
-            ))
-    if args.output:
-        save_payload(payload, args.output)
-        print("wrote %s" % args.output, file=sys.stderr)
-    if args.baseline:
-        baseline = load_payload(args.baseline)
-        rows = compare_payloads(
-            payload,
-            baseline,
-            tolerance=args.tolerance,
-            min_delta_seconds=args.min_delta,
-        )
-        print(
-            format_tree(
-                comparison_delta_table(payload, baseline, rows),
-                title="vs baseline %s" % args.baseline,
-            )
-        )
-        if any(row["regressed"] for row in rows):
-            print(
-                "FAIL: regression beyond %.0f%% tolerance"
-                % (args.tolerance * 100),
-                file=sys.stderr,
-            )
-            return 1
-        print("no regression beyond %.0f%% tolerance" % (args.tolerance * 100))
-    return 0
-
-
 def _cmd_generate(args) -> int:
     import random
 
@@ -659,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         default=False,
         help="sample the command with the wall-clock profiler and embed "
-        "folded stacks into the --trace / bench payload "
+        "folded stacks into the --trace payload "
         "(render with 'repro obs flame FILE')",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -849,55 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_option(mine)
     mine.set_defaults(func=_cmd_mine)
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the X1-X17 regression harness (see docs/PERFORMANCE.md)",
-    )
-    _add_engine_option(bench)
-    bench.add_argument(
-        "--profile",
-        default="quick",
-        help="workload size and repeat count (default: %(default)s)",
-    )
-    bench.add_argument(
-        "--experiments",
-        default="",
-        metavar="NAMES",
-        help="comma-separated subset (e.g. X1,X4); default: all eighteen",
-    )
-    bench.add_argument(
-        "--output",
-        metavar="FILE",
-        help="write the run as a BENCH_*.json payload",
-    )
-    bench.add_argument(
-        "--trace-dir",
-        metavar="DIR",
-        default=None,
-        help="trace every experiment into DIR/<name>.json and add a "
-        "slowest_spans table to the payload",
-    )
-    bench.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="compare against a previous BENCH_*.json; exit 1 on regression",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed median-time growth vs the baseline (0.25 = +25%%)",
-    )
-    bench.add_argument(
-        "--min-delta",
-        type=float,
-        default=0.005,
-        metavar="SECONDS",
-        help="absolute slowdown floor below which no experiment counts "
-        "as regressed (jitter guard for sub-millisecond workloads)",
-    )
-    bench.set_defaults(func=_cmd_bench)
-
     generate = sub.add_parser(
         "generate", help="generate a synthetic log with planted patterns"
     )
@@ -985,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gran_info.set_defaults(func=_cmd_gran_info)
 
-    for subparser in (check, match, replay, serve, mine, bench, generate,
+    for subparser in (check, match, replay, serve, mine, generate,
                       convert, analyze, dot, obs, gran_info):
         _add_obs_options(subparser)
     return parser
@@ -1016,9 +891,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "profile_stacks", False):
         profiler = SamplingProfiler()
         profiler.start()
-        # Commands that write their own payload (bench) embed a
-        # snapshot; main() embeds the final profile into --trace output.
-        args.profiler = profiler
     try:
         if tracer is not None:
             with activate_tracer(tracer):

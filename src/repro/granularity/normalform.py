@@ -58,7 +58,8 @@ PAPERS.md).  This module implements that lowering:
 The type alone chooses: a type that lowers gets the compiled table and
 the bisection clock, one that does not gets the sweep table and its own
 ``tick_of``.  There is no switch; the sweep reference the compiled
-paths are held against lives in :mod:`repro.bench.reference`.
+paths are held against lives with the test oracles, in
+``tests/differential/reference.py``.
 """
 
 from __future__ import annotations
@@ -891,8 +892,8 @@ def clock_ticks_of(ttype: TemporalType, seconds):
     the coverage from its business day's, each one walk.  For types
     that do not lower each element goes through the type's own
     ``tick_of`` with a per-value memo - the path the compiled one is
-    differentially tested against (through
-    :class:`repro.bench.reference.Unlowered`).
+    differentially tested against (through the tests' ``Unlowered``
+    wrapper).
     """
     form = clock_form(ttype)
     if form is not None:

@@ -9,7 +9,8 @@ assumes a primitive type (seconds here) covering all of absolute time.
 Each type chooses its own size table: the compiled closed form when it
 lowers to a periodic normal form (:mod:`repro.granularity.normalform`),
 the window sweep otherwise.  The all-sweep system the compiled tables
-are held against is :class:`repro.bench.reference.SweepSystem`.
+are held against is the tests' ``SweepSystem``
+(``tests/differential/reference.py``).
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from ..constraints.structure import ComplexEventType, EventStructure
 from ..granularity.calendar import second
 from ..granularity.normalform import clock_ticks_of
 from ..granularity.registry import GranularitySystem
-from ..automata.structmatch import find_occurrence
+from ..automata.structmatch import SearchBudgetExhausted, find_occurrence
 from .events import EventSequence
 
 Window = Tuple[int, int]
@@ -280,8 +280,9 @@ def screen_candidate_pairs(
     3-variable discovery problem exactly (reference matcher on the
     induced approximated sub-structure) and keep only type pairs whose
     frequency clears the threshold.  Pairs of variables whose candidate
-    product exceeds ``max_pair_candidates`` are skipped (screening is an
-    optimisation; skipping is always sound).
+    product exceeds ``max_pair_candidates``, or whose matcher runs out of
+    search budget, are skipped (screening is an optimisation; skipping
+    is always sound).
     """
     structure = result.structure
     allowed_pairs: Dict[Tuple[str, str], Set[Tuple[str, str]]] = {}
@@ -295,20 +296,23 @@ def screen_candidate_pairs(
         if sub is None:
             continue
         kept: Set[Tuple[str, str]] = set()
-        for ex in pool_x:
-            for ey in pool_y:
-                cet = ComplexEventType(
-                    sub, {structure.root: reference_type, x: ex, y: ey}
-                )
-                hits = 0
-                remaining = len(root_indices)
-                for index in root_indices:
-                    if hits + remaining <= threshold:
-                        break  # cannot clear the threshold any more
-                    remaining -= 1
-                    if find_occurrence(cet, sequence, index) is not None:
-                        hits += 1
-                if hits > threshold:
-                    kept.add((ex, ey))
+        try:
+            for ex in pool_x:
+                for ey in pool_y:
+                    cet = ComplexEventType(
+                        sub, {structure.root: reference_type, x: ex, y: ey}
+                    )
+                    hits = 0
+                    remaining = len(root_indices)
+                    for index in root_indices:
+                        if hits + remaining <= threshold:
+                            break  # cannot clear the threshold any more
+                        remaining -= 1
+                        if find_occurrence(cet, sequence, index) is not None:
+                            hits += 1
+                    if hits > threshold:
+                        kept.add((ex, ey))
+        except SearchBudgetExhausted:
+            continue  # undecided, like an oversized pair: not screened
         allowed_pairs[(x, y)] = kept
     return allowed_pairs

@@ -6,7 +6,8 @@ Three consumers, three formats:
   :func:`write_trace` (and loaded back by :func:`load_trace`);
 * humans skim :func:`format_span_tree` (the ``repro obs`` output) and
   :func:`format_tree` (nested mappings as the same box-drawing tree -
-  the bench CLI renders counter dicts and delta tables through it);
+  the benchmark runner renders counter dicts and delta tables through
+  it);
 * scrapers ingest :func:`prometheus_text`, the Prometheus text
   exposition format (0.0.4) with proper HELP/label escaping, which
   :func:`lint_prometheus_text` validates line by line (the CI
@@ -150,8 +151,8 @@ def format_span_tree(
 def format_tree(data: Mapping[str, Any], title: Optional[str] = None) -> str:
     """Render a nested mapping with the same tree glyphs.
 
-    Scalars print inline; nested mappings recurse.  The bench CLI uses
-    this for counter dicts and per-experiment delta tables.
+    Scalars print inline; nested mappings recurse.  The benchmark
+    runner uses this for counter dicts and per-experiment delta tables.
     """
     lines: List[str] = [title] if title else []
 

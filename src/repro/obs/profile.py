@@ -14,9 +14,9 @@ investigation wants.  Pure stdlib, safe to leave running - sampling
 never interrupts the target thread; it only *reads* frames from the
 profiler thread, and a torn read at worst mis-files one sample.
 
-``repro bench --profile-stacks`` and ``repro --profile-stacks``
-(alongside ``--trace``) run one around the whole command and embed
-:meth:`SamplingProfiler.to_dict` into the written payload.
+``repro --profile-stacks`` (alongside ``--trace``) and the benchmark
+runner's ``--profile-stacks`` run one around the whole command and
+embed :meth:`SamplingProfiler.to_dict` into the written payload.
 """
 
 from __future__ import annotations

@@ -29,6 +29,8 @@ from repro.automata.dense import DenseGuard, DenseTAG, compile_dense
 from repro.constraints import TCG, ComplexEventType, EventStructure
 from repro.granularity import standard_system
 
+from benchmarks import harness
+
 from ..strategies import rooted_dags
 
 SYSTEM = standard_system()
@@ -108,35 +110,13 @@ def timed_words(draw, symbols, max_len=12, max_step=180000):
 # Stock paper patterns
 # ----------------------------------------------------------------------
 def _stock_tags():
-    bday = SYSTEM.get("b-day")
-    hour = SYSTEM.get("hour")
-    week = SYSTEM.get("week")
-    month = SYSTEM.get("month")
-    year = SYSTEM.get("year")
-    figure_1a = EventStructure(
-        ["X0", "X1", "X2", "X3"],
-        {
-            ("X0", "X1"): [TCG(1, 1, bday)],
-            ("X1", "X3"): [TCG(0, 1, week)],
-            ("X0", "X2"): [TCG(0, 5, bday)],
-            ("X2", "X3"): [TCG(0, 8, hour)],
-        },
-    )
-    figure_1b = EventStructure(
-        ["X0", "X1", "X2", "X3"],
-        {
-            ("X0", "X1"): [TCG(11, 11, month), TCG(0, 0, year)],
-            ("X0", "X2"): [TCG(0, 12, month)],
-            ("X2", "X3"): [TCG(11, 11, month), TCG(0, 0, year)],
-        },
-    )
     chain = EventStructure(
-        ["X0", "X1"], {("X0", "X1"): [TCG(0, 3, hour)]}
+        ["X0", "X1"], {("X0", "X1"): [TCG(0, 3, SYSTEM.get("hour"))]}
     )
     cases = []
     for name, structure, types in [
-        ("figure-1a", figure_1a, ["a", "b", "c", "d"]),
-        ("figure-1b", figure_1b, ["a", "b", "a", "b"]),
+        ("figure-1a", harness.figure_1a(SYSTEM), ["a", "b", "c", "d"]),
+        ("figure-1b", harness.figure_1b(SYSTEM), ["a", "b", "a", "b"]),
         ("chain", chain, ["a", "b"]),
     ]:
         assignment = dict(zip(structure.variables, types))

@@ -1,22 +1,31 @@
-"""Unit tests for the benchmark harness and its regression gate."""
+"""Unit tests for the benchmark runner and its regression gate."""
 
 import json
 import os
+import time
 
 import pytest
 
-from repro.bench import (
+from repro.constraints.propagation import resolve_engine
+
+from benchmarks import harness
+from benchmarks.harness import (
     EXPERIMENT_NAMES,
-    PROFILES,
+    REPEATS,
+    SCHEMA_VERSION,
+    Arm,
     BenchmarkRegression,
+    Experiment,
     assert_no_regressions,
     compare_payloads,
+    comparison_delta_table,
     format_comparison,
     load_payload,
+    main,
     run_suite,
     save_payload,
+    slowest_spans,
 )
-from repro.bench.harness import SCHEMA_VERSION
 
 
 def _payload(medians):
@@ -32,12 +41,24 @@ def _payload(medians):
     }
 
 
+def _not_timings(counters):
+    """The counters that are reproducible: no seconds, speedups or
+    rates."""
+    return {
+        key: value
+        for key, value in counters.items()
+        if not key.endswith("_seconds")
+        and not key.startswith("speedup")
+        and key != "events_per_second"
+    }
+
+
 class TestRunSuite:
     def test_subset_run_shape(self):
-        payload = run_suite(engine="fallback", experiments=["X1", "X5"])
+        payload = run_suite(experiments=["X1", "X5"])
         assert payload["schema"] == SCHEMA_VERSION
-        assert payload["engine"] == "fallback"
-        assert payload["repeats"] == PROFILES["quick"]["repeats"]
+        assert payload["engine"] == resolve_engine("auto")
+        assert payload["repeats"] == REPEATS
         assert sorted(payload["experiments"]) == ["X1", "X5"]
         for run in payload["experiments"].values():
             assert run["median_seconds"] >= 0
@@ -46,16 +67,12 @@ class TestRunSuite:
         assert "size_tables" in payload
 
     def test_counters_are_deterministic(self):
-        first = run_suite(engine="fallback", experiments=["X1"])
-        second = run_suite(engine="fallback", experiments=["X1"])
-        assert (
-            first["experiments"]["X1"]["counters"]
-            == second["experiments"]["X1"]["counters"]
-        )
-
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ValueError):
-            run_suite(profile="warp-speed")
+        first = run_suite(experiments=["X1", "X13"])
+        second = run_suite(experiments=["X1", "X13"])
+        for name in ("X1", "X13"):
+            assert _not_timings(
+                first["experiments"][name]["counters"]
+            ) == _not_timings(second["experiments"][name]["counters"])
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError):
@@ -80,14 +97,102 @@ class TestRunSuite:
 
     def test_granularity_experiments_match_the_reference(self):
         """X13, X14 and X18 hold the compiled tables and clocks against
-        :mod:`repro.bench.reference` (sweep tables, ``Unlowered``
-        clocks) on live runs, not just in the checked-in payloads."""
+        the sweep reference of ``tests/differential/reference.py``
+        (sweep tables, ``Unlowered`` clocks) on live runs, not just in
+        the checked-in payloads."""
         payload = run_suite(experiments=["X13", "X14", "X18"])
         runs = payload["experiments"]
         for name in ("X13", "X14", "X18"):
             assert runs[name]["counters"]["identical_to_sweep"], name
         assert runs["X14"]["counters"]["matches"] == 78
         assert runs["X18"]["counters"]["propagation_identical_to_sweep"]
+
+
+class TestExperimentShape:
+    """The runner times only the production arm; reference arms run
+    once, after the repeats."""
+
+    def test_reference_time_stays_out_of_the_median(self, monkeypatch):
+        calls = {"production": 0, "reference": 0}
+
+        def production():
+            calls["production"] += 1
+            return 1
+
+        def reference():
+            calls["reference"] += 1
+            time.sleep(0.05)
+            return 1
+
+        experiment = Experiment(
+            {"fast": Arm(production)},
+            lambda results, _: {
+                "identical": results["fast"] == results["slow"]
+            },
+            {"slow": Arm(reference)},
+        )
+        monkeypatch.setitem(
+            harness._EXPERIMENTS, "FAKE", lambda system: experiment
+        )
+        record = run_suite(experiments=["FAKE"])["experiments"]["FAKE"]
+        assert record["median_seconds"] < 0.005
+        assert record["counters"]["slow_seconds"] >= 0.05
+        assert record["counters"]["identical"]
+        assert calls == {"production": REPEATS, "reference": 1}
+
+    def test_prepare_runs_untimed_before_every_call(self, monkeypatch):
+        prepared = []
+
+        def prepare():
+            prepared.append(None)
+            time.sleep(0.02)
+            return (len(prepared),)
+
+        experiment = Experiment(
+            {"arm": Arm(lambda n: n, prepare)},
+            lambda results, _: {"last": results["arm"]},
+        )
+        monkeypatch.setitem(
+            harness._EXPERIMENTS, "FAKE", lambda system: experiment
+        )
+        record = run_suite(experiments=["FAKE"])["experiments"]["FAKE"]
+        assert record["counters"] == {"last": REPEATS}
+        assert record["median_seconds"] < 0.01
+
+    def test_raising_experiment_is_recorded_and_fails_the_run(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        def boom(system):
+            raise RuntimeError("base tree lacks this")
+
+        monkeypatch.setitem(harness._EXPERIMENTS, "BOOM", boom)
+        path = str(tmp_path / "bench.json")
+        assert main(["--experiments", "X1,BOOM", "--output", path]) == 1
+        runs = load_payload(path)["experiments"]
+        assert runs["BOOM"]["error"] == "RuntimeError: base tree lacks this"
+        assert "median_seconds" not in runs["BOOM"]
+        assert runs["X1"]["median_seconds"] >= 0
+        assert "FAIL: BOOM raised" in capsys.readouterr().err
+
+
+class TestRunnerCommand:
+    def test_self_baseline_passes(self, tmp_path):
+        path = str(tmp_path / "bench.json")
+        assert main(["--experiments", "X1", "--output", path]) == 0
+        assert main(["--experiments", "X1", "--baseline", path]) == 0
+
+    def test_profile_stacks_embed_a_profile(self, tmp_path):
+        path = str(tmp_path / "bench.json")
+        assert main(
+            ["--experiments", "X1", "--profile-stacks", "--output", path]
+        ) == 0
+        assert isinstance(load_payload(path)["profile_stacks"], dict)
+
+    def test_unknown_experiment_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--experiments", "X99"])
+        assert excinfo.value.code == 2
+        assert "unknown experiments X99" in capsys.readouterr().err
 
 
 class TestTraceDir:
@@ -98,10 +203,7 @@ class TestTraceDir:
         previous = obs_enabled()
         configure(True)
         try:
-            payload = run_suite(
-                engine="fallback", experiments=["X1", "X5"],
-                trace_dir=trace_dir,
-            )
+            payload = run_suite(experiments=["X1", "X5"], trace_dir=trace_dir)
         finally:
             configure(previous)
         for name in ["X1", "X5"]:
@@ -125,7 +227,7 @@ class TestTraceDir:
             assert all(row["span_id"] for row in slowest)
 
     def test_without_trace_dir_records_are_unchanged(self):
-        payload = run_suite(engine="fallback", experiments=["X1"])
+        payload = run_suite(experiments=["X1"])
         record = payload["experiments"]["X1"]
         assert "trace_file" not in record
         assert "slowest_spans" not in record
@@ -133,8 +235,6 @@ class TestTraceDir:
 
 class TestSlowestSpans:
     def test_ranks_across_nesting(self):
-        from repro.bench.harness import slowest_spans
-
         trace = {
             "trace_id": "t",
             "spans": [{
@@ -258,14 +358,28 @@ class TestComparePayloads:
         assert row["ratio"] is None
 
     def test_warning_surfaces_in_delta_table(self):
-        from repro.bench.harness import comparison_delta_table
-
         current = _payload({"X99": 1.0})
         baseline = _payload({"X99": 0.9})
         rows = compare_payloads(current, baseline)
         table = comparison_delta_table(current, baseline, rows)
         assert "warning" in table["X99"]
         assert "unknown experiment" in table["X99"]["warning"]
+
+    def test_errors_read_missing_in_baseline_and_regress_in_current(self):
+        broken = _payload({"X4": 1.0})
+        broken["experiments"]["X4"] = {
+            "repeats": 1, "counters": {}, "error": "KeyError: 'x'",
+        }
+        (row,) = compare_payloads(_payload({"X4": 1.0}), broken)
+        assert row["warning"] == "missing from baseline"
+        assert not row["regressed"]
+        (row,) = compare_payloads(broken, _payload({"X4": 1.0}))
+        assert row["regressed"]
+        assert row["ratio"] is None
+        assert "KeyError" in row["warning"]
+        with pytest.raises(BenchmarkRegression, match="X4"):
+            assert_no_regressions([row])
+        assert "REGRESSED" in format_comparison([row])
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):

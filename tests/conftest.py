@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.constraints import TCG, EventStructure
 from repro.granularity import standard_system
+
+from benchmarks import harness
 
 
 @pytest.fixture(scope="session")
@@ -22,33 +23,13 @@ def system_fig3():
 @pytest.fixture(scope="session")
 def figure_1a(system):
     """The stock event structure of the paper's Figure 1(a)."""
-    bday = system.get("b-day")
-    hour = system.get("hour")
-    week = system.get("week")
-    return EventStructure(
-        ["X0", "X1", "X2", "X3"],
-        {
-            ("X0", "X1"): [TCG(1, 1, bday)],
-            ("X1", "X3"): [TCG(0, 1, week)],
-            ("X0", "X2"): [TCG(0, 5, bday)],
-            ("X2", "X3"): [TCG(0, 8, hour)],
-        },
-    )
+    return harness.figure_1a(system)
 
 
 @pytest.fixture(scope="session")
 def figure_1b(system):
     """The month/year disjunction gadget of the paper's Figure 1(b)."""
-    month = system.get("month")
-    year = system.get("year")
-    return EventStructure(
-        ["X0", "X1", "X2", "X3"],
-        {
-            ("X0", "X1"): [TCG(11, 11, month), TCG(0, 0, year)],
-            ("X0", "X2"): [TCG(0, 12, month)],
-            ("X2", "X3"): [TCG(11, 11, month), TCG(0, 0, year)],
-        },
-    )
+    return harness.figure_1b(system)
 
 
 @pytest.fixture(params=["numpy", "fallback"])

@@ -20,6 +20,8 @@ from repro.constraints import (
 from repro.granularity import second, standard_system
 from repro.granularity.gregorian import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
+from benchmarks import harness
+
 
 class TestFigure1a:
     def test_consistent(self, figure_1a, system):
@@ -37,16 +39,7 @@ class TestFigure1a:
         Gamma'(X0,X3) hour bound [1,175] is reproduced exactly (the
         convention the authors evidently used - see EXPERIMENTS.md X1)."""
         system = standard_system(workdays=(0, 1, 2, 3, 4, 5))
-        structure = EventStructure(
-            ["X0", "X1", "X2", "X3"],
-            {
-                ("X0", "X1"): [TCG(1, 1, system.get("b-day"))],
-                ("X1", "X3"): [TCG(0, 1, system.get("week"))],
-                ("X0", "X2"): [TCG(0, 5, system.get("b-day"))],
-                ("X2", "X3"): [TCG(0, 8, system.get("hour"))],
-            },
-        )
-        result = propagate(structure, system)
+        result = propagate(harness.figure_1a(system), system)
         assert result.interval("X0", "X3", "hour") == (1, 175)
 
     def test_second_windows_via_extra_granularity(self, figure_1a, system):

@@ -20,17 +20,76 @@ per event type.  :func:`reference_read_events` is the per-row reader
 :func:`reference_sequence` sorts and indexes its events one by one,
 and :func:`reference_reduce` is the paper's step-2 rule decided event
 by event with each granularity's own ``tick_of``.
+
+Production lets each granularity choose its size table and clock: a
+type that lowers to a periodic normal form gets the compiled table and
+the bisection clock, a type that does not gets the window-sweep
+:class:`~repro.granularity.sizes.SizeTable` and its own ``tick_of``.
+The sweep answer for types that *do* lower is built here without any
+switch: :class:`SweepSystem` (:func:`sweep_system`) puts every size
+table on the sweep, and :class:`Unlowered` wraps a type so that it has
+the same ticks but no lowering route.
 """
 
 import csv
 import re
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.automata import TagMatcher, build_tag
 from repro.constraints import ComplexEventType
+from repro.granularity.base import TemporalType
+from repro.granularity.registry import GranularitySystem, standard_system
+from repro.granularity.sizes import SizeTable
 from repro.mining.discovery import candidate_assignments
 from repro.io.csvlog import CsvFormatError, parse_timestamp
 from repro.mining.events import Event, EventSequence
+
+
+class SweepSystem(GranularitySystem):
+    """A granularity system whose every size table is the window sweep."""
+
+    def table(self, ttype_or_label) -> SizeTable:
+        ttype = self.resolve(ttype_or_label)
+        tab = self._tables.get(ttype.label)
+        if tab is None:
+            tab = SizeTable(ttype, horizon=self.horizon)
+            self._tables[ttype.label] = tab
+        return tab
+
+
+def sweep_system(**kwargs) -> SweepSystem:
+    """``standard_system(**kwargs)`` with every size table on the sweep."""
+    stock = standard_system(**kwargs)
+    return SweepSystem(
+        [stock.get(label) for label in stock.labels()],
+        horizon=stock.horizon,
+        conversion_mode=stock.conversion_mode,
+        cache=stock.conversion_cache,
+    )
+
+
+class Unlowered(TemporalType):
+    """``base`` with every lowering route closed.
+
+    Same label, ticks and coverage as ``base``; it declares no period
+    and no calendar-algebra rule knows its class, so
+    ``cached_normal_form`` refuses it with ``reason="no-period"`` (and
+    counts the fallback, as for any type that does not lower), and
+    clocks over it take the real fallback route through ``base``'s
+    ``tick_of``.
+    """
+
+    def __init__(self, base: TemporalType):
+        self.base = base
+        self.label = base.label
+        self.alignment_seconds = base.alignment_seconds
+        self.total = base.total
+
+    def tick_of(self, second: int) -> Optional[int]:
+        return self.base.tick_of(second)
+
+    def tick_bounds(self, index: int) -> Tuple[int, int]:
+        return self.base.tick_bounds(index)
 
 
 def reference_outcomes(matcher, sequence):

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.automata import TagMatcher, build_tag
 from repro.automata.dense import ColumnPlan, DenseBatch, compile_dense
-from repro.bench.reference import Unlowered
 from repro.constraints import TCG, ComplexEventType, EventStructure
 from repro.granularity import ConversionCache, standard_system
 from repro.granularity.normalform import clock_tick_of
@@ -38,6 +37,7 @@ from repro.store import ColumnarEventStore
 
 from ..strategies import rooted_dags
 from .reference import (
+    Unlowered,
     reference_outcomes,
     reference_roots,
     reference_solutions,

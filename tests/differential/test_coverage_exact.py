@@ -29,7 +29,6 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.reference import Unlowered
 from repro.constraints import TCG, EventStructure, propagate
 from repro.granularity import (
     BusinessDayType,
@@ -46,6 +45,8 @@ from repro.granularity import (
 from repro.granularity.base import DayBasedType
 from repro.granularity.gregorian import SECONDS_PER_DAY
 from repro.granularity.normalform import covered_set_form
+
+from .reference import Unlowered
 
 DAY = SECONDS_PER_DAY
 WEEK = 7 * DAY

@@ -8,7 +8,7 @@ answers, same conversion outcomes.  The sweep reference here is built
 with a horizon of at least ``4 * period + 8`` so its exact region
 covers every probed ``k`` (up to three periods); the compiled table is
 exact for every ``k`` by construction.  System-level comparisons hold
-``standard_system`` against :func:`repro.bench.reference.sweep_system`.
+``standard_system`` against :func:`.reference.sweep_system`.
 """
 
 import random
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.automata.builder import build_tag
 from repro.automata.matching import TagMatcher
-from repro.bench.reference import Unlowered, sweep_system
 from repro.constraints import TCG, ComplexEventType, EventStructure
 from repro.granularity import (
     BusinessDayType,
@@ -35,6 +34,8 @@ from repro.granularity.base import UniformType
 from repro.granularity.normalform import cached_normal_form
 from repro.granularity.periodic import PeriodicPatternType
 from repro.mining.events import EventSequence
+
+from .reference import Unlowered, sweep_system
 
 
 # ----------------------------------------------------------------------

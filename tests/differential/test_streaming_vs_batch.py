@@ -21,6 +21,8 @@ from repro.granularity import standard_system
 from repro.granularity.gregorian import SECONDS_PER_HOUR
 from repro.mining.events import EventSequence
 
+from benchmarks.harness import figure_1a
+
 H = SECONDS_PER_HOUR
 
 SYSTEM = standard_system()
@@ -39,20 +41,8 @@ def _chain_cet() -> ComplexEventType:
 
 
 def _diamond_cet() -> ComplexEventType:
-    bday = SYSTEM.get("b-day")
-    hour = SYSTEM.get("hour")
-    week = SYSTEM.get("week")
-    structure = EventStructure(
-        ["X0", "X1", "X2", "X3"],
-        {
-            ("X0", "X1"): [TCG(1, 1, bday)],
-            ("X1", "X3"): [TCG(0, 1, week)],
-            ("X0", "X2"): [TCG(0, 5, bday)],
-            ("X2", "X3"): [TCG(0, 8, hour)],
-        },
-    )
     return ComplexEventType(
-        structure, {"X0": "a", "X1": "b", "X2": "c", "X3": "d"}
+        figure_1a(SYSTEM), {"X0": "a", "X1": "b", "X2": "c", "X3": "d"}
     )
 
 

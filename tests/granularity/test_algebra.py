@@ -9,7 +9,6 @@ kernel.
 
 import pytest
 
-from repro.bench.reference import Unlowered, sweep_system
 from repro.granularity import (
     BusinessDayType,
     BusinessMonthType,
@@ -48,6 +47,8 @@ from repro.granularity.gregorian import (
 )
 from repro.granularity import normalform
 from repro.granularity.normalform import cached_normal_form
+
+from tests.differential.reference import Unlowered, sweep_system
 
 DAY = SECONDS_PER_DAY
 WEEK = 7 * DAY

@@ -6,7 +6,6 @@ import pickle
 
 import pytest
 
-from repro.bench.reference import SweepSystem, Unlowered
 from repro.granularity import (
     CompiledSizeTable,
     ConversionCache,
@@ -28,6 +27,8 @@ from repro.granularity.normalform import (
 )
 from repro.granularity.periodic import PeriodicPatternType
 from repro.granularity.sizes import BoundedMemo
+
+from tests.differential.reference import SweepSystem, Unlowered
 
 
 def table_of(ttype):

@@ -1,15 +1,21 @@
 """Focused tests for depth-2 candidate screening (sub-chain pairs)."""
 
+import functools
+
 import pytest
 
+from repro.automata.structmatch import find_occurrence
 from repro.constraints import TCG, EventStructure
 from repro.granularity.gregorian import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.mining import (
     Event,
+    EventDiscoveryProblem,
     EventSequence,
     consistency_gate,
+    discover,
     screen_candidate_pairs,
 )
+from repro.mining import pruning
 from repro.mining.pruning import chain_pairs
 
 D, H = SECONDS_PER_DAY, SECONDS_PER_HOUR
@@ -111,3 +117,81 @@ class TestScreenCandidatePairs:
             propagation, sequence, roots, len(roots), survivors, "r", 0.99
         )
         assert ("m-good", "l-good") in just_below[("M", "L")]
+
+
+class TestSearchBudget:
+    """The Section-3 matcher gives up after ``max_nodes`` candidates.
+    A depth-2 screen that hits that budget cannot decide the pair, so
+    it skips the pair as it skips an oversized one."""
+
+    @pytest.fixture
+    def burst(self, system):
+        """R->A [0,0]day, A->B [1,1]day over a one-day burst of ``a``
+        and ``b``: every A candidate tries every same-day B event."""
+        day = system.get("day")
+        structure = EventStructure(
+            ["R", "A", "B"],
+            {
+                ("R", "A"): [TCG(0, 0, day)],
+                ("A", "B"): [TCG(1, 1, day)],
+            },
+        )
+        events = [Event("r", 0)]
+        for i in range(30):
+            events += [Event("a", 60 + i), Event("b", 120 + i)]
+        events.append(Event("x", 3 * D))
+        sequence = EventSequence(events)
+        problem = EventDiscoveryProblem(
+            structure,
+            0.5,
+            "r",
+            {"A": frozenset("ab"), "B": frozenset("ab")},
+        )
+        return problem, sequence
+
+    def _small_budget(self, monkeypatch):
+        monkeypatch.setattr(
+            pruning,
+            "find_occurrence",
+            functools.partial(find_occurrence, max_nodes=50),
+        )
+
+    def test_exhausted_budget_skips_the_pair(
+        self, system, burst, monkeypatch
+    ):
+        problem, sequence = burst
+        self._small_budget(monkeypatch)
+        ok, propagation = consistency_gate(problem.structure, system)
+        assert ok
+        roots = list(sequence.occurrence_indices("r"))
+        allowed = screen_candidate_pairs(
+            propagation,
+            sequence,
+            roots,
+            len(roots),
+            {"A": {"a", "b"}, "B": {"a", "b"}},
+            "r",
+            min_confidence=0.5,
+        )
+        assert ("A", "B") not in allowed
+
+    def test_default_screen_answers_like_depth_one(
+        self, system, burst, monkeypatch
+    ):
+        problem, sequence = burst
+        self._small_budget(monkeypatch)
+        at_two = discover(problem, sequence, system)
+        at_one = discover(problem, sequence, system, screen_depth=1)
+        assert at_two.solution_assignments() == (
+            at_one.solution_assignments()
+        )
+        assert at_two.solutions == []
+
+    def test_other_errors_still_propagate(self, system, burst, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a budget")
+
+        problem, sequence = burst
+        monkeypatch.setattr(pruning, "find_occurrence", broken)
+        with pytest.raises(RuntimeError, match="not a budget"):
+            discover(problem, sequence, system)

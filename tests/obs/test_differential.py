@@ -10,13 +10,14 @@ import random
 
 import pytest
 
-from repro.bench.harness import _consistent_random_dag
 from repro.constraints import propagate
 from repro.constraints.propagation import ENGINES, resolve_engine
 from repro.constraints.stp import EngineUnavailable
 from repro.granularity import standard_system
 from repro.granularity.convcache import ConversionCache
 from repro.obs import configure, global_metrics
+
+from benchmarks.harness import consistent_random_dag
 
 
 def _fresh_system():
@@ -28,7 +29,7 @@ def _fresh_system():
 @pytest.fixture
 def structure():
     system = standard_system()
-    return _consistent_random_dag(16, system, random.Random(16))
+    return consistent_random_dag(16, system, random.Random(16))
 
 
 def _host_engines():

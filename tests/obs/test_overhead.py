@@ -13,10 +13,11 @@ import time
 
 import pytest
 
-from repro.bench.harness import _consistent_random_dag
 from repro.constraints import propagate
 from repro.granularity import standard_system
 from repro.obs import configure, obs_enabled
+
+from benchmarks.harness import consistent_random_dag
 
 ROUNDS = 7
 TOLERANCE = 0.05
@@ -28,7 +29,7 @@ JITTER_FLOOR = 0.010
 @pytest.mark.benchmark
 def test_default_on_counters_add_under_five_percent():
     system = standard_system()
-    structure = _consistent_random_dag(48, system, random.Random(48))
+    structure = consistent_random_dag(48, system, random.Random(48))
     previous = obs_enabled()
 
     def timed(enabled):
@@ -68,7 +69,7 @@ def test_flight_recorder_adds_under_five_percent_to_traced_runs():
     from repro.obs import trace as trace_module
 
     system = standard_system()
-    structure = _consistent_random_dag(48, system, random.Random(48))
+    structure = consistent_random_dag(48, system, random.Random(48))
     previous = obs_enabled()
     previous_hook = trace_module._RECORDER_HOOK
     recording = FlightRecorder(capacity=256, slow_ms=250.0)

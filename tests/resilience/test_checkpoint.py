@@ -17,6 +17,8 @@ from repro.io.serialize import (
     streaming_matcher_from_checkpoint,
 )
 
+from benchmarks.harness import figure_1a
+
 H = SECONDS_PER_HOUR
 D = 24 * H
 
@@ -90,20 +92,8 @@ def _module_diamond_cet():
     """The Figure 1(a) diamond: b-day, week and hour clocks, the b-day
     one with gaps (it covers days 0-4 of each week, counted from day 0
     of the epoch)."""
-    bday = SYSTEM.get("b-day")
-    hour = SYSTEM.get("hour")
-    week = SYSTEM.get("week")
-    structure = EventStructure(
-        ["X0", "X1", "X2", "X3"],
-        {
-            ("X0", "X1"): [TCG(1, 1, bday)],
-            ("X1", "X3"): [TCG(0, 1, week)],
-            ("X0", "X2"): [TCG(0, 5, bday)],
-            ("X2", "X3"): [TCG(0, 8, hour)],
-        },
-    )
     return ComplexEventType(
-        structure, {"X0": "a", "X1": "b", "X2": "c", "X3": "d"}
+        figure_1a(SYSTEM), {"X0": "a", "X1": "b", "X2": "c", "X3": "d"}
     )
 
 

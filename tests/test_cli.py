@@ -2,12 +2,9 @@
 
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
-import repro
 from repro.automata import TagMatcher, build_tag
 from repro.cli import main
 from repro.constraints import TCG, ComplexEventType, EventStructure
@@ -217,12 +214,6 @@ class TestErrorHandling:
         events.write_text("event_type,timestamp\nonly-one-column\n")
         assert main(["match", pattern_file, str(events)]) == 2
 
-    def test_unknown_bench_profile_exits_2(self, capsys):
-        assert main(["bench", "--profile", "nope"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: unknown profile 'nope'")
-        assert err.count("\n") == 1
-
 
 class TestMineReport:
     def test_report_flag(self, tmp_path, pair_structure, events_file, capsys):
@@ -235,26 +226,6 @@ class TestMineReport:
 
 
 class TestParserRobustness:
-    def test_parsing_mine_leaves_the_bench_harness_unimported(self):
-        """Only ``repro bench`` loads the harness; a fresh interpreter
-        that builds the parser and parses a mine command never does."""
-        code = (
-            "import sys\n"
-            "from repro.cli import build_parser\n"
-            "build_parser().parse_args(['mine', 'p.json', 'e.csv'])\n"
-            "print([m for m in sys.modules if m.startswith('repro.bench')])"
-        )
-        package_root = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ, PYTHONPATH=package_root)
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert done.stdout.strip() == "[]"
-
     def test_no_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
@@ -262,6 +233,12 @@ class TestParserRobustness:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_bench_is_an_unknown_command(self):
+        """The X1-X18 runner lives in ``benchmarks/``, not the CLI."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
 
     def test_help_paths(self, capsys):
         for args in (["--help"], ["mine", "--help"], ["convert", "--help"]):
@@ -276,19 +253,11 @@ class TestParserRobustness:
 
 
 class TestAnalyze:
-    def test_tightness_and_disjunctions(self, tmp_path, system, capsys):
-        month = system.get("month")
-        year = system.get("year")
-        gadget = EventStructure(
-            ["X0", "X1", "X2", "X3"],
-            {
-                ("X0", "X1"): [TCG(11, 11, month), TCG(0, 0, year)],
-                ("X0", "X2"): [TCG(0, 12, month)],
-                ("X2", "X3"): [TCG(11, 11, month), TCG(0, 0, year)],
-            },
-        )
+    def test_tightness_and_disjunctions(
+        self, tmp_path, system, figure_1b, capsys
+    ):
         path = str(tmp_path / "gadget.json")
-        dump_json(structure_to_dict(gadget), path)
+        dump_json(structure_to_dict(figure_1b), path)
         assert main(
             [
                 "analyze",

@@ -23,7 +23,6 @@ SUBPACKAGES = [
     "repro.core",
     "repro.parallel",
     "repro.service",
-    "repro.bench",
     "repro.obs",
     "repro.cli",
 ]

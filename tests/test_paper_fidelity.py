@@ -8,23 +8,13 @@ so a reviewer can confirm the reproduction with a single test file:
 
 import pytest
 
-from repro.constraints import TCG, ComplexEventType, EventStructure, propagate
+from repro.constraints import TCG, ComplexEventType, propagate
 from repro.granularity import standard_system
 from repro.granularity.gregorian import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
+from benchmarks.harness import figure_1a, figure_1b
+
 D, H = SECONDS_PER_DAY, SECONDS_PER_HOUR
-
-
-def figure_1a(system):
-    return EventStructure(
-        ["X0", "X1", "X2", "X3"],
-        {
-            ("X0", "X1"): [TCG(1, 1, system.get("b-day"))],
-            ("X1", "X3"): [TCG(0, 1, system.get("week"))],
-            ("X0", "X2"): [TCG(0, 5, system.get("b-day"))],
-            ("X2", "X3"): [TCG(0, 8, system.get("hour"))],
-        },
-    )
 
 
 class TestSection2:
@@ -83,17 +73,7 @@ class TestSection51WorkedNumbers:
 class TestFigure1b:
     def test_disjunction_hull(self):
         system = standard_system()
-        month = system.get("month")
-        year = system.get("year")
-        gadget = EventStructure(
-            ["X0", "X1", "X2", "X3"],
-            {
-                ("X0", "X1"): [TCG(11, 11, month), TCG(0, 0, year)],
-                ("X0", "X2"): [TCG(0, 12, month)],
-                ("X2", "X3"): [TCG(11, 11, month), TCG(0, 0, year)],
-            },
-        )
-        result = propagate(gadget, system)
+        result = propagate(figure_1b(system), system)
         assert result.consistent  # sound: the gadget is satisfiable
         assert result.interval("X0", "X2", "month") == (0, 12)
 

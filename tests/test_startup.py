@@ -114,7 +114,7 @@ class TestCommandImports:
         assert "asyncio" not in modules
         assert "concurrent.futures.process" not in modules
         assert layers(
-            modules, "repro.service", "repro.bench", "repro.mining.generator"
+            modules, "repro.service", "repro.mining.generator"
         ) == []
 
     def test_mine_runs_no_numpy(self, mine_launch):
@@ -158,7 +158,6 @@ class TestCommandImports:
             modules,
             "repro.mining.discovery",
             "repro.store",
-            "repro.bench",
             "repro.constraints.propagation",
             "repro.granularity.algebra",
         ) == []
