@@ -656,10 +656,18 @@ class BankKernel:
     reset_times, reset_ticks, bindings)``; ``wanted[m]`` holds the union
     symbol ids member ``m``'s states can consume.  Per member, every
     decision mirrors the object NDFA reference - same anchor step, same
-    dedup by ``(state, reset_times)``, same transition order, same early
-    accept - so match sets and bindings are bit-identical to it; like
+    transition order, same early accept - so match sets and bindings
+    are bit-identical to it; like
     :func:`~repro.automata.builder.build_tag`'s TAGs, it assumes a bare
-    ANY self-loop on every state.  The static consumer index means an
+    ANY self-loop on every state.  Dedup keys on ``(state,
+    reset_ticks)`` where the reference keys on ``(state, reset
+    instants)``: guards read ticks only, so a configuration dropped for
+    an earlier one with the same state and reset ticks fires exactly
+    the transitions the kept one fires, and the first to accept - the
+    binding reported - is kept either way.  Configurations keep their
+    reset instants, which checkpoints record.  It bounds the set by
+    ticks, as Theorem 4 counts it: a same-tick burst keeps one
+    configuration, not one per instant.  The static consumer index means an
     event only touches the members that can consume its symbol, equal
     anchor steps share one frontier list, and a member whose frontier
     and wake class equal the previous member's replays that wake.
@@ -907,7 +915,7 @@ class BankKernel:
                     for idx, config in enumerate(configs):
                         state, resets, rticks, bindings = config
                         if next_configs is not None:
-                            key = (state, resets)
+                            key = (state, rticks)
                             if key not in seen:
                                 seen.add(key)
                                 next_configs.append(config)
@@ -930,7 +938,7 @@ class BankKernel:
                                 seen = set()
                                 next_configs = []
                                 for prev in configs[: idx + 1]:
-                                    pkey = (prev[0], prev[1])
+                                    pkey = (prev[0], prev[2])
                                     if pkey not in seen:
                                         seen.add(pkey)
                                         next_configs.append(prev)
@@ -959,7 +967,7 @@ class BankKernel:
                             if transition.target in accepting:
                                 accepted = successor
                                 break
-                            key = (transition.target, new_resets)
+                            key = (transition.target, new_ticks)
                             if key in seen:
                                 continue
                             seen.add(key)

@@ -277,6 +277,15 @@ class EventSequence:
             )
         return self._columnar
 
+    def plan_cache(self) -> Dict[object, object]:
+        """The per-sequence memo of matcher plans: the columnar view's
+        (:meth:`~repro.store.columnar.ColumnarEventStore.plan_cache`),
+        built on first use.  It lives and dies with the sequence."""
+        view = self._columnar
+        if view is None:
+            view = self.columnar()
+        return view.plan_cache()
+
     def gathered(self, positions: Sequence[int]) -> "EventSequence":
         """A new sequence of the events at ascending ``positions``."""
         return EventSequence.from_columns(

@@ -279,12 +279,21 @@ def screen_candidate_pairs(
     For each pair of variables on a common chain, solve the induced
     3-variable discovery problem exactly (reference matcher on the
     induced approximated sub-structure) and keep only type pairs whose
-    frequency clears the threshold.  Pairs of variables whose candidate
-    product exceeds ``max_pair_candidates``, or whose matcher runs out of
-    search budget, are skipped (screening is an optimisation; skipping
-    is always sound).
+    frequency clears the threshold.  Each type pair first screens the
+    roots against its :func:`candidate_requirements` (the anchor screen
+    of :meth:`~repro.store.columnar.ColumnarEventStore.
+    viable_position_sets`: a root it refutes anchors no occurrence),
+    then runs the matcher root by root and stops as soon as its hits
+    clear the threshold or the roots left cannot make them.  Pairs of
+    variables whose candidate product exceeds ``max_pair_candidates``,
+    or whose matcher runs out of search budget, are skipped (screening
+    is an optimisation; skipping is always sound).
     """
     structure = result.structure
+    root = structure.root
+    windows = seconds_windows(result)
+    store = sequence.columnar()
+    root_times = [sequence.time_at(index) for index in root_indices]
     allowed_pairs: Dict[Tuple[str, str], Set[Tuple[str, str]]] = {}
     threshold = min_confidence * total_roots
     for x, y in chain_pairs(structure):
@@ -292,26 +301,34 @@ def screen_candidate_pairs(
         pool_y = survivors.get(y, set())
         if len(pool_x) * len(pool_y) > max_pair_candidates:
             continue
-        sub = result.induced_substructure([structure.root, x, y])
+        sub = result.induced_substructure([root, x, y])
         if sub is None:
             continue
+        type_pairs = [(ex, ey) for ex in pool_x for ey in pool_y]
+        viable_sets = store.viable_position_sets(
+            root_indices,
+            root_times,
+            [
+                candidate_requirements({x: ex, y: ey}, windows, root)
+                for ex, ey in type_pairs
+            ],
+        )
         kept: Set[Tuple[str, str]] = set()
         try:
-            for ex in pool_x:
-                for ey in pool_y:
-                    cet = ComplexEventType(
-                        sub, {structure.root: reference_type, x: ex, y: ey}
-                    )
-                    hits = 0
-                    remaining = len(root_indices)
-                    for index in root_indices:
-                        if hits + remaining <= threshold:
-                            break  # cannot clear the threshold any more
-                        remaining -= 1
-                        if find_occurrence(cet, sequence, index) is not None:
-                            hits += 1
-                    if hits > threshold:
-                        kept.add((ex, ey))
+            for (ex, ey), viable in zip(type_pairs, viable_sets):
+                cet = ComplexEventType(
+                    sub, {root: reference_type, x: ex, y: ey}
+                )
+                hits = 0
+                remaining = len(viable)
+                for index in viable:
+                    if hits > threshold or hits + remaining <= threshold:
+                        break  # decided either way
+                    remaining -= 1
+                    if find_occurrence(cet, sequence, index) is not None:
+                        hits += 1
+                if hits > threshold:
+                    kept.add((ex, ey))
         except SearchBudgetExhausted:
             continue  # undecided, like an oversized pair: not screened
         allowed_pairs[(x, y)] = kept

@@ -301,5 +301,7 @@ class ColumnarEventStore:
         ]
 
     def plan_cache(self) -> Dict[object, object]:
-        """Per-store memo used by the TAG runtime (keyed per plan)."""
+        """Per-store memo of plans over this store: the TAG runtime's
+        column plans and the Section-3 matcher's pattern plans and tick
+        columns (:mod:`repro.automata.structmatch`), keyed per plan."""
         return self._plan_cache

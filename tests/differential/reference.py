@@ -12,7 +12,10 @@ The Section-3 matcher :func:`~repro.automata.structmatch.
 find_occurrence` bounds each variable's candidates by a tick window;
 :func:`naive_find_occurrence` is the matcher before that window, which
 lists every event of the variable's type from the latest predecessor's
-timestamp onward and tests the TCGs of each.
+timestamp onward and tests the TCGs of each.  The depth-2 pair screen
+screens roots and stops each type pair once it is decided;
+:func:`reference_pair_screen` is Section 5.1's screen as defined:
+:func:`naive_find_occurrence` on every (pair, root).
 
 Stored-log ingest reads a CSV log straight into columns and reduces it
 per event type.  :func:`reference_read_events` is the per-row reader
@@ -41,6 +44,7 @@ from repro.granularity.base import TemporalType
 from repro.granularity.registry import GranularitySystem, standard_system
 from repro.granularity.sizes import SizeTable
 from repro.mining.discovery import candidate_assignments
+from repro.mining.pruning import chain_pairs
 from repro.io.csvlog import CsvFormatError, parse_timestamp
 from repro.mining.events import Event, EventSequence
 
@@ -226,6 +230,54 @@ def naive_find_occurrence(
     if not search(1):
         return None
     return dict(binding)
+
+
+def reference_pair_screen(
+    result,
+    sequence,
+    root_indices,
+    total_roots,
+    survivors,
+    reference_type,
+    min_confidence,
+    max_pair_candidates=400,
+):
+    """Step 4 at depth 2 by its definition (Section 5.1).
+
+    Per pair of variables on a common chain, with the same size cap as
+    production, each type pair's frequency on the induced approximated
+    sub-structure is counted with :func:`naive_find_occurrence` from
+    every root - no anchor screen, no early exit - and the pair is kept
+    when it exceeds ``min_confidence * total_roots``.
+    """
+    structure = result.structure
+    root = structure.root
+    threshold = min_confidence * total_roots
+    allowed = {}
+    for x, y in chain_pairs(structure):
+        pool_x = survivors.get(x, set())
+        pool_y = survivors.get(y, set())
+        if len(pool_x) * len(pool_y) > max_pair_candidates:
+            continue
+        sub = result.induced_substructure([root, x, y])
+        if sub is None:
+            continue
+        kept = set()
+        for ex in pool_x:
+            for ey in pool_y:
+                cet = ComplexEventType(
+                    sub, {root: reference_type, x: ex, y: ey}
+                )
+                hits = sum(
+                    1
+                    for index in root_indices
+                    if naive_find_occurrence(cet, sequence, index)
+                    is not None
+                )
+                if hits > threshold:
+                    kept.add((ex, ey))
+        allowed[(x, y)] = kept
+    return allowed
 
 
 def reference_read_events(source, has_header=None, quarantine=None):

@@ -12,6 +12,13 @@ the grouped quarter the calendar workload uses.  Timestamps repeat
 (no ``unique=True``) and come at several scales, so windows end on
 tick boundaries, inside gaps and between tied events.  The bindings
 themselves are compared, not just whether one exists.
+
+The matcher cuts a variable's range on both bounds of every TCG from
+every bound predecessor, so diamonds (a variable bound with two
+predecessors) with two TCGs on every arc get a property of their own,
+and both properties draw granularities without a lowering route
+(:class:`~tests.differential.reference.Unlowered`, whose tick columns
+come from the type's own ``tick_of``).
 """
 
 import pytest
@@ -26,11 +33,16 @@ from repro.granularity.combinators import GroupedType
 from repro.mining.events import EventSequence
 from repro.mining.pruning import consistency_gate, screen_candidate_pairs
 
-from .reference import naive_find_occurrence
+from .reference import Unlowered, naive_find_occurrence
 
 SYSTEM = standard_system()
 SYSTEM.register(GroupedType(SYSTEM.get("month"), 3, "quarter"))
 GRANULARITIES = [SYSTEM.get(label) for label in SYSTEM.labels()]
+#: Same ticks as their base, no normal form: clocks take the fallback.
+UNLOWERED = [
+    Unlowered(SYSTEM.get(label))
+    for label in ("hour", "day", "b-day", "week", "month", "b-week")
+]
 
 HOUR = 3600
 DAY = 24 * HOUR
@@ -44,7 +56,8 @@ WINDOW = settings(max_examples=200, deadline=None)
 
 @st.composite
 def tcgs(draw):
-    """One or two TCGs with ``m`` up to 2 over any drawn granularity.
+    """One or two TCGs with ``m`` up to 2 over any drawn granularity,
+    lowered or not.
 
     ``m`` leans to 0 so that structures of several arcs still match
     often enough for the bindings to be compared, not just the Nones.
@@ -54,7 +67,8 @@ def tcgs(draw):
     for _ in range(count):
         m = draw(st.sampled_from([0, 0, 0, 1, 2]))
         span = draw(st.integers(min_value=0, max_value=3))
-        result.append(TCG(m, m + span, draw(st.sampled_from(GRANULARITIES))))
+        granularity = draw(st.sampled_from(GRANULARITIES + UNLOWERED))
+        result.append(TCG(m, m + span, granularity))
     return result
 
 
@@ -123,6 +137,81 @@ def matching_cases(draw):
     return cet, draw(sequences(cet))
 
 
+@st.composite
+def fitted_tcg(draw, pool, t1, t2):
+    """A TCG over a granularity from ``pool`` that the planted pair
+    ``(t1, t2)`` satisfies three times in four when it can, so that
+    structures of many arcs still bind; an unfitted one otherwise."""
+    granularity = draw(st.sampled_from(pool))
+    distance = granularity.distance(t1, t2)
+    if distance is not None and draw(st.integers(0, 3)):
+        m = max(0, distance - draw(st.integers(0, 1)))
+        return TCG(m, distance + draw(st.integers(0, 2)), granularity)
+    m = draw(st.sampled_from([0, 0, 1]))
+    return TCG(m, m + draw(st.integers(0, 3)), granularity)
+
+
+@st.composite
+def diamonds(draw):
+    """R -> X, R -> Y, X -> Z, Y -> Z: Z is bound with two bound
+    predecessors.  Sometimes R -> Z or X -> Y as well, and sometimes a
+    fifth variable after X or Z.  Every arc has two TCGs, the second
+    over an unlowered granularity half of the time, fitted to one
+    planted copy among noise and a second, shifted copy."""
+    arcs = [("R", "X"), ("R", "Y"), ("X", "Z"), ("Y", "Z")]
+    names = ["R", "X", "Y", "Z"]
+    for extra in (("R", "Z"), ("X", "Y")):
+        if draw(st.booleans()):
+            arcs.append(extra)
+    if draw(st.booleans()):
+        names.append("W")
+        arcs.append((draw(st.sampled_from(["X", "Z"])), "W"))
+    scale = draw(st.sampled_from(SCALES))
+    offset = draw(st.integers(min_value=0, max_value=400 * DAY))
+    step = st.integers(min_value=0, max_value=3)
+    times = {"R": offset + draw(step) * scale}
+    for variable in names[1:]:
+        times[variable] = max(
+            times[src] for src, dst in arcs if dst == variable
+        ) + draw(step) * scale
+    second = draw(st.sampled_from([GRANULARITIES, UNLOWERED]))
+    structure = EventStructure(
+        names,
+        {
+            (src, dst): [
+                draw(fitted_tcg(pool, times[src], times[dst]))
+                for pool in (GRANULARITIES, second)
+            ]
+            for src, dst in arcs
+        },
+    )
+    assignment = {
+        variable: draw(st.sampled_from(TYPES)) for variable in names
+    }
+    shift = draw(st.integers(min_value=0, max_value=6)) * scale
+    events = [
+        (assignment[variable], time + delta)
+        for variable, time in times.items()
+        for delta in (0, shift)
+    ]
+    events += [
+        (draw(st.sampled_from(TYPES)), offset + draw(step) * scale)
+        for _ in range(draw(st.integers(min_value=0, max_value=10)))
+    ]
+    return ComplexEventType(structure, assignment), EventSequence(events)
+
+
+class TestBoundsFromSeveralArcs:
+    @given(case=diamonds())
+    @WINDOW
+    def test_diamond_binding_equals_naive_enumeration(self, case):
+        cet, sequence = case
+        for index in range(len(sequence)):
+            assert find_occurrence(
+                cet, sequence, index
+            ) == naive_find_occurrence(cet, sequence, index)
+
+
 class TestWindowedBinding:
     @given(case=matching_cases())
     @WINDOW
@@ -159,6 +248,22 @@ class TestWindowedBinding:
         expected = {"A": 0, "B": 2}
         assert naive_find_occurrence(cet, sequence, 0) == expected
         assert find_occurrence(cet, sequence, 0) == expected
+
+    def test_gaps_neither_move_the_range_nor_anchor_one(self):
+        # Day 3 is a Thursday.  The Saturday "b" lies uncovered inside
+        # the Thursday root's range, which still starts on Friday.  The
+        # Saturday "a" is uncovered itself: no event is one or two
+        # b-days after it, though Monday is two after Thursday.
+        bday = SYSTEM.get("b-day")
+        structure = EventStructure(["A", "B"], {("A", "B"): [TCG(1, 2, bday)]})
+        cet = ComplexEventType(structure, {"A": "a", "B": "b"})
+        sequence = EventSequence(
+            [("a", 3 * DAY), ("b", 4 * DAY), ("a", 5 * DAY),
+             ("b", 5 * DAY + HOUR), ("b", 7 * DAY), ("b", 8 * DAY)]
+        )
+        for root, expected in ((0, {"A": 0, "B": 1}), (2, None)):
+            assert naive_find_occurrence(cet, sequence, root) == expected
+            assert find_occurrence(cet, sequence, root) == expected
 
 
 @st.composite

@@ -126,26 +126,40 @@ class TestSearchBudget:
 
     @pytest.fixture
     def burst(self, system):
-        """R->A [0,0]day, A->B [1,1]day over a one-day burst of ``a``
-        and ``b``: every A candidate tries every same-day B event."""
+        """R->A [0,0]day, A->B [0,0]day, B->C [1,1]day over a one-day
+        burst of 60 ``a`` and 60 ``b``, interleaved, with a ``c`` on
+        the same day and none the next day.
+
+        The ``c`` keeps C's depth-1 pool and the root's anchor screen
+        alive (C's propagated seconds window starts one second after
+        the root), so the pair screen runs the matcher.  On the (A, C) and (B, C) sub-structures
+        each of the 60 same-day A (or B) candidates satisfies its TCGs
+        and leaves C without a next-day candidate: 60 candidates, past a
+        budget of 50.  The (A, B) pair matches at its first candidates.
+        """
         day = system.get("day")
         structure = EventStructure(
-            ["R", "A", "B"],
+            ["R", "A", "B", "C"],
             {
                 ("R", "A"): [TCG(0, 0, day)],
-                ("A", "B"): [TCG(1, 1, day)],
+                ("A", "B"): [TCG(0, 0, day)],
+                ("B", "C"): [TCG(1, 1, day)],
             },
         )
         events = [Event("r", 0)]
-        for i in range(30):
-            events += [Event("a", 60 + i), Event("b", 120 + i)]
-        events.append(Event("x", 3 * D))
+        for i in range(60):
+            events += [Event("a", 60 + 2 * i), Event("b", 61 + 2 * i)]
+        events += [Event("c", D // 2), Event("x", 3 * D)]
         sequence = EventSequence(events)
         problem = EventDiscoveryProblem(
             structure,
             0.5,
             "r",
-            {"A": frozenset("ab"), "B": frozenset("ab")},
+            {
+                "A": frozenset("ab"),
+                "B": frozenset("ab"),
+                "C": frozenset("c"),
+            },
         )
         return problem, sequence
 
@@ -156,24 +170,35 @@ class TestSearchBudget:
             functools.partial(find_occurrence, max_nodes=50),
         )
 
-    def test_exhausted_budget_skips_the_pair(
-        self, system, burst, monkeypatch
-    ):
-        problem, sequence = burst
-        self._small_budget(monkeypatch)
+    def _screen(self, system, problem, sequence):
         ok, propagation = consistency_gate(problem.structure, system)
         assert ok
         roots = list(sequence.occurrence_indices("r"))
-        allowed = screen_candidate_pairs(
+        return screen_candidate_pairs(
             propagation,
             sequence,
             roots,
             len(roots),
-            {"A": {"a", "b"}, "B": {"a", "b"}},
+            {"A": {"a", "b"}, "B": {"a", "b"}, "C": {"c"}},
             "r",
             min_confidence=0.5,
         )
-        assert ("A", "B") not in allowed
+
+    def test_exhausted_budget_skips_the_pair(
+        self, system, burst, monkeypatch
+    ):
+        problem, sequence = burst
+        # With the default budget every pair is decided.
+        decided = self._screen(system, problem, sequence)
+        assert decided[("A", "C")] == decided[("B", "C")] == set()
+        assert decided[("A", "B")] == {
+            ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")
+        }
+        self._small_budget(monkeypatch)
+        allowed = self._screen(system, problem, sequence)
+        assert ("A", "C") not in allowed
+        assert ("B", "C") not in allowed
+        assert allowed[("A", "B")] == decided[("A", "B")]
 
     def test_default_screen_answers_like_depth_one(
         self, system, burst, monkeypatch
@@ -182,6 +207,7 @@ class TestSearchBudget:
         self._small_budget(monkeypatch)
         at_two = discover(problem, sequence, system)
         at_one = discover(problem, sequence, system, screen_depth=1)
+        assert at_two.stats.pairs_screened == 1
         assert at_two.solution_assignments() == (
             at_one.solution_assignments()
         )
