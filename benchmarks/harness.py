@@ -45,7 +45,6 @@ from repro.constraints import (
     EventStructure,
     propagate,
 )
-from repro.constraints.propagation import resolve_engine
 from repro.granularity import GranularitySystem, standard_system
 from repro.obs import (
     Tracer,
@@ -273,10 +272,13 @@ def _x3(system) -> Experiment:
 def _x4(system) -> Experiment:
     """Propagation on a random 48-node DAG: the fast-path showcase.
 
-    The production arm is the default engine; the reference arm is the
-    pure-Python reference engine on the same structure, so the payload
-    records the engine's speedup (the X4 CI gate).
+    The production arm is :func:`propagate`; the reference arm is the
+    paper-faithful loop of ``tests/differential/reference.py`` on the
+    same structure, so the payload records the fast path's speedup (the
+    X4 CI gate).
     """
+    from tests.differential.reference import reference_propagate
+
     n = 48
     structure = consistent_random_dag(n, system, random.Random(n))
 
@@ -297,7 +299,7 @@ def _x4(system) -> Experiment:
         counters,
         {
             "reference": Arm(
-                lambda: propagate(structure, system, engine="python")
+                lambda: reference_propagate(structure, system)
             )
         },
     )
@@ -1146,7 +1148,6 @@ def run_suite(
     payload: Dict[str, object] = {
         "schema": SCHEMA_VERSION,
         "profile": PROFILE,
-        "engine": resolve_engine("auto"),
         "repeats": REPEATS,
         "experiments": {},
     }
@@ -1458,7 +1459,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         for name, record in runs.items()
     }
-    print(format_tree(summary, title="bench (%s engine)" % payload["engine"]))
+    print(format_tree(summary, title="bench"))
     slowest = {
         name: {
             row["name"]: "%sms" % row["duration_ms"]

@@ -1,14 +1,11 @@
 """The one place :mod:`repro` imports numpy.
 
 numpy is optional, and one kernel uses it: the STP closure
-(:mod:`repro.constraints.stp`), whose ``auto`` kernel runs numpy only on
-closures large enough for it to win and whose pure-Python loop gives
-bit-identical answers.  Set the environment variable ``REPRO_NO_NUMPY``
-to any non-empty value before the first ``repro`` import to ignore an
-installed numpy (CI runs tier-1 that way to prove the pure-Python
-closure).  The kernel module binds :data:`np` to its own ``_np`` name,
-so a test can switch it to the pure-Python loop by patching
-``stp._np``.
+(:mod:`repro.constraints.stp`), which runs numpy only on closures large
+enough for it to win and whose pure-Python loop gives bit-identical
+answers; without numpy every closure runs that loop.  The kernel
+module binds :data:`np` to its own ``_np`` name, so a test can switch
+it to the pure-Python loop by patching ``stp._np``.
 
 numpy is found here but loaded on first use: :data:`np` is a module
 whose body runs at the first attribute read
@@ -27,13 +24,10 @@ load it (``np.ndarray``) before it starts.
 """
 
 import importlib.util
-import os
 import sys
 
 
 def _find_numpy():
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
     loaded = sys.modules.get("numpy")
     if loaded is not None:
         return loaded

@@ -13,14 +13,12 @@ Usage (also available as ``python -m repro.cli``)::
     repro obs flame TRACE.json            # render an embedded profile
     repro gran info TYPE                  # compiled periodic normal form
 
-``check`` and ``mine`` accept ``--engine auto|python|numpy|fallback``
-to pick the propagation engine (a pure performance knob; see
-docs/PERFORMANCE.md).  ``mine`` is also available as ``discover`` and
-accepts ``--parallel N|auto`` / ``--shard-size N|auto`` to run the
-final TAG scan on a worker pool and to chunk its reference
-occurrences (identical output to the serial scan; without
-``--parallel`` the scan is serial).  ``serve`` takes
-``--recorder-dir DIR`` for the flight dumps a breaker trip writes.
+``mine`` is also available as ``discover`` and accepts ``--parallel
+N|auto`` / ``--shard-size N|auto`` to run the final TAG scan on a
+worker pool and to chunk its reference occurrences (identical output
+to the serial scan; without ``--parallel`` the scan is serial).
+``serve`` takes ``--recorder-dir DIR`` for the flight dumps a breaker
+trip writes.
 
 Every command accepts ``--trace FILE`` (write the span tree of the run
 as JSON; inspect with ``repro obs``), ``--metrics`` (print the metrics
@@ -90,19 +88,6 @@ def _add_obs_options(subparser) -> None:
     )
 
 
-def _add_engine_option(subparser) -> None:
-    from .constraints.stp import ENGINES
-
-    subparser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="auto",
-        help="propagation engine (auto runs numpy closures only on "
-        "structures of 10 or more variables, when numpy is available; "
-        "every engine derives identical constraints)",
-    )
-
-
 def _cmd_check(args) -> int:
     from .constraints.propagation import propagate
     from .granularity.registry import standard_system
@@ -110,7 +95,7 @@ def _cmd_check(args) -> int:
 
     system = standard_system()
     structure = structure_from_dict(load_json(args.structure), system)
-    result = propagate(structure, system, engine=args.engine)
+    result = propagate(structure, system)
     if not result.consistent:
         print("INCONSISTENT (refuted by approximate propagation)")
         return 1
@@ -313,7 +298,6 @@ def _cmd_mine(args) -> int:
         sequence,
         system,
         screen_depth=args.screen_depth,
-        engine=args.engine,
         parallel=_parse_count(args.parallel, "--parallel"),
         shard_size=_parse_count(args.shard_size, "--shard-size"),
     )
@@ -593,7 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "-v", "--verbose", action="store_true", help="print derived TCGs"
     )
-    _add_engine_option(check)
     check.set_defaults(func=_cmd_check)
 
     match = sub.add_parser("match", help="match a pattern against a log")
@@ -770,8 +753,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="quarantine malformed CSV rows instead of aborting",
     )
-    _add_engine_option(mine)
-    mine.set_defaults(func=_cmd_mine)
+    # perf/inproc.py reads ``engine`` and passes it to ``discover``.
+    mine.set_defaults(func=_cmd_mine, engine="auto")
 
     generate = sub.add_parser(
         "generate", help="generate a synthetic log with planted patterns"
@@ -873,7 +856,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     granularities) exit with code 2 and a one-line message instead of a
     traceback.
     """
-    from .constraints.stp import EngineUnavailable
     from .obs import (
         SamplingProfiler,
         Tracer,
@@ -899,9 +881,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print("error: file not found: %s" % exc.filename, file=sys.stderr)
-        return 2
-    except EngineUnavailable as exc:
-        print("error: %s" % exc, file=sys.stderr)
         return 2
     except ValueError as exc:
         # SerializationError, CsvFormatError, json.JSONDecodeError and

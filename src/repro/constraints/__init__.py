@@ -20,13 +20,10 @@ _EXPORTS = {
     "ComplexEventType": "structure",
     "STP": "stp",
     "InconsistentSTP": "stp",
-    "EngineUnavailable": "stp",
     "INF": "stp",
     "have_numpy": "stp",
     "solve_intervals": "stp",
     "propagate": "propagation",
-    "ENGINES": "stp",
-    "resolve_engine": "propagation",
     "PropagationResult": "propagation",
     "check_consistency_approx": "propagation",
     "check_consistency_exact": "consistency",

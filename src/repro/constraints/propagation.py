@@ -16,45 +16,26 @@ It is deliberately *incomplete*: Theorem 1 makes complete propagation
 NP-hard, and Figure 1(b)'s month/year gadget (test suite, experiment X2)
 exhibits the gap.
 
-Two interchangeable engines implement the loop (``engine=`` parameter):
-
-``python``
-    the paper-faithful reference: rebuild and fully re-close every
-    granularity group's STP each iteration;
-``numpy`` / ``fallback``
-    the fast path: per-group distance matrices persist across
-    iterations, groups whose arcs did not tighten since their last
-    closure are skipped outright, and tightened arcs are relaxed
-    incrementally in ``O(n^2)`` per arc instead of a full ``O(n^3)``
-    re-closure (``numpy`` additionally vectorises the full closures;
-    ``fallback`` is the same fast path on pure Python);
-``auto``
-    the fast path whose full closures use numpy only where it is
-    faster, on structures of at least ten variables (the STP ``auto``
-    kernel); ``fallback`` when numpy is not importable.
-
-The engines produce exactly equal derived intervals and consistency
-verdicts - the invariant enforced case-by-case by the differential
-oracle in ``tests/differential/`` - so callers may treat the engine
-choice as a pure performance knob.
+The loop has one implementation: each granularity group keeps one
+persistent STP across iterations, a group whose arcs did not tighten
+since its last closure is skipped, and tightened arcs are relaxed
+incrementally in ``O(n^2)`` per arc instead of a full ``O(n^3)``
+re-closure.  Each full closure picks its STP kernel by size
+(:mod:`repro.constraints.stp`).  ``tests/differential/`` holds it
+against the paper-faithful loop - every group rebuilt and fully
+re-closed each iteration - which lives with the tests as an oracle.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..granularity.base import TemporalType
 from ..granularity.registry import GranularitySystem
 from ..obs import counter, histogram, span
-from .stp import (
-    ENGINES,
-    STP,
-    EngineUnavailable,
-    InconsistentSTP,
-    resolve_kernel,
-)
+from .stp import STP, InconsistentSTP
 from .structure import EventStructure
 from .tcg import TCG
 
@@ -99,28 +80,6 @@ _SECONDS = histogram(
 )
 
 
-def resolve_engine(engine: str) -> str:
-    """Normalise an engine name from :data:`~repro.constraints.stp.
-    ENGINES`; ``auto`` becomes ``fallback`` when numpy is not
-    importable.
-
-    Raises :class:`~repro.constraints.stp.EngineUnavailable` when
-    ``numpy`` is requested explicitly but not importable.
-    """
-    if engine == "auto":
-        # The fast path over the STP ``auto`` kernel, which resolves to
-        # plain ``python`` - the ``fallback`` engine - without numpy.
-        return "fallback" if resolve_kernel("auto") == "python" else "auto"
-    if engine not in ENGINES:
-        raise ValueError(
-            "unknown propagation engine %r (expected one of %r)"
-            % (engine, ENGINES)
-        )
-    if engine == "numpy":
-        resolve_kernel("numpy")  # raises EngineUnavailable when absent
-    return engine
-
-
 @dataclass
 class PropagationResult:
     """Outcome of the approximate propagation.
@@ -135,8 +94,7 @@ class PropagationResult:
     split those attempts by cache outcome, so
     ``conversion_cache_misses`` is the number of conversions actually
     computed on behalf of this call.  ``closures_full`` and
-    ``closures_incremental`` count STP re-closures by kind (the
-    reference engine only ever performs full closures).
+    ``closures_incremental`` count STP closures by kind.
     """
 
     structure: EventStructure
@@ -146,7 +104,6 @@ class PropagationResult:
     iterations: int = 0
     conversions_performed: int = 0
     system: Optional[GranularitySystem] = None
-    engine: str = "python"
     conversion_cache_hits: int = 0
     conversion_cache_misses: int = 0
     closures_full: int = 0
@@ -232,82 +189,25 @@ def _initial_groups(
     return groups, types
 
 
-def _close_group(
-    variables: Sequence[str],
-    group: Dict[Arc, Interval],
-    kernel: str = "python",
-) -> Optional[Dict[Arc, Interval]]:
-    """STP closure of one granularity group; None when inconsistent."""
-    stp = STP(variables, kernel=kernel)
-    try:
-        for (x, y), (lo, hi) in group.items():
-            stp.add(x, y, lo, hi)
-        stp.closure()
-    except InconsistentSTP:
-        return None
-    return stp.finite_intervals()
-
-
-class _PropagationSetup:
-    """The state both engines share: groups, types, ordered pairs."""
-
-    def __init__(
-        self,
-        structure: EventStructure,
-        system: GranularitySystem,
-        extra_granularities: Sequence[TemporalType],
-        engine: str,
-    ):
-        groups, types = _initial_groups(structure, system)
-        for extra in extra_granularities:
-            resolved = system.resolve(extra)
-            types.setdefault(resolved.label, resolved)
-            groups.setdefault(resolved.label, {})
-        self.groups = groups
-        self.types = types
-        self.labels = sorted(types)
-        self.result = PropagationResult(
-            structure=structure,
-            consistent=True,
-            groups=groups,
-            types=types,
-            system=system,
-            engine=engine,
-        )
-        # A TCG [m, n]_mu asserts the time order t1 <= t2 in addition to
-        # the tick distance, so a derived STP interval is a valid TCG
-        # only for pairs ordered by the DAG (timestamps are
-        # non-decreasing along paths).  Keeping reversed/unordered pairs
-        # would be unsound.
-        variables = structure.variables
-        self.ordered_pairs = {
-            (x, y)
-            for x in variables
-            for y in variables
-            if x != y and structure.has_path(x, y)
-        }
-
-
 def _convert_step(
-    setup: _PropagationSetup,
+    result: PropagationResult,
+    labels: Sequence[str],
     system: GranularitySystem,
-    pending: Optional[Dict[str, List[Tuple[Arc, Interval]]]] = None,
+    pending: Dict[str, List[Tuple[Arc, Interval]]],
 ) -> Optional[bool]:
-    """Step 2: cross-granularity conversion (shared by both engines).
+    """Step 2: cross-granularity conversion.
 
-    Merges every feasible conversion into the destination groups.
+    Merges every feasible conversion into the destination groups and
+    records each tightened ``(arc, interval)`` in ``pending`` under its
+    destination label (the next round's incremental re-closure input).
     Returns None when an inconsistency was detected (the caller must
-    stop), otherwise whether any destination interval changed.  When
-    ``pending`` is given, every tightened ``(arc, interval)`` is also
-    recorded there per destination label (the fast path's incremental
-    re-closure input).
+    stop), otherwise whether any destination interval changed.
     """
-    result = setup.result
-    groups = setup.groups
-    types = setup.types
+    groups = result.groups
+    types = result.types
     changed = False
-    for src_label in setup.labels:
-        for dst_label in setup.labels:
+    for src_label in labels:
+        for dst_label in labels:
             if src_label == dst_label:
                 continue
             src_type = types[src_label]
@@ -333,75 +233,46 @@ def _convert_step(
                         return None
                 if old is None or (new_lo, new_hi) != old:
                     dst_group[arc] = (new_lo, new_hi)
-                    if pending is not None:
-                        pending[dst_label].append((arc, (new_lo, new_hi)))
+                    pending[dst_label].append((arc, (new_lo, new_hi)))
                     changed = True
     return changed
 
 
-def _propagate_reference(
-    setup: _PropagationSetup,
+def _fixpoint(
+    result: PropagationResult,
+    labels: Sequence[str],
     system: GranularitySystem,
     max_iterations: int,
-) -> PropagationResult:
-    """The paper-faithful loop: full re-closure of every group, every
-    iteration (pure Python)."""
-    result = setup.result
-    groups = setup.groups
-    variables = setup.result.structure.variables
-    for iteration in range(1, max_iterations + 1):
-        result.iterations = iteration
-        with span("propagate.iteration", iteration=iteration):
-            # Step 1: path consistency inside each group.
-            for label in setup.labels:
-                with span("stp.close", granularity=label, kind="full"):
-                    closed = _close_group(variables, groups[label])
-                result.closures_full += 1
-                if closed is None:
-                    result.consistent = False
-                    return result
-                groups[label] = {
-                    arc: interval
-                    for arc, interval in closed.items()
-                    if arc in setup.ordered_pairs
-                }
-            setup.result.groups = groups
-            # Step 2: cross-granularity conversion.
-            with span("propagate.convert", iteration=iteration):
-                changed = _convert_step(setup, system)
-            if changed is None or not changed:
-                return result
-    raise RuntimeError(
-        "propagation did not converge within %d iterations; this "
-        "contradicts Theorem 2 and indicates a conversion-table bug"
-        % max_iterations
-    )
+) -> None:
+    """Steps 1 and 2 to fixpoint, with persistent per-group STPs,
+    clean-group skipping and incremental re-closure of tightened arcs.
 
-
-def _propagate_fast(
-    setup: _PropagationSetup,
-    system: GranularitySystem,
-    max_iterations: int,
-    kernel: str,
-) -> PropagationResult:
-    """The fast path: persistent per-group matrices, clean-group
-    skipping, and incremental re-closure of tightened arcs.
-
-    Exactness relies on two provable facts about the reference loop
-    (see ``tests/differential/``): every arc a group dict ever holds
-    joins DAG-ordered variables whose closed interval is finite with a
+    Exactness rests on two facts about the paper's loop, which rebuilds
+    and fully re-closes every group each iteration (the oracle in
+    ``tests/differential/``): every arc a group dict ever holds joins
+    DAG-ordered variables whose closed interval is finite with a
     non-negative lower bound, hence survives the per-iteration
     filtering; and therefore the closure matrix of the filtered group
     equals the persisted closure matrix entry-for-entry, so relaxing
-    only the arcs that tightened reproduces the reference's full
-    re-closure result exactly.
+    only the arcs that tightened reproduces the full re-closure
+    exactly.
     """
-    result = setup.result
-    groups = setup.groups
-    variables = setup.result.structure.variables
+    structure = result.structure
+    groups = result.groups
+    variables = structure.variables
+    # A TCG [m, n]_mu asserts the time order t1 <= t2 in addition to
+    # the tick distance, so a derived STP interval is a valid TCG only
+    # for pairs ordered by the DAG (timestamps are non-decreasing along
+    # paths).  Keeping reversed/unordered pairs would be unsound.
+    ordered_pairs = {
+        (x, y)
+        for x in variables
+        for y in variables
+        if x != y and structure.has_path(x, y)
+    }
     stps: Dict[str, STP] = {}
     pending: Dict[str, List[Tuple[Arc, Interval]]] = {
-        label: [] for label in setup.labels
+        label: [] for label in labels
     }
     for iteration in range(1, max_iterations + 1):
         result.iterations = iteration
@@ -410,10 +281,10 @@ def _propagate_fast(
             # the first time a group is seen, incremental afterwards,
             # skipped entirely when nothing tightened since the last
             # closure.
-            for label in setup.labels:
+            for label in labels:
                 stp = stps.get(label)
                 if stp is None:
-                    stp = STP(variables, kernel=kernel)
+                    stp = STP(variables)
                     try:
                         with span(
                             "stp.close", granularity=label, kind="full"
@@ -423,7 +294,7 @@ def _propagate_fast(
                             stp.closure()
                     except InconsistentSTP:
                         result.consistent = False
-                        return result
+                        return
                     stps[label] = stp
                     result.closures_full += 1
                 else:
@@ -445,21 +316,20 @@ def _propagate_fast(
                             )
                     except InconsistentSTP:
                         result.consistent = False
-                        return result
+                        return
                     result.closures_incremental += 1
                     pending[label] = []
                 groups[label] = {
                     arc: interval
                     for arc, interval in stp.finite_intervals().items()
-                    if arc in setup.ordered_pairs
+                    if arc in ordered_pairs
                 }
-            setup.result.groups = groups
             # Step 2: cross-granularity conversion, recording tightened
             # arcs for the next round's incremental re-closure.
             with span("propagate.convert", iteration=iteration):
-                changed = _convert_step(setup, system, pending=pending)
-            if changed is None or not changed:
-                return result
+                changed = _convert_step(result, labels, system, pending)
+            if not changed:
+                return
     raise RuntimeError(
         "propagation did not converge within %d iterations; this "
         "contradicts Theorem 2 and indicates a conversion-table bug"
@@ -472,40 +342,37 @@ def propagate(
     system: GranularitySystem,
     extra_granularities: Sequence[TemporalType] = (),
     max_iterations: int = 10_000,
-    engine: str = "auto",
 ) -> PropagationResult:
     """Run the Section 3.2 approximate propagation to fixpoint.
 
     ``extra_granularities`` adds target types beyond those appearing in
     the structure (the mining layer passes ``second`` here to obtain
-    concrete scan windows).  ``engine`` selects the propagation engine
-    (see the module docstring); every engine returns exactly the same
-    intervals and consistency verdict.
+    concrete scan windows).
     """
-    resolved = resolve_engine(engine)
-    setup = _PropagationSetup(
-        structure, system, extra_granularities, resolved
+    groups, types = _initial_groups(structure, system)
+    for extra in extra_granularities:
+        resolved = system.resolve(extra)
+        types.setdefault(resolved.label, resolved)
+        groups.setdefault(resolved.label, {})
+    labels = sorted(types)
+    result = PropagationResult(
+        structure=structure,
+        consistent=True,
+        groups=groups,
+        types=types,
+        system=system,
     )
     cache = system.conversion_cache
     before = cache.snapshot()
     started = time.perf_counter()
-    result = setup.result
     with span(
         "propagate",
-        engine=resolved,
         variables=len(structure.variables),
-        granularities=len(setup.labels),
+        granularities=len(labels),
     ) as propagate_span:
         try:
-            if not setup.groups:
-                return result
-            if resolved == "python":
-                result = _propagate_reference(setup, system, max_iterations)
-            else:
-                kernel = "python" if resolved == "fallback" else resolved
-                result = _propagate_fast(
-                    setup, system, max_iterations, kernel
-                )
+            if groups:
+                _fixpoint(result, labels, system, max_iterations)
             return result
         finally:
             after = cache.snapshot()
@@ -533,8 +400,7 @@ def propagate(
 def check_consistency_approx(
     structure: EventStructure,
     system: GranularitySystem,
-    engine: str = "auto",
 ) -> bool:
     """Sound (incomplete) consistency check: False means *proven*
     inconsistent, True means not refuted."""
-    return propagate(structure, system, engine=engine).consistent
+    return propagate(structure, system).consistent

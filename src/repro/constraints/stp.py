@@ -9,29 +9,21 @@ in ``O(|V|^3)`` and detects inconsistency as a negative cycle.
 This is the propagation primitive the paper's Section 3.2 algorithm runs
 inside each granularity group.
 
-Two closure kernels are available (see :func:`resolve_kernel`):
-
-``python``
-    the reference triple loop, exactly as the paper-faithful engine has
-    always run it;
-``numpy``
-    a vectorized Floyd-Warshall (one ``minimum`` broadcast per pivot)
-    that produces bit-identical distance matrices for all bounds whose
-    magnitude fits exactly in a float64 (``< 2**52``; larger inputs
-    silently fall back to the python loop so exactness is never lost).
-
-``auto`` picks per closure: numpy from ``_NUMPY_MIN_VARIABLES`` (10)
-variables up, the python loop below, where it is faster per call - so
-mining-size structures never load numpy at all.
+Each full closure picks its kernel from what it can observe: the
+vectorized Floyd-Warshall (one numpy ``minimum`` broadcast per pivot)
+from ``_NUMPY_MIN_VARIABLES`` (10) variables up when numpy is
+installed, the pure-Python triple loop otherwise - so mining-size
+structures never load numpy at all.  Both give bit-identical distance
+matrices: numpy runs only when every bound fits exactly in a float64
+(``< 2**52``), and the python loop takes larger inputs.
 
 On top of full closure, :meth:`STP.tighten_many` restores the minimal
 network *incrementally* after a batch of arcs tightened - ``O(n^2)``
 per tightened arc instead of the ``O(n^3)`` re-closure - which is the
-work-saving primitive of the fast-path propagation engine.
+work-saving primitive of the propagation fixpoint.
 
-numpy is optional (:mod:`repro._numpy`; ``REPRO_NO_NUMPY`` ignores an
-installed one): without it the python kernel runs.  This is the only
-module that binds numpy.
+numpy is optional (:mod:`repro._numpy`); this is the only module that
+binds it.
 """
 
 from __future__ import annotations
@@ -76,16 +68,8 @@ def _count_closure(kind: str, kernel: str) -> None:
 #: float64; beyond it the numpy kernel falls back to exact python.
 _FLOAT_EXACT_LIMIT = 2 ** 52
 
-#: Closure kernels selectable on :class:`STP` (besides ``"auto"``).
-KERNELS = ("python", "numpy")
-
-#: Engine names accepted by :func:`~repro.constraints.propagation.
-#: propagate` (and the CLI ``--engine``); here, next to the kernels,
-#: so building the CLI parser loads no propagation code.
-ENGINES = ("auto", "python", "numpy", "fallback")
-
-#: The fewest variables an ``auto`` closure hands to numpy: the
-#: measured per-call crossover.  Python wins below it (3 variables:
+#: The fewest variables a closure hands to numpy: the measured
+#: per-call crossover.  Python wins below it (3 variables:
 #: python 4.9 us, numpy 15.4 us; 8: 41 vs 49 us; 9: 56 vs 58 us) and
 #: numpy from it (10 variables: numpy 66 us, python 71 us; 12: 97 vs
 #: 114 us; 48: 0.97 vs 4.8 ms), on one core of a 2-vCPU x86-64 host
@@ -97,36 +81,9 @@ class InconsistentSTP(Exception):
     """Raised when an STP's distance graph contains a negative cycle."""
 
 
-class EngineUnavailable(RuntimeError):
-    """An explicitly requested kernel/engine cannot run here."""
-
-
 def have_numpy() -> bool:
     """Is the vectorized kernel available in this process?"""
     return _np is not None
-
-
-def resolve_kernel(kernel: str) -> str:
-    """Normalise a kernel name.
-
-    ``auto`` stays ``auto`` (each closure then picks by size) when numpy
-    is available and becomes ``python`` otherwise.  Raises
-    :class:`EngineUnavailable` when ``numpy`` is requested explicitly
-    but the import failed (or was disabled via ``REPRO_NO_NUMPY``).
-    """
-    if kernel == "auto":
-        return "auto" if _np is not None else "python"
-    if kernel not in KERNELS:
-        raise ValueError(
-            "unknown closure kernel %r (expected one of %r or 'auto')"
-            % (kernel, KERNELS)
-        )
-    if kernel == "numpy" and _np is None:
-        raise EngineUnavailable(
-            "the numpy closure kernel was requested but numpy is not "
-            "importable (or REPRO_NO_NUMPY is set)"
-        )
-    return kernel
 
 
 class STP:
@@ -134,19 +91,13 @@ class STP:
 
     Constraints are intervals on differences: ``add(x, y, lo, hi)``
     asserts ``lo <= y - x <= hi``.  :meth:`closure` computes the minimal
-    network (tightest implied intervals for every ordered pair).
-
-    ``kernel`` selects the closure implementation (``"python"``,
-    ``"numpy"`` or ``"auto"``, which runs numpy only from
-    ``_NUMPY_MIN_VARIABLES`` variables up); every kernel yields exactly
-    the same minimal network, which the differential test oracle in
-    ``tests/differential/`` verifies case by case.
+    network (tightest implied intervals for every ordered pair), on the
+    kernel its size picks (see the module docstring).
     """
 
-    def __init__(self, variables: Iterable[Hashable], kernel: str = "python"):
+    def __init__(self, variables: Iterable[Hashable]):
         self.variables: List[Hashable] = list(dict.fromkeys(variables))
         self._index = {v: i for i, v in enumerate(self.variables)}
-        self.kernel = resolve_kernel(kernel)
         n = len(self.variables)
         # dist[i][j] = tightest known upper bound on var_j - var_i.
         self._dist = [
@@ -170,11 +121,15 @@ class STP:
     # ------------------------------------------------------------------
     def closure(self) -> None:
         """Floyd-Warshall path consistency; raises on negative cycles."""
-        if self._runs_numpy() and self._numpy_exact():
+        if (
+            _np is not None
+            and len(self._dist) >= _NUMPY_MIN_VARIABLES
+            and self._numpy_exact()
+        ):
             _count_closure("full", "numpy")
             self._closure_numpy()
         else:
-            # Counts what actually ran: a numpy STP outside the exact
+            # Counts what actually ran: a large STP outside the exact
             # float64 range executes (and records) the python loop.
             _count_closure("full", "python")
             self._closure_python()
@@ -184,11 +139,6 @@ class STP:
                 raise InconsistentSTP(
                     "negative cycle through %r" % (self.variables[i],)
                 )
-
-    def _runs_numpy(self) -> bool:
-        if self.kernel == "auto":
-            return len(self._dist) >= _NUMPY_MIN_VARIABLES
-        return self.kernel == "numpy"
 
     def _closure_python(self) -> None:
         dist = self._dist
@@ -269,7 +219,7 @@ class STP:
 
         Large batches switch to a plain re-closure: ``k`` tightened
         arcs cost ``O(k n^2)`` incrementally but only ``O(n^3)`` (and
-        vectorized, on the numpy kernel) as one full closure, so past
+        vectorized, from the numpy crossover up) as one full closure, so past
         ``2 k >= n`` the full pass is the cheaper *and* equally exact
         route - both compute the unique minimal network of the same
         updated constraint graph.
@@ -363,14 +313,13 @@ class STP:
 def solve_intervals(
     variables: Iterable[Hashable],
     constraints: Mapping[Tuple[Hashable, Hashable], Interval],
-    kernel: str = "python",
 ) -> Optional[Dict[Tuple[Hashable, Hashable], Interval]]:
     """One-shot convenience: closure of a constraint map, or None.
 
     Returns the minimal network's finite forward intervals, or None when
     the STP is inconsistent.
     """
-    stp = STP(variables, kernel=kernel)
+    stp = STP(variables)
     try:
         for (x, y), (lo, hi) in constraints.items():
             stp.add(x, y, lo, hi)

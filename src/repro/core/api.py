@@ -26,25 +26,21 @@ from ..mining.pruning import (
 def check_consistency(
     structure: EventStructure,
     system: Optional[GranularitySystem] = None,
-    engine: str = "auto",
 ) -> bool:
     """Sound consistency check via approximate propagation (Theorem 2).
 
     False means the structure is *proven* inconsistent (safe to discard
     before mining); True means not refuted - the exact check is NP-hard
     (Theorem 1), see :func:`repro.constraints.check_consistency_exact`.
-    ``engine`` selects the propagation engine (a pure performance knob;
-    every engine returns the same verdict).
     """
     system = system if system is not None else standard_system()
-    return propagate(structure, system, engine=engine).consistent
+    return propagate(structure, system).consistent
 
 
 def compile_pattern(
     structure: EventStructure,
     assignment: Mapping[str, str],
     system: Optional[GranularitySystem] = None,
-    engine: str = "auto",
 ) -> TagMatcher:
     """Compile a complex event type into a ready-to-run TAG matcher.
 
@@ -57,7 +53,7 @@ def compile_pattern(
     system = system if system is not None else standard_system()
     cet = ComplexEventType(structure, assignment)
     build: TagBuild = build_tag(cet, system=system)
-    consistent, result = consistency_gate(structure, system, engine=engine)
+    consistent, result = consistency_gate(structure, system)
     windows = seconds_windows(result) if consistent else {}
     return TagMatcher(
         build,
@@ -124,7 +120,6 @@ def mine(
     min_confidence: float,
     candidates: Optional[Mapping[str, FrozenSet[str]]] = None,
     system: Optional[GranularitySystem] = None,
-    engine: str = "auto",
 ) -> DiscoveryOutcome:
     """Solve an event-discovery problem with the optimised pipeline."""
     system = system if system is not None else standard_system()
@@ -134,4 +129,4 @@ def mine(
         reference_type=reference_type,
         candidates=dict(candidates) if candidates else {},
     )
-    return discover(problem, sequence, system, engine=engine)
+    return discover(problem, sequence, system)

@@ -6,7 +6,7 @@ propagation, mining candidate evaluation and TAG horizon derivation:
 the same ``(mu1, mu2, m, n)`` queries recur across every fixpoint
 iteration and every candidate.  :class:`ConversionCache` memoises the
 outcomes once per process so all of those layers share one table, and
-keeps hit/miss/eviction counters that the propagation engine surfaces
+keeps hit/miss/eviction counters that propagation surfaces
 on ``PropagationResult``, the benchmark harness records per experiment,
 and :mod:`repro.obs` exports process-wide (the global cache registers
 callback metrics ``repro_convcache_*`` in the global registry, so the
@@ -42,7 +42,7 @@ class CacheStats(NamedTuple):
     """One consistent reading of a cache's counters.
 
     Subtract two snapshots field-by-field to get the traffic of a
-    region of code (what the propagation engine does per call).
+    region of code (what propagation does per call).
     """
 
     hits: int

@@ -322,8 +322,6 @@ def discover(
 
     ``screen_depth`` 0 disables candidate screening, 1 enables the
     per-variable windows screen, 2 adds the sub-chain pair screen.
-    ``engine`` selects the propagation engine used by the consistency
-    gate (every engine derives identical windows).
 
     ``parallel`` is the step-5 scan's worker count: an int, ``"auto"``
     (one per CPU), or None (serial).
@@ -332,6 +330,10 @@ def discover(
     ``anchor_screen`` toggles the posting-list anchor viability filter.
     Results are bit-identical for any worker count and shard size.
     """
+    # perf/inproc.py passes the ``engine`` that ``repro mine``'s parser
+    # defaults to; propagation has one path, so "auto" is the only value.
+    if engine != "auto":
+        raise ValueError("engine must be 'auto', got %r" % (engine,))
     with span(
         "mine",
         variables=len(problem.structure.variables),
@@ -344,7 +346,6 @@ def discover(
             system,
             screen_depth,
             strict,
-            engine,
             parallel=parallel,
             shard_size=shard_size,
             anchor_screen=anchor_screen,
@@ -365,7 +366,6 @@ def _discover(
     system: GranularitySystem,
     screen_depth: int,
     strict: bool,
-    engine: str,
     parallel: Optional[object] = None,
     shard_size: Optional[object] = "auto",
     anchor_screen: bool = True,
@@ -383,10 +383,8 @@ def _discover(
         return outcome
 
     # Step 1: consistency gate.
-    with span("mine.consistency_gate", engine=engine):
-        consistent, propagation = consistency_gate(
-            structure, system, engine=engine
-        )
+    with span("mine.consistency_gate"):
+        consistent, propagation = consistency_gate(structure, system)
     stats.consistent = consistent
     if not consistent:
         stats.sequence_events_after = len(sequence)

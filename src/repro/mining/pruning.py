@@ -50,14 +50,10 @@ class PruningStats:
 def consistency_gate(
     structure: EventStructure,
     system: GranularitySystem,
-    engine: str = "auto",
 ) -> Tuple[bool, PropagationResult]:
     """Step 1: propagate; report detected inconsistency and the derived
-    constraints (reused by every later step).  ``engine`` selects the
-    propagation engine (see :func:`repro.constraints.propagate`)."""
-    result = propagate(
-        structure, system, extra_granularities=[second()], engine=engine
-    )
+    constraints (reused by every later step)."""
+    result = propagate(structure, system, extra_granularities=[second()])
     return result.consistent, result
 
 

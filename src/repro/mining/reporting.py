@@ -94,13 +94,12 @@ def propagation_report(result: PropagationResult) -> str:
                 )
     header = (
         "consistent (fixpoint after %d iterations, %d conversions "
-        "attempted: %d cached, %d computed; engine=%s)"
+        "attempted: %d cached, %d computed)"
         % (
             result.iterations,
             result.conversions_performed,
             result.conversion_cache_hits,
             result.conversion_cache_misses,
-            result.engine,
         )
     )
     return header + "\n" + format_table(("pair", "derived TCGs"), rows)

@@ -3,7 +3,7 @@
 The observability layer the rest of the pipeline is instrumented with
 (see docs/OBSERVABILITY.md for the span taxonomy and metric catalog):
 
-* **spans** - ``with span("propagate", engine=...)`` context managers
+* **spans** - ``with span("propagate", variables=...)`` context managers
   collected into a tree by a :class:`Tracer` activated per thread
   (:func:`activate_tracer`); a no-op unless someone is tracing; every
   span carries ``trace_id``/``span_id``/``parent_id``, and a

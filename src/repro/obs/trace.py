@@ -3,7 +3,7 @@
 A :class:`Tracer` collects a tree of :class:`Span` records.  Code is
 instrumented with the :func:`span` context manager::
 
-    with span("propagate", engine="numpy"):
+    with span("propagate", variables=3):
         with span("stp.close", granularity="day", kind="full"):
             ...
 

@@ -6,8 +6,6 @@ import time
 
 import pytest
 
-from repro.constraints.propagation import resolve_engine
-
 from benchmarks import harness
 from benchmarks.harness import (
     EXPERIMENT_NAMES,
@@ -32,7 +30,6 @@ def _payload(medians):
     return {
         "schema": SCHEMA_VERSION,
         "profile": "quick",
-        "engine": "fallback",
         "repeats": 1,
         "experiments": {
             name: {"median_seconds": s, "repeats": 1, "counters": {}}
@@ -57,7 +54,6 @@ class TestRunSuite:
     def test_subset_run_shape(self):
         payload = run_suite(experiments=["X1", "X5"])
         assert payload["schema"] == SCHEMA_VERSION
-        assert payload["engine"] == resolve_engine("auto")
         assert payload["repeats"] == REPEATS
         assert sorted(payload["experiments"]) == ["X1", "X5"]
         for run in payload["experiments"].values():

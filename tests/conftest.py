@@ -34,13 +34,14 @@ def figure_1b(system):
 
 @pytest.fixture(params=["numpy", "fallback"])
 def closure_kernel(request, monkeypatch):
-    """Run the test with numpy present or hidden.
+    """Run the test with every STP closure on numpy, then on the python
+    loop.
 
     The STP closure is the only code that consults numpy.  ``numpy``
-    drops the ``auto`` crossover to zero variables, so every closure the
+    drops the size crossover to zero variables, so every closure the
     test reaches runs numpy; ``fallback`` nulls the closure module's
-    numpy binding, as ``REPRO_NO_NUMPY`` does, so every closure runs the
-    python loop.  Columnar answers must not move between the two.
+    numpy binding, as on a machine without numpy, so every closure runs
+    the python loop.  Columnar answers must not move between the two.
     """
     from repro.constraints import stp
 

@@ -8,7 +8,6 @@ import repro.constraints.stp as stp_module
 from repro.constraints import (
     INF,
     STP,
-    EngineUnavailable,
     InconsistentSTP,
     have_numpy,
     solve_intervals,
@@ -153,10 +152,10 @@ def _full_closures():
     return counts
 
 
-def _closures_by_kernel(kernel, n):
+def _closures_by_kernel(n):
     """Close an ``n``-variable chain; the full closures each kernel ran."""
     before = _full_closures()
-    stp = STP(range(n), kernel=kernel)
+    stp = STP(range(n))
     for i in range(n - 1):
         stp.add(i, i + 1, 1, 2)
     stp.closure()
@@ -167,21 +166,14 @@ def _closures_by_kernel(kernel, n):
 
 class TestKernelChoice:
     @pytest.mark.skipif(not have_numpy(), reason="numpy not importable")
-    def test_auto_runs_numpy_from_the_crossover_and_numpy_forces_it(
-        self, obs_on
-    ):
+    def test_numpy_runs_from_the_crossover_up(self, obs_on):
         n = stp_module._NUMPY_MIN_VARIABLES
-        assert _closures_by_kernel("auto", n - 1) == {"python": 1, "numpy": 0}
-        assert _closures_by_kernel("auto", n) == {"python": 0, "numpy": 1}
-        assert _closures_by_kernel("numpy", 3) == {"python": 0, "numpy": 1}
-        assert _closures_by_kernel("python", n) == {"python": 1, "numpy": 0}
+        assert _closures_by_kernel(n - 1) == {"python": 1, "numpy": 0}
+        assert _closures_by_kernel(n) == {"python": 0, "numpy": 1}
 
-    def test_without_numpy_auto_is_python_and_numpy_refused(
+    def test_without_numpy_every_closure_is_python(
         self, obs_on, monkeypatch
     ):
         monkeypatch.setattr(stp_module, "_np", None)
         n = stp_module._NUMPY_MIN_VARIABLES
-        assert STP(["a"], kernel="auto").kernel == "python"
-        assert _closures_by_kernel("auto", n) == {"python": 1, "numpy": 0}
-        with pytest.raises(EngineUnavailable):
-            STP(["a"], kernel="numpy")
+        assert _closures_by_kernel(n) == {"python": 1, "numpy": 0}

@@ -24,6 +24,15 @@ per event type.  :func:`reference_read_events` is the per-row reader
 and :func:`reference_reduce` is the paper's step-2 rule decided event
 by event with each granularity's own ``tick_of``.
 
+Production propagation keeps one STP per granularity group across the
+fixpoint iterations and re-closes only the arcs that tightened;
+:func:`reference_propagate` is Section 3.2's loop as the paper states
+it - every group rebuilt and closed by the Floyd-Warshall triple loop
+each iteration, then every interval converted into every other feasible
+granularity - with its own grouping, closure and conversion step, so it
+shares no code with :mod:`repro.constraints.propagation` or
+:mod:`repro.constraints.stp`.
+
 Production lets each granularity choose its size table and clock: a
 type that lowers to a periodic normal form gets the compiled table and
 the bisection clock, a type that does not gets the window-sweep
@@ -36,7 +45,7 @@ the same ticks but no lowering route.
 
 import csv
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.automata import TagMatcher, build_tag
 from repro.constraints import ComplexEventType
@@ -94,6 +103,125 @@ class Unlowered(TemporalType):
 
     def tick_bounds(self, index: int) -> Tuple[int, int]:
         return self.base.tick_bounds(index)
+
+
+INF = float("inf")
+
+
+class ReferencePropagation(NamedTuple):
+    """:func:`reference_propagate`'s verdict and its derived groups,
+    ``{granularity label: {(x, y): (lo, hi)}}``."""
+
+    consistent: bool
+    groups: Dict[str, Dict[Tuple[str, str], Tuple[int, int]]]
+
+
+def reference_propagate(structure, system, extra_granularities=()):
+    """Section 3.2's approximate propagation, to fixpoint.
+
+    The TCGs are grouped per granularity (``extra_granularities`` adds
+    empty groups, as mining adds ``second``).  Each iteration closes
+    every group afresh and keeps the finite forward intervals of pairs
+    the DAG orders, then converts every interval of every group into
+    every other granularity it may convert to (appendix A.1, through
+    ``system.convert``) and intersects.  The loop stops when no
+    conversion tightens anything; an empty interval, a negative cycle
+    or an empty conversion refutes the structure.
+    """
+    groups = {}
+    types = {}
+    for arc, tcgs in structure.constraints.items():
+        for tcg in tcgs:
+            types.setdefault(tcg.label, system.resolve(tcg.granularity))
+            group = groups.setdefault(tcg.label, {})
+            lo, hi = group.get(arc, (0, INF))
+            group[arc] = (max(lo, tcg.m), min(hi, tcg.n))
+    for extra in extra_granularities:
+        ttype = system.resolve(extra)
+        types.setdefault(ttype.label, ttype)
+        groups.setdefault(ttype.label, {})
+    labels = sorted(types)
+    variables = structure.variables
+    ordered = {
+        (x, y)
+        for x in variables
+        for y in variables
+        if x != y and structure.has_path(x, y)
+    }
+    changed = bool(groups)
+    while changed:
+        for label in labels:
+            closed = _closed_forward_intervals(variables, groups[label])
+            if closed is None:
+                return ReferencePropagation(False, groups)
+            groups[label] = {
+                arc: interval
+                for arc, interval in closed.items()
+                if arc in ordered
+            }
+        changed = False
+        for src in labels:
+            for dst in labels:
+                if src == dst or not system.conversion_feasible(
+                    types[src], types[dst]
+                ):
+                    continue
+                for arc, (lo, hi) in groups[src].items():
+                    outcome = system.convert(lo, hi, types[src], types[dst])
+                    if outcome.empty:
+                        return ReferencePropagation(False, groups)
+                    if outcome.interval is None:
+                        continue
+                    new_lo, new_hi = outcome.interval
+                    old = groups[dst].get(arc)
+                    if old is not None:
+                        new_lo = max(new_lo, old[0])
+                        new_hi = min(new_hi, old[1])
+                        if new_lo > new_hi:
+                            return ReferencePropagation(False, groups)
+                    if (new_lo, new_hi) != old:
+                        groups[dst][arc] = (new_lo, new_hi)
+                        changed = True
+    return ReferencePropagation(True, groups)
+
+
+def _closed_forward_intervals(variables, group):
+    """The minimal network of one group's STP, as ``{(x, y): (lo, hi)}``
+    over its finite intervals with ``lo >= 0``; None when inconsistent.
+
+    ``dist[i][j]`` bounds ``variables[j] - variables[i]`` from above;
+    the triple loop is Floyd-Warshall, and a negative diagonal entry
+    is a negative cycle.
+    """
+    index = {variable: i for i, variable in enumerate(variables)}
+    n = len(variables)
+    dist = [[0 if i == j else INF for j in range(n)] for i in range(n)]
+    for (x, y), (lo, hi) in group.items():
+        if lo > hi:
+            return None
+        i, j = index[x], index[y]
+        dist[i][j] = min(dist[i][j], hi)
+        dist[j][i] = min(dist[j][i], -lo)
+    for k in range(n):
+        dk = dist[k]
+        for i in range(n):
+            dik = dist[i][k]
+            if dik == INF:
+                continue
+            di = dist[i]
+            for j in range(n):
+                candidate = dik + dk[j]
+                if candidate < di[j]:
+                    di[j] = candidate
+    if any(dist[i][i] < 0 for i in range(n)):
+        return None
+    closed = {}
+    for i in range(n):
+        for j in range(n):
+            hi, lo = dist[i][j], -dist[j][i]
+            if i != j and hi != INF and lo != -INF and lo >= 0:
+                closed[(variables[i], variables[j])] = (int(lo), int(hi))
+    return closed
 
 
 def reference_outcomes(matcher, sequence):

@@ -11,7 +11,7 @@ positions) against the scalar clock, element by element.  Hypothesis
 generates the stores and the patterns and shrinks any disagreement to
 a minimal counterexample; the ``closure_kernel`` fixture runs the
 matching and mining properties with numpy present and hidden (CI
-additionally runs the whole suite under ``REPRO_NO_NUMPY=1``), and the
+additionally runs the whole suite on a machine without numpy), and the
 anchor-screen properties, pure column arithmetic, run once.
 
 Duplicate timestamps are generated on purpose (times are drawn with

@@ -1,12 +1,16 @@
-"""Differential oracle: fast-path propagation vs the pure-Python
-reference.
+"""Differential oracle: production propagation vs the paper's loop.
 
-The fast engines (persistent matrices + incremental re-closure, with
-or without the numpy kernel) are only allowed to exist because they
-are *exactly* equal to the paper-faithful reference loop - same derived
-intervals, same consistency verdicts - on every input.  These
-properties enforce that contract case by case, plus the metamorphic
-and soundness properties that hold for any correct implementation:
+:func:`~repro.constraints.propagate` keeps one STP per granularity
+group across iterations and re-closes only the arcs that tightened;
+:func:`~tests.differential.reference.reference_propagate` rebuilds and
+fully closes every group each iteration, with its own grouping, closure
+and conversion step.  Production is only allowed to exist because it is
+*exactly* equal to the reference - same derived intervals, same
+consistency verdicts - on every input, whichever kernel its closures
+run (the ``closure_kernel`` fixture forces each one; the size-rule
+class leaves the choice to production).  These properties enforce that
+contract case by case, plus the metamorphic and soundness properties
+that hold for any correct implementation:
 
 * tightening an input arc never loosens a derived interval;
 * a brute-force witness of the original structure satisfies every
@@ -14,9 +18,10 @@ and soundness properties that hold for any correct implementation:
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.constraints.stp as stp_module
 from repro.constraints import (
     STP,
     TCG,
@@ -26,42 +31,46 @@ from repro.constraints import (
     have_numpy,
     propagate,
 )
-from repro.constraints.propagation import resolve_engine
 from repro.granularity import standard_system
 from repro.granularity.gregorian import SECONDS_PER_DAY
 
 from ..strategies import rooted_dags
+from .reference import reference_propagate
 
 SYSTEM = standard_system()
 
-FAST_ENGINES = [
-    "fallback",
-    pytest.param(
-        "numpy",
-        marks=pytest.mark.skipif(
-            not have_numpy(), reason="numpy not importable"
-        ),
-    ),
-]
+#: ``closure_kernel`` is function-scoped: it patches the kernel choice
+#: once, for every example of the test.
+KERNEL_SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 
 
-@pytest.mark.parametrize("engine", FAST_ENGINES)
+def assert_equal_to_reference(structure, **kwargs):
+    """Production and reference agree on verdict and every group."""
+    production = propagate(structure, SYSTEM, **kwargs)
+    reference = reference_propagate(structure, SYSTEM, **kwargs)
+    assert production.consistent == reference.consistent
+    assert production.groups == reference.groups
+    return production
+
+
 class TestEnginesExactlyEqual:
-    """The core oracle: bit-identical intervals and verdicts."""
+    """The core oracle: bit-identical intervals and verdicts, with every
+    closure on numpy and every closure on the python loop."""
 
     @given(structure=rooted_dags())
-    @settings(max_examples=200, deadline=None)
-    def test_equal_on_random_structures(self, engine, structure):
-        reference = propagate(structure, SYSTEM, engine="python")
-        fast = propagate(structure, SYSTEM, engine=engine)
-        assert fast.consistent == reference.consistent
-        assert fast.groups == reference.groups
-        assert fast.engine == engine
-        assert reference.engine == "python"
+    @KERNEL_SETTINGS
+    def test_equal_on_random_structures(self, closure_kernel, structure):
+        assert_equal_to_reference(structure)
 
     @given(structure=rooted_dags(), data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_equal_after_injected_contradiction(self, engine, structure, data):
+    @KERNEL_SETTINGS
+    def test_equal_after_injected_contradiction(
+        self, closure_kernel, structure, data
+    ):
         """Inconsistent inputs refute identically (same verdict; the
         groups at the point of detection also agree)."""
         variables = structure.variables
@@ -71,11 +80,72 @@ class TestEnginesExactlyEqual:
         arc = (x, y)
         extra = TCG(0, 0, SYSTEM.get("hour"))
         constraints[arc] = list(constraints.get(arc, ())) + [extra]
-        structure = EventStructure(variables, constraints)
-        reference = propagate(structure, SYSTEM, engine="python")
-        fast = propagate(structure, SYSTEM, engine=engine)
-        assert fast.consistent == reference.consistent
-        assert fast.groups == reference.groups
+        assert_equal_to_reference(EventStructure(variables, constraints))
+
+    @given(structure=rooted_dags())
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_equal_with_a_seconds_target(self, closure_kernel, structure):
+        """Mining's call shape: ``second`` joins as an extra target."""
+        assert_equal_to_reference(
+            structure, extra_granularities=[SYSTEM.get("second")]
+        )
+
+
+class TestSizeRule:
+    """Both sides of the kernel's size rule, as production picks it:
+    structures from ``_NUMPY_MIN_VARIABLES`` variables up close on
+    numpy (when it is installed), smaller ones on the python loop."""
+
+    @given(structure=rooted_dags(max_nodes=14))
+    @settings(max_examples=60, deadline=None)
+    def test_default_propagate_equals_reference(self, structure):
+        assert_equal_to_reference(structure)
+
+    @pytest.mark.skipif(not have_numpy(), reason="numpy not importable")
+    def test_large_structures_close_on_numpy(self, monkeypatch):
+        closed = []
+        numpy_closure = STP._closure_numpy
+
+        def spy(stp):
+            closed.append(len(stp.variables))
+            numpy_closure(stp)
+
+        monkeypatch.setattr(STP, "_closure_numpy", spy)
+        n = stp_module._NUMPY_MIN_VARIABLES
+        names = ["v%d" % i for i in range(n + 2)]
+        hour = SYSTEM.get("hour")
+        day = SYSTEM.get("day")
+        constraints = {
+            (names[i], names[i + 1]): [TCG(0, 5, hour if i % 2 else day)]
+            for i in range(len(names) - 1)
+        }
+        result = assert_equal_to_reference(
+            EventStructure(names, constraints)
+        )
+        assert result.consistent
+        assert closed and set(closed) == {n + 2}
+
+
+def _closed_matrix(names, constraints, numpy):
+    """The closed distance matrix with every closure on one kernel, or
+    ``"inconsistent"``."""
+    with pytest.MonkeyPatch.context() as patch:
+        if numpy:
+            patch.setattr(stp_module, "_NUMPY_MIN_VARIABLES", 0)
+        else:
+            patch.setattr(stp_module, "_np", None)
+        stp = STP(names)
+        try:
+            for (x, y), lo, hi in constraints:
+                stp.add(x, y, lo, hi)
+            stp.closure()
+        except InconsistentSTP:
+            return "inconsistent"
+        return stp._dist
 
 
 class TestKernelsExactlyEqual:
@@ -97,40 +167,32 @@ class TestKernelsExactlyEqual:
             lo = data.draw(st.integers(min_value=-50, max_value=50))
             span = data.draw(st.integers(min_value=0, max_value=60))
             constraints.append(((names[i], names[j]), lo, lo + span))
-        outcomes = {}
-        for kernel in ("python", "numpy"):
-            stp = STP(names, kernel=kernel)
-            try:
-                for (x, y), lo, hi in constraints:
-                    stp.add(x, y, lo, hi)
-                stp.closure()
-            except InconsistentSTP:
-                outcomes[kernel] = "inconsistent"
-            else:
-                outcomes[kernel] = stp._dist
-        assert outcomes["python"] == outcomes["numpy"]
+        assert _closed_matrix(names, constraints, numpy=False) == (
+            _closed_matrix(names, constraints, numpy=True)
+        )
 
     @pytest.mark.skipif(not have_numpy(), reason="numpy not importable")
     def test_large_magnitudes_fall_back_to_exact_python(self):
         """Bounds past the float64 exact-integer range must not go
-        through float arithmetic; the kernel guard falls back."""
+        through float arithmetic; the kernel guard falls back even
+        where the size rule picks numpy."""
         big = 2 ** 55
-        stp = STP(["a", "b", "c"], kernel="numpy")
-        stp.add("a", "b", big, big + 1)
-        stp.add("b", "c", big, big + 1)
+        names = ["v%d" % i for i in range(stp_module._NUMPY_MIN_VARIABLES)]
+        stp = STP(names)
+        stp.add("v0", "v1", big, big + 1)
+        stp.add("v1", "v2", big, big + 1)
         assert not stp._numpy_exact()
         stp.closure()
-        assert stp.interval("a", "c") == (2 * big, 2 * big + 2)
+        assert stp.interval("v0", "v2") == (2 * big, 2 * big + 2)
 
 
-@pytest.mark.parametrize("engine", FAST_ENGINES)
 class TestMetamorphicTightening:
     """Tightening any input arc never loosens any derived interval."""
 
     @given(structure=rooted_dags(), data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_tightened_outputs_nested(self, engine, structure, data):
-        base = propagate(structure, SYSTEM, engine=engine)
+    @KERNEL_SETTINGS
+    def test_tightened_outputs_nested(self, closure_kernel, structure, data):
+        base = propagate(structure, SYSTEM)
         if not base.consistent:
             return
         arcs = sorted(structure.constraints)
@@ -148,9 +210,7 @@ class TestMetamorphicTightening:
         constraints = dict(structure.constraints)
         constraints[arc] = [tightened] + list(constraints[arc][1:])
         result = propagate(
-            EventStructure(structure.variables, constraints),
-            SYSTEM,
-            engine=engine,
+            EventStructure(structure.variables, constraints), SYSTEM
         )
         if not result.consistent:
             return  # tightening may reveal an inconsistency; never hides one
@@ -163,14 +223,15 @@ class TestMetamorphicTightening:
                 assert new_hi <= hi
 
 
-@pytest.mark.parametrize("engine", FAST_ENGINES)
 class TestSoundnessVsBruteForce:
     """Theorem 2 soundness against the exact backtracking search."""
 
     @given(structure=rooted_dags(max_nodes=4))
-    @settings(max_examples=200, deadline=None)
-    def test_witness_satisfies_derived_constraints(self, engine, structure):
-        result = propagate(structure, SYSTEM, engine=engine)
+    @KERNEL_SETTINGS
+    def test_witness_satisfies_derived_constraints(
+        self, closure_kernel, structure
+    ):
+        result = propagate(structure, SYSTEM)
         report = check_consistency_exact(
             structure,
             SYSTEM,
@@ -193,22 +254,12 @@ class TestSoundnessVsBruteForce:
                     )
 
 
-def test_resolve_engine_rejects_unknown():
-    with pytest.raises(ValueError):
-        resolve_engine("cuda")
-
-
-def test_auto_resolves_to_an_available_engine():
-    resolved = resolve_engine("auto")
-    assert resolved == ("auto" if have_numpy() else "fallback")
-
-
 def test_counters_reported(system):
-    """The fast path reports its closure and cache counters."""
+    """Production reports its closure and cache counters."""
     structure = EventStructure(
         ["a", "b"], {("a", "b"): [TCG(0, 3, system.get("day"))]}
     )
-    result = propagate(structure, SYSTEM, engine="fallback")
+    result = propagate(structure, SYSTEM)
     assert result.closures_full >= 1
     assert result.closures_incremental >= 0
     assert (

@@ -11,8 +11,6 @@ import random
 import pytest
 
 from repro.constraints import propagate
-from repro.constraints.propagation import ENGINES, resolve_engine
-from repro.constraints.stp import EngineUnavailable
 from repro.granularity import standard_system
 from repro.granularity.convcache import ConversionCache
 from repro.obs import configure, global_metrics
@@ -32,18 +30,6 @@ def structure():
     return consistent_random_dag(16, system, random.Random(16))
 
 
-def _host_engines():
-    """The engines that resolve here: ``numpy`` is missing from the
-    list when numpy is absent or disabled with ``REPRO_NO_NUMPY``."""
-    engines = set()
-    for engine in ENGINES:
-        try:
-            engines.add(resolve_engine(engine))
-        except EngineUnavailable:
-            continue
-    return sorted(engines)
-
-
 def _groups_of(result):
     return {
         label: dict(group) for label, group in result.groups.items()
@@ -51,12 +37,11 @@ def _groups_of(result):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("engine", _host_engines())
-    def test_on_off_bit_identical(self, structure, engine, obs_on):
-        on = propagate(structure, _fresh_system(), engine=engine)
+    def test_on_off_bit_identical(self, structure, closure_kernel, obs_on):
+        on = propagate(structure, _fresh_system())
         configure(False)
         try:
-            off = propagate(structure, _fresh_system(), engine=engine)
+            off = propagate(structure, _fresh_system())
         finally:
             configure(True)
         assert on.consistent == off.consistent

@@ -35,7 +35,7 @@ def test_default_on_counters_add_under_five_percent():
     def timed(enabled):
         configure(enabled)
         start = time.perf_counter()
-        propagate(structure, system, engine="auto")
+        propagate(structure, system)
         return time.perf_counter() - start
 
     try:
@@ -80,7 +80,7 @@ def test_flight_recorder_adds_under_five_percent_to_traced_runs():
         tracer = Tracer()
         with activate_tracer(tracer):
             start = time.perf_counter()
-            propagate(structure, system, engine="auto")
+            propagate(structure, system)
             return time.perf_counter() - start
 
     try:

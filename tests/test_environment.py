@@ -1,9 +1,9 @@
 """Behaviour is chosen by arguments, not by the environment.
 
-Two variables remain, each read in exactly one module: ``REPRO_OBS``
-(the observability switch, :mod:`repro.obs.runtime`) and
-``REPRO_NO_NUMPY`` (ignore an installed numpy, :mod:`repro._numpy`).
-Every other choice is an argument of an entry point.  The guard walks
+One variable remains, read in exactly one module: ``REPRO_OBS`` (the
+observability switch, :mod:`repro.obs.runtime`).  Every other choice
+is an argument of an entry point or follows from what the code can
+observe (numpy is used when it is installed).  The guard walks
 the AST of every module under ``src/repro`` and collects each read of
 ``os.environ`` or ``os.getenv``.
 """
@@ -84,14 +84,11 @@ def _reads_by_name():
 
 
 class TestEnvironmentGuard:
-    def test_only_two_variables_are_read(self):
-        assert set(_reads_by_name()) == {"REPRO_OBS", "REPRO_NO_NUMPY"}
+    def test_only_one_variable_is_read(self):
+        assert set(_reads_by_name()) == {"REPRO_OBS"}
 
     def test_each_variable_is_read_in_one_module(self):
-        assert _reads_by_name() == {
-            "REPRO_OBS": ["obs/runtime.py"],
-            "REPRO_NO_NUMPY": ["_numpy.py"],
-        }
+        assert _reads_by_name() == {"REPRO_OBS": ["obs/runtime.py"]}
 
     def test_scanner_sees_every_read_form(self):
         source = (

@@ -102,9 +102,8 @@ class TestCommandImports:
     def test_parsing_any_command_runs_no_numpy(self):
         _, modules = fresh(
             "from repro.cli import build_parser\n"
-            "from repro.constraints.stp import EngineUnavailable\n"
-            "build_parser().parse_args(\n"
-            "    ['mine', 'p.json', 'e.csv', '--engine', 'numpy'])\n"
+            "import repro.constraints.stp\n"
+            "build_parser().parse_args(['mine', 'p.json', 'e.csv'])\n"
         )
         assert not numpy_ran(modules)
 
@@ -164,22 +163,15 @@ class TestCommandImports:
 
 
 class TestWithoutNumpy:
-    @pytest.mark.parametrize(
-        "prelude, env",
-        [(BLOCK_NUMPY, None), ("", {"REPRO_NO_NUMPY": "1"})],
-        ids=["unfindable", "REPRO_NO_NUMPY"],
-    )
-    def test_kernels_fall_back_and_mine_prints_the_same(
-        self, mine_launch, prelude, env
-    ):
+    def test_kernels_fall_back_and_mine_prints_the_same(self, mine_launch):
+        """A machine without numpy: numpy cannot be found."""
         check = "".join(
             "import %s\nassert %s._np is None\n" % (name, name)
             for name in KERNELS
         )
         lines, modules = fresh(
-            prelude + "\nfrom repro.cli import main\n"
-            "assert main(%r) == 0\n" % (MINE,) + check,
-            env,
+            BLOCK_NUMPY + "\nfrom repro.cli import main\n"
+            "assert main(%r) == 0\n" % (MINE,) + check
         )
         assert lines == mine_launch[0]
         assert "numpy" not in modules
